@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from .cyclotomic import CycNum, from_json, rational_scale, to_json, zeta_power
+from .cyclotomic import CycNum, rational_scale, zeta_power
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,6 @@ class GradedObject:
     def __matmul__(self, other: "GradedObject") -> "GradedObject":
         return tensor_objects(self, other)
 
-    def to_json(self) -> dict:
-        return {"r": self.r, "grades": list(self.grades)}
-
 
 def unit_object(r: int) -> GradedObject:
     return GradedObject(r, (0,))
@@ -88,10 +85,6 @@ def unit_object(r: int) -> GradedObject:
 
 def simple_object(r: int, u: int) -> GradedObject:
     return GradedObject(r, (u,))
-
-
-def zero_object(r: int) -> GradedObject:
-    return GradedObject(r, ())
 
 
 def tensor_objects(*objs: GradedObject) -> GradedObject:
@@ -220,13 +213,6 @@ class GradedMorphism:
         """Diagrammatic order: (f >> g) applies f first."""
         return compose(other, self)
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "matrix": [[to_json(a) for a in row] for row in self.matrix],
-        }
-
     def __repr__(self):
         return (
             f"GradedMorphism({list(self.source.grades)} -> "
@@ -279,22 +265,6 @@ def dual_morphism(f: GradedMorphism) -> GradedMorphism:
     n = f.source.dim
     rows = [[f.matrix[m - 1 - j][n - 1 - i] for j in range(m)] for i in range(n)]
     return GradedMorphism(src, tgt, rows)
-
-
-def swap_morphism(x: GradedObject, y: GradedObject) -> GradedMorphism:
-    """The symmetric coefficient-1 permutation X (x) Y -> Y (x) X.
-
-    Internal plumbing: the category's braiding is not public API, but the
-    half-braidings of the centre and several tests are built on this map.
-    """
-    one = CycNum.one(x.r)
-    entries = {}
-    for i in range(x.dim):
-        for j in range(y.dim):
-            entries[(j * x.dim + i, i * y.dim + j)] = one
-    return GradedMorphism.from_entries(
-        tensor_objects(x, y), tensor_objects(y, x), entries
-    )
 
 
 def delta_pivot(x: GradedObject, params: CategoryParams) -> GradedMorphism:
@@ -371,21 +341,19 @@ def trace(f: GradedMorphism, side: str, params: CategoryParams) -> CycNum:
     return closed.matrix[0][0]
 
 
-def object_from_json(obj: dict) -> GradedObject:
-    return GradedObject(obj["r"], obj["grades"])
-
-
-def morphism_from_json(obj: dict) -> GradedMorphism:
-    return GradedMorphism(
-        object_from_json(obj["source"]),
-        object_from_json(obj["target"]),
-        [[from_json(a) for a in row] for row in obj["matrix"]],
-    )
-
-
 def global_dimension(params: CategoryParams) -> CycNum:
     """Sum over simples of dim_left * dim_right; equals r exactly."""
     total = params.zero()
     for u in range(params.r):
         total = total + params.zeta(-u) * params.zeta(u)
     return total
+
+
+def loop_weight(u: int, side: str, params: CategoryParams) -> CycNum:
+    """dim_side(C_u) / Dim, the weight of the grade-u loop in every projector.
+
+    Dim is global_dimension(params), which equals r exactly, so the quotient
+    is a rational rescale.
+    """
+    dim_u = dimension(simple_object(params.r, u), side, params)
+    return rational_scale(dim_u, Fraction(1, params.r))

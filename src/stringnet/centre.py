@@ -15,7 +15,6 @@ check it against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .category import (
@@ -25,10 +24,10 @@ from .category import (
     compose,
     dual_object,
     duality_maps,
+    loop_weight,
     simple_object,
     tensor_morphisms,
     tensor_objects,
-    unit_object,
 )
 from .coends import CentralHull, HomSpaceVector, central_hull, jmath
 from .cyclotomic import CycNum
@@ -100,11 +99,10 @@ def _h_summand_diagram(z: CentreSimple, u: int, params: CategoryParams) -> Slice
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     """The genus-1 vector attached to a centre simple, in H coordinates."""
     r = params.r
-    inv_dim = Fraction(1, r)
     coords = [CycNum.zero(r)] * (r * r)
     for u in range(r):
         val = evaluate(_h_summand_diagram(z, u, params), params)
-        weight = params.zeta(u) * inv_dim  # dim_r(U) / Dim
+        weight = loop_weight(u, "right", params)
         for i in range(r * r):
             e = val.matrix[i][0]
             if e:
@@ -134,11 +132,10 @@ def p_Y_projector(y: CentreSimple, params: CategoryParams) -> GradedMorphism:
     """The idempotent on A(C_a) with one-dimensional image labelled by Y."""
     r = params.r
     hull = central_hull(y.underlying())
-    inv_dim = Fraction(1, r)
     zero = CycNum.zero(r)
     mat = [[zero] * r for _ in range(r)]
     for u in range(r):
-        weight = params.zeta(u) * inv_dim
+        weight = loop_weight(u, "right", params)
         for v in range(r):
             val = evaluate(_p_block_diagram(y, u, v, params), params)
             mat[u][v] = val.matrix[0][0] * weight
@@ -265,7 +262,6 @@ def _counitlike_map(
     """Z -> Ahat(Z): U-cup then braiding, weighted by dim_r(U)/Dim."""
     r = params.r
     a_obj = z.underlying()
-    inv_dim = Fraction(1, r)
     zero = CycNum.zero(r)
     col = [[zero] for _ in range(hull.object.dim)]
     for u in range(r):
@@ -277,5 +273,5 @@ def _counitlike_map(
             [box(braid), identity(u_obj)],
         ]
         val = evaluate(SliceDiagram(top, layers), params)
-        col[hull.offsets[u]][0] = val.matrix[0][0] * (params.zeta(u) * inv_dim)
+        col[hull.offsets[u]][0] = val.matrix[0][0] * loop_weight(u, "right", params)
     return GradedMorphism(a_obj, hull.object, col)

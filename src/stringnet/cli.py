@@ -20,7 +20,7 @@ from .caps import SizeCapError
 from .category import CategoryParams, GradedMorphism, compose
 from .centre import h_vector, list_centre_simples
 from .cyclotomic import CycNum, approx_complex, to_json
-from .frobenius import InadmissibleMarkingError, frobenius_zr, nakayama
+from .frobenius import InadmissibleMarkingError, frobenius_zr
 from .frobenius import sigma_F as _sigma_F
 from .linalg import rank_cyc
 from .modular import ModularDataError, load_modular_data, sphere_charge_dim
@@ -258,7 +258,7 @@ def _cmd_sigma_f(args) -> dict:
 
 def _cmd_frobenius_check(args) -> dict:
     f_data = frobenius_zr(CategoryParams(args.r))
-    pair = nakayama(f_data)
+    pair = f_data.nakayama_pair
     ident = GradedMorphism.identity(f_data.object)
     power = pair.forward
     order = 1

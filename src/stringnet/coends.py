@@ -1,4 +1,4 @@
-"""The coend H, the central hull A(X), and their structure maps.
+"""The coend H, the central hull A(X), and the coend map jmath.
 
 H is the direct sum over pairs of simples (s,t) of S^dual (x) T^dual (x) S
 (x) T; every summand has total grade zero, so maps out of the unit see all
@@ -6,10 +6,10 @@ r^2 of them.  A(X) is the direct sum over simples U of U^dual (x) X (x) U,
 which for graded X is just r shifted-and-unshifted copies of X stacked in
 order u = 0..r-1.
 
-The structure maps iota and jmath are assembled from explicit dual-basis
-pairs (alpha, alpha-bar) with alpha o beta-bar = delta id on the simple
-target; the public functions use the canonical pairs, and the tests recompute
-with rescaled pairs to confirm the result does not depend on the choice.
+jmath is assembled from explicit dual-basis pairs (alpha, alpha-bar) with
+alpha o alpha-bar = id on the simple target; the public function uses the
+canonical pairs, and the tests recompute with rescaled pairs to confirm the
+result does not depend on the choice.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .category import (
     tensor_morphisms,
     tensor_objects,
 )
-from .cyclotomic import CycNum, from_json, to_json
+from .cyclotomic import CycNum
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,6 @@ class CentralHull:
     @property
     def r(self) -> int:
         return self.base.r
-
-    @property
-    def block_dim(self) -> int:
-        return self.base.dim
 
 
 def central_hull(x: GradedObject) -> CentralHull:
@@ -106,50 +102,6 @@ def _simple_basis(x: GradedObject, s: int, scales: Sequence[Fraction] | None = N
         )
         out.append((alpha, abar))
     return out
-
-
-def iota(x: GradedObject, v: int) -> GradedMorphism:
-    """The structure map C_v^dual (x) X (x) C_v -> A(X)."""
-    return _iota_with_scales(x, v, None)
-
-
-def _iota_with_scales(x: GradedObject, v: int, scales) -> GradedMorphism:
-    r = x.r
-    hull = central_hull(x)
-    cv = simple_object(r, v)
-    source = tensor_objects(dual_object(cv), x, cv)
-    total = GradedMorphism.zero_map(source, hull.object)
-    for u in range(r):
-        # C(C_v, C_u) vanishes unless u = v, where it is spanned by id
-        for alpha, abar in _simple_basis(cv, u, scales):
-            block = tensor_morphisms(
-                tensor_morphisms(dual_morphism(abar), GradedMorphism.identity(x)),
-                alpha,
-            )
-            incl = _block_inclusion(hull, u)
-            total = total + compose(incl, block)
-    return total
-
-
-def _block_inclusion(hull: CentralHull, u: int) -> GradedMorphism:
-    """Column inclusion of summand u into A(X)."""
-    off = hull.offsets[u]
-    one = CycNum.one(hull.r)
-    entries = {(off + i, i): one for i in range(hull.block_dim)}
-    block = GradedObject(
-        hull.r, hull.object.grades[off : off + hull.block_dim]
-    )
-    return GradedMorphism.from_entries(block, hull.object, entries)
-
-
-def _block_projection(hull: CentralHull, u: int) -> GradedMorphism:
-    off = hull.offsets[u]
-    one = CycNum.one(hull.r)
-    entries = {(i, off + i): one for i in range(hull.block_dim)}
-    block = GradedObject(
-        hull.r, hull.object.grades[off : off + hull.block_dim]
-    )
-    return GradedMorphism.from_entries(hull.object, block, entries)
 
 
 def jmath(x: GradedObject, y: GradedObject) -> GradedMorphism:
@@ -227,19 +179,3 @@ class HomSpaceVector:
         for a in self.coords:
             if not isinstance(a, CycNum) or a.order != self.r:
                 raise ValueError("coords must be CycNum of conductor r")
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "genus": self.genus,
-            "coords": [to_json(a) for a in self.coords],
-        }
-
-
-def hom_space_vector_from_json(obj: dict) -> HomSpaceVector:
-    return HomSpaceVector(
-        obj["r"],
-        obj["genus"],
-        (),
-        tuple(from_json(a) for a in obj["coords"]),
-    )

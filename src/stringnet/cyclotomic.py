@@ -267,23 +267,6 @@ def embed(a: CycNum, new_order: int) -> CycNum:
     return CycNum(new_order, out)
 
 
-def field_arithmetic(a: CycNum, b, op: str) -> CycNum:
-    """Dispatch table for the four public field operations.
-
-    op is one of "add", "sub", "mul" (b a CycNum of the same conductor) or
-    "rational_scale" (b an exact rational).
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "rational_scale":
-        return rational_scale(a, b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # -- JSON ------------------------------------------------------------------
 
 

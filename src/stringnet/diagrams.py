@@ -20,15 +20,10 @@ from .category import (
     compose,
     dual_object,
     duality_maps,
-    morphism_from_json,
-    simple_object,
     tensor_morphisms,
     tensor_objects,
     unit_object,
 )
-from .cyclotomic import CycNum
-
-_CAPCUP_KINDS = ("cap_left", "cap_right", "cup_left", "cup_right")
 
 
 class DiagramTypeError(ValueError):
@@ -105,11 +100,6 @@ class Generator:
             "cup_right": d.coev_right,
         }[self.kind]
 
-    def to_json(self) -> dict:
-        if self.kind == "box":
-            return {"kind": "box", "morphism": self.morphism.to_json()}
-        return {"kind": self.kind, "grade_list": list(self.obj.grades)}
-
     def __repr__(self):
         if self.kind == "box":
             return f"box({self.morphism!r})"
@@ -180,13 +170,6 @@ class SliceDiagram:
             return self.boundary_top
         return _layer_ends(self.layers[0])[0]
 
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "boundary_top": list(self.boundary_top.grades),
-            "layers": [[g.to_json() for g in layer] for layer in self.layers],
-        }
-
     def __repr__(self):
         return f"SliceDiagram({len(self.layers)} layers, r={self.r})"
 
@@ -213,44 +196,3 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
             note="top boundary",
         )
     return acc
-
-
-def loop_value(u: int, orientation: str, params: CategoryParams) -> CycNum:
-    """Value of a small loop labelled by the grade-u simple.
-
-    Clockwise gives the right dimension zeta^u, anticlockwise the left
-    dimension zeta^{-u}.  Built as a two-generator diagram and evaluated,
-    so this doubles as a smoke test of the evaluator itself.
-    """
-    x = simple_object(params.r, u)
-    if orientation == "clockwise":
-        layers = [[cup_left(x)], [cap_right(x)]]
-    elif orientation == "anticlockwise":
-        layers = [[cup_right(x)], [cap_left(x)]]
-    else:
-        raise ValueError(
-            f"orientation must be 'clockwise' or 'anticlockwise', got {orientation!r}"
-        )
-    d = SliceDiagram(unit_object(params.r), layers)
-    return evaluate(d, params).matrix[0][0]
-
-
-def generator_from_json(obj: dict, r: int) -> Generator:
-    kind = obj["kind"]
-    if kind == "box":
-        return box(morphism_from_json(obj["morphism"]))
-    if kind == "identity" or kind in _CAPCUP_KINDS:
-        return Generator(kind, GradedObject(r, obj["grade_list"]))
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def diagram_from_json(obj: dict) -> SliceDiagram:
-    r = obj["r"]
-    layers = [[generator_from_json(g, r) for g in layer] for layer in obj["layers"]]
-    if "boundary_top" in obj:
-        top = GradedObject(r, obj["boundary_top"])
-    elif layers:
-        top = _layer_ends(layers[-1])[1]
-    else:
-        raise ValueError("empty diagram needs an explicit boundary_top")
-    return SliceDiagram(top, layers)

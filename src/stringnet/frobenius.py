@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .category import (
@@ -83,6 +84,11 @@ class FrobeniusAlgebraData:
         assert compose(tensor_morphisms(idf, mu), tensor_morphisms(delta, idf)) == frob
         assert compose(tensor_morphisms(mu, idf), tensor_morphisms(idf, delta)) == frob
         assert compose(mu, delta) == idf, "Delta-separability fails"
+
+    @cached_property
+    def nakayama_pair(self) -> NakayamaPair:
+        """The Nakayama pair, evaluated once per algebra; see `nakayama`."""
+        return nakayama(self)
 
 
 def frobenius_zr(params: CategoryParams) -> FrobeniusAlgebraData:
@@ -184,7 +190,7 @@ def face_and_edge_labels(
     E_u = (N^u (x) id) o Delta o eta = (1/r) sum_b zeta^{-ub} 1_b (x) 1_{-b}.
     """
     m_n = dual_morphism(compose(f_data.eps, _mu_power(f_data, n)))
-    nak = nakayama(f_data).forward
+    nak = f_data.nakayama_pair.forward
     twist = GradedMorphism.identity(f_data.object)
     for _ in range(u % f_data.params.r):
         twist = compose(nak, twist)
@@ -212,7 +218,7 @@ def chi(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
     params = f_data.params
     f = f_data.object
     fd = dual_object(f)
-    nak_inv = nakayama(f_data).inverse
+    nak_inv = f_data.nakayama_pair.inverse
     r = params.r
     # N^{-a-1}: compose the inverse a+1 times (exponent taken mod r)
     def inv_power(k: int) -> GradedMorphism:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .caps import check_cap
 
@@ -104,25 +104,6 @@ class PLCW:
                 return e
         raise KeyError(edge_id)
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": self.num_vertices,
-            "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in self.edges],
-            "faces": [
-                {"boundary": [[eid, s] for eid, s in f.boundary], "preferred": f.preferred}
-                for f in self.faces
-            ],
-        }
-
-
-def plcw_from_json(obj: dict) -> PLCW:
-    return PLCW(
-        obj["vertices"],
-        [(e["id"], e["src"], e["dst"]) for e in obj["edges"]],
-        [(f["boundary"], f["preferred"]) for f in obj["faces"]],
-    )
-
-
 @dataclass(frozen=True)
 class MarkedPLCW:
     """An edge-index assignment in Z_r on a fixed decomposition."""
@@ -147,23 +128,6 @@ class MarkedPLCW:
         return {"r": self.r, "indices": {str(k): v for k, v in self.edge_index.items()}}
 
 
-def marking_from_json(obj: dict, complex: PLCW) -> MarkedPLCW:
-    return MarkedPLCW(
-        complex, obj["r"], {int(k): v for k, v in obj["indices"].items()}
-    )
-
-
-def hat_edge_index(e: Edge, v: int, s_e: int, r: int) -> int:
-    """Vertex-adjusted edge index: -1 on a loop, s_e outgoing, -1-s_e incoming."""
-    if v not in (e.src, e.dst):
-        raise ValueError(f"vertex {v} is not on edge {e.id}")
-    if e.is_loop():
-        return -1 % r
-    if v == e.src:
-        return s_e % r
-    return (-1 - s_e) % r
-
-
 def _clockwise_vertex(e: Edge, sign: int, d_convention: str) -> int:
     start = e.src if sign == 1 else e.dst
     end = e.dst if sign == 1 else e.src
@@ -174,7 +138,10 @@ def _vertex_profiles(
     complex: PLCW, d_convention: str
 ) -> list[tuple[list[int], list[int], int]]:
     """Per vertex: outgoing non-loop ids, incoming non-loop ids, and the
-    index-independent part of the residue."""
+    index-independent part of the residue.
+
+    The hat index of an edge at a vertex is s_e when the edge leaves it,
+    -1-s_e when it arrives and -1 on a loop; the -1s land in the constant."""
     if d_convention not in _D_CONVENTIONS:
         raise ValueError(f"unknown d_convention {d_convention!r}")
     loops = [0] * complex.num_vertices

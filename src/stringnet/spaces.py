@@ -25,6 +25,7 @@ from .category import (
     compose,
     delta_pivot,
     dual_object,
+    loop_weight,
     simple_object,
     tensor_objects,
     unit_object,
@@ -42,6 +43,7 @@ from .diagrams import (
     identity,
 )
 from .linalg import rank_cyc
+from .rspin import count_rspin
 
 _ORIENTATIONS = ("anticlockwise", "clockwise")
 
@@ -58,13 +60,8 @@ class ProjectorReport:
 
 
 def sn_closed_dim(params: CategoryParams, genus: int) -> int:
-    """Dimension of the closed genus-g string-net space: r^{2g} [r | 2-2g]."""
-    if genus < 0:
-        raise ValueError(f"genus must be non-negative, got {genus}")
-    r = params.r
-    if (2 - 2 * genus) % r != 0:
-        return 0
-    return r ** (2 * genus)
+    """Dimension of the closed genus-g string-net space: the r-spin count."""
+    return count_rspin(genus, params.r)
 
 
 def bp_scalar(params: CategoryParams, genus: int) -> CycNum:
@@ -94,7 +91,7 @@ def sphere_sn_dim(params: CategoryParams) -> int:
     acc = CycNum.zero(r)
     for u in range(r):
         val = evaluate(_loop_diagram(u, "anticlockwise", params), params)
-        acc = acc + val.matrix[0][0] * (params.zeta(u) * Fraction(1, r))
+        acc = acc + val.matrix[0][0] * loop_weight(u, "right", params)
     assert acc == acc * acc, "projector scalar must be idempotent"
     return 1 if acc == 1 else 0
 
@@ -203,7 +200,8 @@ def tilde_bp_operator(
     n = r ** (2 * genus)
     check_cap("string-net basis", n, cap)
     basis = hom_space_basis(genus, params)
-    inv_dim = Fraction(1, r)
+    side = "right" if orientation == "anticlockwise" else "left"
+    weights = [loop_weight(u, side, params) for u in range(r)]
     zero = CycNum.zero(r)
     columns: list[list[CycNum]] = []
     for chi in basis.labels:
@@ -211,14 +209,10 @@ def tilde_bp_operator(
         for u in range(r):
             diag = _bp_column_diagram(params, genus, chi, u, orientation)
             val = evaluate(diag, params)
-            if orientation == "anticlockwise":
-                weight = params.zeta(u) * inv_dim  # dim_r(U) / Dim
-            else:
-                weight = params.zeta(-u) * inv_dim  # dim_l(U) / Dim
             for i in range(n):
                 e = val.matrix[i][0]
                 if e:
-                    acc[i] = acc[i] + e * weight
+                    acc[i] = acc[i] + e * weights[u]
         columns.append(acc)
 
     top = (

@@ -20,9 +20,8 @@ from stringnet.category import (
     dual_object,
     duality_maps,
     global_dimension,
+    loop_weight,
     simple_object,
-    swap_morphism,
-    tensor_morphisms,
     tensor_objects,
     trace,
     unit_object,
@@ -268,31 +267,22 @@ def test_spherical_iff_r_at_most_two(r):
     assert equal == (r in (1, 2))
 
 
-def test_swap_is_inverse_of_itself():
-    x = GradedObject(5, (1, 2))
-    y = GradedObject(5, (3, 4, 0))
-    s = swap_morphism(x, y)
-    t = swap_morphism(y, x)
-    assert compose(t, s) == GradedMorphism.identity(x @ y)
-
-
-def test_swap_natural():
-    params = CategoryParams(3)
-    x = GradedObject(3, (1, 1))
-    y = GradedObject(3, (2,))
-    f = GradedMorphism.from_entries(
-        x, x, {(0, 1): params.one(), (1, 0): params.zeta(1)}
-    )
-    g = GradedMorphism.identity(y).scale(2)
-    lhs = compose(swap_morphism(x, y), f @ g)
-    rhs = compose(g @ f, swap_morphism(x, y))
-    assert lhs == rhs
-
-
 @pytest.mark.parametrize("r", range(1, 10))
 def test_global_dimension_is_r(r):
     params = CategoryParams(r)
     assert global_dimension(params) == r
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_loop_weight_is_dimension_over_global_dimension(r):
+    params = CategoryParams(r, -1 % r or 1)
+    for u in range(r):
+        for side in ("left", "right"):
+            w = loop_weight(u, side, params)
+            assert w * global_dimension(params) == dimension(
+                simple_object(r, u), side, params
+            )
+    assert loop_weight(1 % r, "right", params) == params.zeta(1) * Fraction(1, r)
 
 
 def test_zeta_exponent_must_be_coprime():

@@ -15,7 +15,6 @@ from stringnet.cyclotomic import (
     cyclotomic_polynomial,
     degree,
     embed,
-    field_arithmetic,
     from_json,
     rational_scale,
     to_json,
@@ -56,19 +55,6 @@ def test_field_arithmetic_trivial_values():
     assert n3.is_zero()
     assert rational_scale(zeta_power(2, 1), Fraction(1, 2)) == Fraction(-1, 2)
     assert conjugate(zeta_power(6, 1)) == zeta_power(6, 5)
-
-
-def test_field_arithmetic_dispatch():
-    a = zeta_power(5, 1)
-    b = zeta_power(5, 2)
-    assert field_arithmetic(a, b, "add") == a + b
-    assert field_arithmetic(a, b, "sub") == a - b
-    assert field_arithmetic(a, b, "mul") == zeta_power(5, 3)
-    assert field_arithmetic(a, Fraction(2, 3), "rational_scale") == rational_scale(
-        a, Fraction(2, 3)
-    )
-    with pytest.raises(ValueError):
-        field_arithmetic(a, b, "div")
 
 
 def test_mixed_conductors_rejected():

@@ -12,6 +12,7 @@ from stringnet.category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
+    dimension,
     simple_object,
     tensor_objects,
     unit_object,
@@ -25,36 +26,47 @@ from stringnet.diagrams import (
     cap_right,
     cup_left,
     cup_right,
-    diagram_from_json,
     evaluate,
     identity,
-    loop_value,
 )
 
 
+def _loop(u: int, orientation: str, params: CategoryParams):
+    """A small loop on the grade-u simple, as a cup followed by a cap."""
+    x = simple_object(params.r, u)
+    if orientation == "clockwise":
+        layers = [[cup_left(x)], [cap_right(x)]]
+    else:
+        layers = [[cup_right(x)], [cap_left(x)]]
+    return evaluate(SliceDiagram(unit_object(params.r), layers), params).matrix[0][0]
+
+
 def test_loop_values_match_dimensions():
+    # clockwise closes with the weighted cap: the right dimension zeta^u;
+    # anticlockwise opens with the weighted cup: the left dimension zeta^{-u}
     p4 = CategoryParams(4)
-    assert loop_value(1, "clockwise", p4) == zeta_power(4, 1)
-    assert loop_value(1, "anticlockwise", p4) == zeta_power(4, -1)
+    assert _loop(1, "clockwise", p4) == zeta_power(4, 1)
+    assert _loop(1, "anticlockwise", p4) == zeta_power(4, -1)
     for orient in ("clockwise", "anticlockwise"):
-        assert loop_value(0, orient, p4) == 1
+        assert _loop(0, orient, p4) == 1
     # zeta^{-2} = zeta^{1} when r = 3
     p3 = CategoryParams(3)
-    assert loop_value(2, "anticlockwise", p3) == zeta_power(3, 1)
-    assert loop_value(2, "anticlockwise", p3) == zeta_power(3, -2)
+    assert _loop(2, "anticlockwise", p3) == zeta_power(3, 1)
+    assert _loop(2, "anticlockwise", p3) == zeta_power(3, -2)
+    for r in range(1, 6):
+        params = CategoryParams(r)
+        for u in range(r):
+            x = simple_object(r, u)
+            assert _loop(u, "clockwise", params) == dimension(x, "right", params)
+            assert _loop(u, "anticlockwise", params) == dimension(x, "left", params)
 
 
 def test_loop_value_explicit_diagram_route():
-    # same value out of a hand-assembled diagram, not the loop_value helper
+    # the same value written out without the helper
     params = CategoryParams(3)
     x = simple_object(3, 2)
     d = SliceDiagram(unit_object(3), [[cup_right(x)], [cap_left(x)]])
     assert evaluate(d, params).matrix[0][0] == zeta_power(3, 1)
-
-
-def test_loop_value_bad_orientation():
-    with pytest.raises(ValueError, match="orientation"):
-        loop_value(1, "widdershins", CategoryParams(3))
 
 
 def test_single_box_returns_it_exactly():
@@ -216,31 +228,3 @@ def test_double_loop_basis_sum_alternate_root():
     params = CategoryParams(5, 2)
     boundary = tensor_objects(simple_object(5, 1), simple_object(5, -3))
     assert _a3_total(params, 1, 3, Fraction(2)) == GradedMorphism.identity(boundary)
-
-
-def test_json_round_trip():
-    params = CategoryParams(3)
-    x = simple_object(3, 1)
-    mid = unit_object(3)
-    d = SliceDiagram(
-        unit_object(3),
-        [
-            [cup_left(x), cup_right(x)],
-            [identity(mid)],
-            [cap_right(x), cap_left(x)],
-        ],
-    )
-    back = diagram_from_json(d.to_json())
-    assert evaluate(back, params) == evaluate(d, params)
-    assert back.to_json() == d.to_json()
-
-
-def test_json_box_round_trip():
-    params = CategoryParams(4)
-    f = GradedMorphism.from_entries(
-        unit_object(4), unit_object(4), {(0, 0): params.zeta(1) * Fraction(3, 7)}
-    )
-    d = SliceDiagram(unit_object(4), [[box(f)]])
-    back = diagram_from_json(d.to_json())
-    assert back.layers[0][0].morphism == f
-    assert evaluate(back, params) == f

@@ -11,9 +11,9 @@ from stringnet.category import (
     GradedMorphism,
     compose,
     dual_morphism,
-    tensor_morphisms,
     unit_object,
 )
+from stringnet import frobenius
 from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.frobenius import (
     FrobeniusAlgebraData,
@@ -82,6 +82,25 @@ def test_nakayama_closed_form_and_order():
 def test_nakayama_trivial_at_r1():
     fd = frobenius_zr(CategoryParams(1))
     assert nakayama(fd).forward == GradedMorphism.identity(fd.object)
+
+
+def test_nakayama_evaluated_once_per_algebra(monkeypatch):
+    # sigma_F threads one chi per handle and each chi reads the Nakayama
+    # inverse; the two rotation diagrams are evaluated only once per algebra
+    calls = []
+    real = frobenius._nakayama_diagram
+
+    def counting(f_data, direction):
+        calls.append(direction)
+        return real(f_data, direction)
+
+    monkeypatch.setattr(frobenius, "_nakayama_diagram", counting)
+    fd = frobenius_zr(CategoryParams(2))
+    for genus in (2, 3):
+        c = standard_decomposition(genus)
+        sigma_F(MarkedPLCW(c, 2, {e.id: e.id % 2 for e in c.edges}), fd)
+    face_and_edge_labels(2, 1, fd)
+    assert sorted(calls) == [-1, 1]
 
 
 def test_mu_power_validation_and_base():
