@@ -8,3 +8,17 @@ background-charge criterion for pivotally deformed modular data.
 """
 
 __version__ = "0.1.0"
+
+
+class InvariantError(AssertionError):
+    """A theorem checked on the library's own output failed; raised even under -O."""
+
+    def __init__(self, invariant: str) -> None:
+        super().__init__(f"invariant violated: {invariant}")
+        self.invariant = invariant
+
+
+def require(holds: bool, invariant: str) -> None:
+    """Raise InvariantError naming `invariant` unless it holds."""
+    if not holds:
+        raise InvariantError(invariant)

@@ -122,8 +122,11 @@ class GradedMorphism:
                 f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not "
                 f"match {target.dim}x{source.dim}"
             )
+        zero = CycNum.zero(source.r)  # shared, so most zero cells pass by identity
         for i, row in enumerate(rows):
             for j, a in enumerate(row):
+                if a is zero:
+                    continue
                 if not isinstance(a, CycNum) or a.order != source.r:
                     raise ValueError("entries must be CycNum of conductor r")
                 if a and target.grades[i] != source.grades[j]:
@@ -147,7 +150,7 @@ class GradedMorphism:
         zero = CycNum.zero(source.r)
         rows = [[zero] * source.dim for _ in range(target.dim)]
         for (i, j), a in entries.items():
-            rows[i][j] = rows[i][j] + a
+            rows[i][j] = a
         return cls(source, target, rows)
 
     @classmethod

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from . import require
 from .category import (
     CategoryParams,
     GradedMorphism,
@@ -103,8 +104,7 @@ def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     for u in range(r):
         val = evaluate(_h_summand_diagram(z, u, params), params)
         weight = loop_weight(u, "right", params)
-        for i in range(r * r):
-            e = val.matrix[i][0]
+        for i, (e,) in enumerate(val.matrix):
             if e:
                 coords[i] = coords[i] + e * weight
     return HomSpaceVector(r, 1, (), tuple(coords))
@@ -140,7 +140,7 @@ def p_Y_projector(y: CentreSimple, params: CategoryParams) -> GradedMorphism:
             val = evaluate(_p_block_diagram(y, u, v, params), params)
             mat[u][v] = val.matrix[0][0] * weight
     proj = GradedMorphism(hull.object, hull.object, mat)
-    assert compose(proj, proj) == proj
+    require(compose(proj, proj) == proj, "hull projector p_Y is idempotent")
     return proj
 
 

@@ -2,10 +2,10 @@
 
 Every subcommand echoes its inputs, names the quantity it computes in a
 "reference" field, and emits sorted-key JSON so identical invocations are
-byte-identical.  Exit code 2 flags bad invocations (including missing
-files), 1 flags domain errors raised by the computation itself, 0 is
-success.  `--json-schema` on any subcommand prints the shipped schema for
-its output and exits.
+byte-identical.  Exit codes: 0 success, 1 a domain error raised by the
+computation, 2 a bad invocation (including missing files), 3 a failed
+theorem check (an InvariantError, named in the payload).  `--json-schema`
+on any subcommand prints the shipped schema for its output and exits.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from . import InvariantError
 from .caps import SizeCapError
 from .category import CategoryParams, GradedMorphism, compose
 from .centre import h_vector, list_centre_simples
@@ -394,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _emit({"error": str(exc)})
         return 1
+    except InvariantError as exc:
+        _emit({"error": str(exc), "invariant": exc.invariant})
+        return 3
     _emit(payload)
     return 0
 

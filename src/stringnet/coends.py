@@ -6,10 +6,10 @@ r^2 of them.  A(X) is the direct sum over simples U of U^dual (x) X (x) U,
 which for graded X is just r shifted-and-unshifted copies of X stacked in
 order u = 0..r-1.
 
-jmath is assembled from explicit dual-basis pairs (alpha, alpha-bar) with
-alpha o alpha-bar = id on the simple target; the public function uses the
-canonical pairs, and the tests recompute with rescaled pairs to confirm the
-result does not depend on the choice.
+jmath is written in closed form, one entry 1 per pair of positions of X and
+Y.  `_jmath_with_scales` assembles it from explicit dual-basis pairs (alpha,
+alpha-bar) with alpha o alpha-bar = id on the simple target; it is the test
+reference, and its rescaled pairs show the result does not depend on them.
 """
 
 from __future__ import annotations
@@ -105,8 +105,15 @@ def _simple_basis(x: GradedObject, s: int, scales: Sequence[Fraction] | None = N
 
 
 def jmath(x: GradedObject, y: GradedObject) -> GradedMorphism:
-    """The coend map X^dual (x) Y^dual (x) X (x) Y -> H."""
-    return _jmath_with_scales(x, y, None, None)
+    """The coend map X^dual (x) Y^dual (x) X (x) Y -> H; x_i pairs with X^dual[dx-1-i]."""
+    h, dx, dy, one = CoendH(x.r), x.dim, y.dim, CycNum.one(x.r)
+    entries = {
+        (h.index(gx, gy), (((dx - 1 - i) * dy + (dy - 1 - j)) * dx + i) * dy + j): one
+        for i, gx in enumerate(x.grades)
+        for j, gy in enumerate(y.grades)
+    }
+    source = tensor_objects(dual_object(x), dual_object(y), x, y)
+    return GradedMorphism.from_entries(source, h.as_object(), entries)
 
 
 def _jmath_with_scales(x, y, x_scales, y_scales) -> GradedMorphism:

@@ -5,6 +5,12 @@ in the power basis 1, zeta, ..., zeta^{d-1} of Q(zeta_n), d = phi(n),
 kept reduced modulo the n-th cyclotomic polynomial.  Equality is decidable
 coefficient-wise and there is no floating point anywhere in the arithmetic.
 
+The public constructor `CycNum(order, coeffs)` checks and normalises its
+outside input.  `+`, `-`, negation, `*`, `rational_scale`, `from_rational`
+and the shared per-conductor constants (`zero`, `one`, `zeta_power`) skip
+that through `_from_reduced`, which trusts its tuple to hold exactly phi(order)
+Fractions already reduced modulo Phi_order.
+
 Division is deliberately not public: downstream computations only ever
 rescale by nonzero rationals and multiply by roots of unity.  A private
 `_inv` exists for the one consumer that needs quotients of quantum
@@ -15,6 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
+
+from . import require
 
 
 class ConductorMismatchError(ValueError):
@@ -31,7 +40,7 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Divide integer polynomials (low degree first); remainder must vanish."""
     num = list(num)
     dd = len(den) - 1
-    assert den[dd] == 1  # monic
+    require(den[dd] == 1, "divisor polynomial is monic")
     quot = [0] * (len(num) - dd)
     for j in range(len(num) - 1, dd - 1, -1):
         c = num[j]
@@ -112,16 +121,15 @@ class CycNum:
 
     @classmethod
     def zero(cls, order: int) -> "CycNum":
-        return cls(order, [0] * degree(order))
+        return _zeta_table(order)[-1]
 
     @classmethod
     def one(cls, order: int) -> "CycNum":
-        return cls.from_rational(order, 1)
+        return _zeta_table(order)[0]
 
     @classmethod
     def from_rational(cls, order: int, q) -> "CycNum":
-        coeffs = [Fraction(q)] + [Fraction(0)] * (degree(order) - 1)
-        return cls(order, coeffs)
+        return _from_reduced(order, (Fraction(q),) + (Fraction(0),) * (degree(order) - 1))
 
     # -- predicates --------------------------------------------------------
 
@@ -157,7 +165,7 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return _from_reduced(self.order, tuple(map(add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -165,7 +173,7 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return _from_reduced(self.order, tuple(map(sub, self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -174,7 +182,7 @@ class CycNum:
         return o - self
 
     def __neg__(self):
-        return CycNum(self.order, [-a for a in self.coeffs])
+        return _from_reduced(self.order, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -187,7 +195,7 @@ class CycNum:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return CycNum(self.order, _reduce(conv, self.order))
+        return _from_reduced(self.order, tuple(_reduce(conv, self.order)))
 
     __rmul__ = __mul__
 
@@ -220,18 +228,32 @@ class CycNum:
         return f"CycNum({self.order}, [{body}])"
 
 
+def _from_reduced(order: int, coeffs: tuple) -> CycNum:
+    """Wrap a reduced tuple of exactly phi(order) Fractions, unchecked."""
+    a = object.__new__(CycNum)
+    object.__setattr__(a, "order", order)
+    object.__setattr__(a, "coeffs", coeffs)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _zeta_table(n: int) -> tuple[CycNum, ...]:
+    """Shared constants zeta_n^0 .. zeta_n^{n-1}, then zero, for conductor n."""
+    rows = [tuple(map(Fraction, row)) for row in _power_table(n)] + [(Fraction(0),) * degree(n)]
+    return tuple(_from_reduced(n, row) for row in rows)
+
+
 def zeta_power(n: int, k: int) -> CycNum:
     """The canonical representative of zeta_n^{k mod n}."""
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
-    row = _power_table(n)[k % n]
-    return CycNum(n, row)
+    return _zeta_table(n)[k % n]
 
 
 def rational_scale(a: CycNum, q) -> CycNum:
     """Multiply by an exact rational (the only public scalar division route)."""
     q = Fraction(q)
-    return CycNum(a.order, [c * q for c in a.coeffs])
+    return _from_reduced(a.order, tuple([c * q for c in a.coeffs]))
 
 
 def conjugate(a: CycNum) -> CycNum:
@@ -354,9 +376,9 @@ def _inv(a: CycNum) -> CycNum:
     phi = [Fraction(c) for c in cyclotomic_polynomial(a.order)]
     g, u = _poly_xgcd(list(a.coeffs), phi)
     # Phi_n is squarefree and a is nonzero, so the gcd is a nonzero constant.
-    assert len(g) == 1 and g[0] != 0
+    require(len(g) == 1 and g[0] != 0, "gcd with Phi_n is a nonzero constant")
     inv_coeffs = [c / g[0] for c in u]
     inv_coeffs += [Fraction(0)] * (degree(a.order) - len(inv_coeffs))
     out = CycNum(a.order, _reduce(list(inv_coeffs), a.order))
-    assert out * a == CycNum.one(a.order)
+    require(out * a == CycNum.one(a.order), "inverse times a is one")
     return out

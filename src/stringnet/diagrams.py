@@ -2,9 +2,10 @@
 
 A diagram is a stack of layers, read bottom to top; each layer juxtaposes
 generators left to right.  Generators are identity strands, the four duality
-caps and cups, and boxes holding arbitrary morphisms.  Evaluation tensors
-each layer and composes the stack, checking that adjacent layers agree on
-the grade word they exchange.
+caps and cups, and boxes holding arbitrary morphisms.  Evaluation checks
+the grade words adjacent layers exchange, then pushes each bottom basis
+vector up as a sparse {flat index: coefficient} dict, split mixed-radix over
+each layer's generators; no layer's Kronecker product is ever built.
 
 Diagrams arrive pre-sliced; there is no planar-graph compiler here.  Every
 construction downstream is drawn in sliceable normal form already, and an
@@ -17,10 +18,8 @@ from .category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
-    compose,
     dual_object,
     duality_maps,
-    tensor_morphisms,
     tensor_objects,
     unit_object,
 )
@@ -49,43 +48,28 @@ class DiagramTypeError(ValueError):
 class Generator:
     """One cell of a layer: an identity, a duality cap/cup, or a box."""
 
-    __slots__ = ("kind", "obj", "morphism")
+    __slots__ = ("kind", "obj", "morphism", "source", "target")
 
     def __init__(self, kind: str, obj: GradedObject | None, morphism=None) -> None:
+        if kind == "box":
+            source, target = morphism.source, morphism.target
+        elif kind == "identity":
+            source = target = obj
+        else:
+            unit = unit_object(obj.r)
+            if kind in ("cap_right", "cup_left"):
+                pair = tensor_objects(obj, dual_object(obj))
+            else:
+                pair = tensor_objects(dual_object(obj), obj)
+            source, target = (pair, unit) if kind.startswith("cap") else (unit, pair)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "obj", obj)
         object.__setattr__(self, "morphism", morphism)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
-
-    @property
-    def r(self) -> int:
-        return self.morphism.r if self.kind == "box" else self.obj.r
-
-    @property
-    def source(self) -> GradedObject:
-        if self.kind == "box":
-            return self.morphism.source
-        if self.kind == "identity":
-            return self.obj
-        if self.kind == "cap_left":
-            return tensor_objects(dual_object(self.obj), self.obj)
-        if self.kind == "cap_right":
-            return tensor_objects(self.obj, dual_object(self.obj))
-        return unit_object(self.obj.r)
-
-    @property
-    def target(self) -> GradedObject:
-        if self.kind == "box":
-            return self.morphism.target
-        if self.kind == "identity":
-            return self.obj
-        if self.kind == "cup_left":
-            return tensor_objects(self.obj, dual_object(self.obj))
-        if self.kind == "cup_right":
-            return tensor_objects(dual_object(self.obj), self.obj)
-        return unit_object(self.obj.r)
 
     def matrix(self, params: CategoryParams) -> GradedMorphism:
         if self.kind == "box":
@@ -152,8 +136,8 @@ class SliceDiagram:
         r = boundary_top.r
         for i, layer in enumerate(layers):
             for g in layer:
-                if g.r != r:
-                    raise ValueError(f"layer {i} mixes r={g.r} into an r={r} diagram")
+                if g.source.r != r:
+                    raise ValueError(f"layer {i} mixes r={g.source.r} into an r={r} diagram")
         object.__setattr__(self, "boundary_top", boundary_top)
         object.__setattr__(self, "layers", layers)
 
@@ -174,25 +158,64 @@ class SliceDiagram:
         return f"SliceDiagram({len(self.layers)} layers, r={self.r})"
 
 
+def _layer_action(layer, params: CategoryParams, one, zero, seen: dict):
+    """(source dim, target dim, columns) per generator, for `_push`.
+
+    columns[j] lists the nonzero (row, coefficient) of source index j, with
+    None for the shared `one`; a run of identity strands gets columns None.
+    """
+    action = []
+    for g in layer:
+        if g.kind == "identity":  # merged into the run before it; a 1-dim run is a no-op
+            dim = g.obj.dim * (action.pop()[0] if action and action[-1][2] is None else 1)
+            if dim != 1:
+                action.append((dim, dim, None))
+            continue
+        key = id(g.morphism if g.kind == "box" else g)
+        if key not in seen:
+            m = g.matrix(params)
+            columns = [[] for _ in range(m.source.dim)]
+            for i, row in enumerate(m.matrix):
+                for j, a in enumerate(row):
+                    if a is not zero and a:
+                        columns[j].append((i, None if a is one else a))
+            seen[key] = (m.source.dim, m.target.dim, columns)
+        action.append(seen[key])
+    return action
+
+
+def _push(vec: dict, action) -> dict:
+    """Apply one layer to a sparse vector {flat index: CycNum}."""
+    out: dict = {}
+    for idx, val in vec.items():
+        terms, place = [(0, val)], 1  # target digits fill in from the right
+        for src_dim, tgt_dim, columns in reversed(action):
+            idx, j = divmod(idx, src_dim)
+            col = [(j, None)] if columns is None else columns[j]
+            terms = [(t + i * place, v if c is None else v * c) for t, v in terms for i, c in col]
+            place *= tgt_dim
+        for t, v in terms:
+            out[t] = out[t] + v if t in out else v
+    return {t: v for t, v in out.items() if v}
+
+
 def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
-    """Tensor each layer, compose the stack, return the total morphism."""
+    """The morphism a diagram denotes, from its bottom to its top boundary."""
     if params.r != d.r:
         raise ValueError(f"params r={params.r} but diagram r={d.r}")
-    current = d.boundary_bottom
-    acc = GradedMorphism.identity(current)
+    bottom = current = d.boundary_bottom
     for i, layer in enumerate(d.layers):
         src, tgt = _layer_ends(layer)
         if src != current:
             raise DiagramTypeError(i, expected=current, found=src)
-        mats = [g.matrix(params) for g in layer]
-        m = mats[0]
-        for extra in mats[1:]:
-            m = tensor_morphisms(m, extra)
-        acc = compose(m, acc)
         current = tgt
     if current != d.boundary_top:
-        raise DiagramTypeError(
-            len(d.layers) - 1, expected=d.boundary_top, found=current,
-            note="top boundary",
-        )
-    return acc
+        raise DiagramTypeError(len(d.layers) - 1, d.boundary_top, current, "top boundary")
+    one, zero = params.one(), params.zero()
+    vectors = [{c: one} for c in range(bottom.dim)]
+    seen: dict = {}  # columns by id of generator or box; d keeps them all alive
+    for layer in d.layers:
+        action = _layer_action(layer, params, one, zero, seen)
+        vectors = [_push(vec, action) for vec in vectors]
+    entries = {(i, c): v for c, vec in enumerate(vectors) for i, v in vec.items()}
+    return GradedMorphism.from_entries(bottom, current, entries)

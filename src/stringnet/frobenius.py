@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from . import require
 from .category import (
     CategoryParams,
     GradedMorphism,
@@ -57,7 +58,7 @@ class InadmissibleMarkingError(ValueError):
 
 @dataclass(frozen=True)
 class FrobeniusAlgebraData:
-    """Algebra and coalgebra structure on F; axioms assert on construction."""
+    """Algebra and coalgebra structure on F; axioms are checked on construction."""
 
     params: CategoryParams
     object: GradedObject
@@ -70,20 +71,17 @@ class FrobeniusAlgebraData:
         f = self.object
         idf = GradedMorphism.identity(f)
         mu, eta, delta, eps = self.mu, self.eta, self.delta, self.eps
-        assert compose(mu, tensor_morphisms(mu, idf)) == compose(
-            mu, tensor_morphisms(idf, mu)
-        ), "multiplication is not associative"
-        assert compose(mu, tensor_morphisms(eta, idf)) == idf
-        assert compose(mu, tensor_morphisms(idf, eta)) == idf
-        assert compose(tensor_morphisms(delta, idf), delta) == compose(
-            tensor_morphisms(idf, delta), delta
-        ), "comultiplication is not coassociative"
-        assert compose(tensor_morphisms(eps, idf), delta) == idf
-        assert compose(tensor_morphisms(idf, eps), delta) == idf
+        t = tensor_morphisms
+        require(compose(mu, t(mu, idf)) == compose(mu, t(idf, mu)), "associativity")
+        require(compose(mu, t(eta, idf)) == idf, "left unit")
+        require(compose(mu, t(idf, eta)) == idf, "right unit")
+        require(compose(t(delta, idf), delta) == compose(t(idf, delta), delta), "coassociativity")
+        require(compose(t(eps, idf), delta) == idf, "left counit")
+        require(compose(t(idf, eps), delta) == idf, "right counit")
         frob = compose(delta, mu)
-        assert compose(tensor_morphisms(idf, mu), tensor_morphisms(delta, idf)) == frob
-        assert compose(tensor_morphisms(mu, idf), tensor_morphisms(idf, delta)) == frob
-        assert compose(mu, delta) == idf, "Delta-separability fails"
+        require(compose(t(idf, mu), t(delta, idf)) == frob, "left Frobenius relation")
+        require(compose(t(mu, idf), t(idf, delta)) == frob, "right Frobenius relation")
+        require(compose(mu, delta) == idf, "Delta-separability")
 
     @cached_property
     def nakayama_pair(self) -> NakayamaPair:
@@ -164,8 +162,8 @@ def nakayama(f_data: FrobeniusAlgebraData) -> NakayamaPair:
     closed = GradedMorphism.from_entries(
         f, f, {(a, a): params.zeta(-a) for a in range(r)}
     )
-    assert forward == closed, "Nakayama diagram disagrees with the closed form"
-    assert compose(forward, inverse) == GradedMorphism.identity(f)
+    require(forward == closed, "Nakayama diagram equals the closed form")
+    require(compose(forward, inverse) == GradedMorphism.identity(f), "Nakayama inverse")
     return NakayamaPair(forward, inverse)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import require
 from .cyclotomic import CycNum, _reduce, degree
 
 
@@ -69,5 +70,5 @@ def rank_cyc(rows: list[list[CycNum]]) -> int:
         for i in range(d):
             big.append([b[i][j] for b in block_row for j in range(d)])
     r = rank_rational(big)
-    assert r % d == 0, "blow-up rank must be divisible by the field degree"
+    require(r % d == 0, "blow-up rank is divisible by the field degree")
     return r // d

@@ -29,6 +29,7 @@ from math import gcd
 from pathlib import Path
 from typing import Sequence
 
+from . import require
 from .cyclotomic import CycNum, _inv, from_json, to_json, zeta_power
 from .linalg import rank_cyc
 
@@ -263,7 +264,7 @@ def deformed_dims(j: str, m: ModularData) -> DeformedDims:
     dim_l = tuple(m.s_unnorm[jd][x] * inv_l for x in range(n))
     pointwise_equal = dim_l == dim_r
     square_is_unit = _fusion_square(ji, m) == 0
-    assert pointwise_equal == square_is_unit, "sphericity criteria disagree"
+    require(pointwise_equal == square_is_unit, "the two sphericity criteria agree")
     return DeformedDims(dim_l, dim_r, pointwise_equal)
 
 

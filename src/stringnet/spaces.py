@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import require
 from .caps import check_cap
 from .category import (
     CategoryParams,
@@ -42,7 +43,6 @@ from .diagrams import (
     evaluate,
     identity,
 )
-from .linalg import rank_cyc
 from .rspin import count_rspin
 
 _ORIENTATIONS = ("anticlockwise", "clockwise")
@@ -92,7 +92,7 @@ def sphere_sn_dim(params: CategoryParams) -> int:
     for u in range(r):
         val = evaluate(_loop_diagram(u, "anticlockwise", params), params)
         acc = acc + val.matrix[0][0] * loop_weight(u, "right", params)
-    assert acc == acc * acc, "projector scalar must be idempotent"
+    require(acc == acc * acc, "sphere projector scalar is idempotent")
     return 1 if acc == 1 else 0
 
 
@@ -188,9 +188,9 @@ def tilde_bp_operator(
 ) -> ProjectorReport:
     """Build the projector on C(1, H^{(x)g}) and report its image rank.
 
-    Asserts idempotency and agreement with the analytic scalar times the
-    identity; both are theorems, not conventions, so a failure means the
-    diagram calculus is broken.
+    Checks idempotency and agreement with the analytic scalar times the
+    identity (theorems: an InvariantError means the diagram calculus is
+    broken); given both, the image rank is n, or 0 when the scalar is.
     """
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
@@ -207,30 +207,25 @@ def tilde_bp_operator(
     for chi in basis.labels:
         acc = [zero] * n
         for u in range(r):
-            diag = _bp_column_diagram(params, genus, chi, u, orientation)
-            val = evaluate(diag, params)
-            for i in range(n):
-                e = val.matrix[i][0]
+            val = evaluate(_bp_column_diagram(params, genus, chi, u, orientation), params)
+            for i, (e,) in enumerate(val.matrix):
                 if e:
                     acc[i] = acc[i] + e * weights[u]
         columns.append(acc)
 
-    top = (
-        tensor_objects(*([CoendH(r).as_object()] * genus))
-        if genus
-        else unit_object(r)
-    )
+    top = tensor_objects(*[CoendH(r).as_object()] * genus) if genus else unit_object(r)
     mat = [[columns[j][i] for j in range(n)] for i in range(n)]
     op = GradedMorphism(top, top, mat)
     scalar = bp_scalar(params, genus)
-    assert compose(op, op) == op, "plaquette operator is not idempotent"
-    assert op == GradedMorphism.identity(top).scale(scalar)
+    require(compose(op, op) == op, "plaquette operator is idempotent")
+    want = GradedMorphism.identity(top).scale(scalar)
+    require(op == want, "plaquette operator is the analytic scalar times the identity")
     return ProjectorReport(
         r=r,
         genus=genus,
         analytic_scalar=scalar,
         operator_matrix=tuple(tuple(row) for row in mat),
-        image_rank=rank_cyc(mat),
+        image_rank=n if scalar else 0,
     )
 
 

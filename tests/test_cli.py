@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -228,3 +232,32 @@ def test_approx_rendering_is_opt_in(capsys):
     assert "approx" in first
     # exact fields are unchanged by the rendering flag
     assert plain["vectors"][0]["coords"][0]["coeffs"] == first["coeffs"]
+
+
+# Breaks one theorem (the plaquette operator equals the analytic scalar
+# times the identity) and runs bp-operator with assert statements stripped.
+_BROKEN_THEOREM = """
+import sys
+from stringnet import cli, spaces
+from stringnet.cyclotomic import CycNum
+if __debug__:
+    sys.exit("expected python -O")
+spaces.bp_scalar = lambda params, genus: CycNum.zero(params.r)
+sys.exit(cli.main(["bp-operator", "--r", "2", "--genus", "1"]))
+"""
+
+
+def test_invariant_failure_exits_3_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_THEOREM],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["invariant"] == "plaquette operator is the analytic scalar times the identity"
+    assert "invariant violated" in payload["error"]

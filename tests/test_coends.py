@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -87,14 +86,20 @@ def test_jmath_of_f_hits_every_summand(r):
     assert rank_cyc([list(row) for row in m.matrix]) == r * r
 
 
-def test_jmath_basis_independent():
-    f_obj = GradedObject(3, (0, 1, 2))
-    scales = [Fraction(3, 4)]
-    assert _jmath_with_scales(f_obj, f_obj, scales, scales) == jmath(f_obj, f_obj)
-    x = GradedObject(3, (1, 1))
-    assert _jmath_with_scales(
-        x, f_obj, [Fraction(2), Fraction(1, 5)], [Fraction(9)]
-    ) == jmath(x, f_obj)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_jmath_basis_independent(data):
+    """The closed form equals the dual-basis assembly for any rescaled pairs."""
+    r = data.draw(st.integers(1, 5))
+    grades = st.lists(st.integers(0, r - 1), max_size=3)
+    x = GradedObject(r, data.draw(grades))
+    y = GradedObject(r, data.draw(grades))
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+    x_scales = data.draw(st.lists(nonzero, min_size=x.dim, max_size=x.dim))
+    y_scales = data.draw(st.lists(nonzero, min_size=y.dim, max_size=y.dim))
+    want = _jmath_with_scales(x, y, x_scales, y_scales)
+    assert jmath(x, y) == want
+    assert _jmath_with_scales(x, y, None, None) == want
 
 
 def test_jmath_entry_pattern():

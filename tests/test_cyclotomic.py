@@ -185,3 +185,46 @@ def test_approx_complex_hits_unit_circle():
     z = approx_complex(zeta_power(8, 1))
     assert abs(abs(z) - 1) < 1e-12
     assert abs(z.real - z.imag) < 1e-12
+
+
+def _is_canonical(a: CycNum, n: int) -> bool:
+    """phi(n) Fraction coefficients, equal and hash-equal to the checked rebuild."""
+    rebuilt = CycNum(n, list(a.coeffs))
+    return (
+        a.order == n
+        and len(a.coeffs) == degree(n)
+        and all(type(c) is Fraction for c in a.coeffs)
+        and a == rebuilt
+        and hash(a) == hash(rebuilt)
+    )
+
+
+@given(
+    n=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_results_are_canonical(n, data):
+    """Results of the unchecked internal constructor satisfy the public checks."""
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    a = CycNum(n, data.draw(st.lists(coeff, min_size=degree(n), max_size=degree(n))))
+    b = CycNum(n, data.draw(st.lists(coeff, min_size=degree(n), max_size=degree(n))))
+    k = data.draw(st.integers(-20, 20))
+    q = data.draw(coeff)
+    m = n * data.draw(st.integers(1, 3))
+    results = [a + b, a - b, -a, a * b, a * q, 2 * a, a + 1, rational_scale(a, q)]
+    results += [zeta_power(n, k), conjugate(a), CycNum.zero(n), CycNum.one(n)]
+    results += [CycNum.from_rational(n, q), a**2]
+    for res in results:
+        assert _is_canonical(res, n), res
+    assert _is_canonical(embed(a, m), m)
+
+
+def test_public_constructor_still_checks():
+    with pytest.raises(ValueError, match="expected 2 coefficients"):
+        CycNum(3, [1, 2, 3])
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        CycNum(0, [])
+    a = CycNum(3, [1, 2])
+    assert all(type(c) is Fraction for c in a.coeffs)
+    assert a.coeffs == (Fraction(1), Fraction(2))

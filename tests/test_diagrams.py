@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,11 @@ from stringnet.category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
+    compose,
     dimension,
+    dual_object,
     simple_object,
+    tensor_morphisms,
     tensor_objects,
     unit_object,
 )
@@ -29,6 +33,7 @@ from stringnet.diagrams import (
     evaluate,
     identity,
 )
+from stringnet.frobenius import frobenius_zr
 
 
 def _loop(u: int, orientation: str, params: CategoryParams):
@@ -159,6 +164,93 @@ def test_resliced_boxes_evaluate_equal(data):
     val = evaluate(together, params)
     assert evaluate(f_first, params) == val
     assert evaluate(g_first, params) == val
+
+
+def _layer_fold(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
+    """Reference evaluation: Kronecker product of each layer, composed up."""
+    acc = GradedMorphism.identity(d.boundary_bottom)
+    for layer in d.layers:
+        acc = compose(reduce(tensor_morphisms, [g.matrix(params) for g in layer]), acc)
+    return acc
+
+
+_MAX_DIM = 16
+
+
+def _random_diagram(draw, params: CategoryParams) -> SliceDiagram:
+    """A random well-typed diagram over simples and the group algebra F.
+
+    The strand word starts non-unit; each layer may cap adjacent dual
+    strands, open cups, and apply random endomorphisms or mu, Delta and eps
+    of F (Delta has r nonzeros per column).
+    """
+    r = params.r
+    fd = frobenius_zr(params)
+    f = fd.object
+    strand = st.one_of(st.integers(0, r - 1).map(lambda u: simple_object(r, u)), st.just(f))
+    word = draw(st.lists(strand, min_size=1, max_size=2))
+    bottom = tensor_objects(*word)
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        dim = tensor_objects(*word).dim
+        layer, new_word, i = [], [], 0
+        while i <= len(word):
+            y = draw(strand)
+            if dim * y.dim * y.dim <= _MAX_DIM and draw(st.integers(0, 3)) == 0:
+                cup = draw(st.sampled_from([cup_left, cup_right]))
+                layer.append(cup(y))
+                new_word += [y, dual_object(y)] if cup is cup_left else [dual_object(y), y]
+                dim *= y.dim * y.dim
+            if i == len(word):
+                break
+            x, nxt = word[i], word[i + 1] if i + 1 < len(word) else None
+            options = ["identity", "endo"]
+            if nxt is not None and dual_object(nxt) == x:
+                options.append("cap_left")
+            if nxt is not None and dual_object(x) == nxt:
+                options.append("cap_right")
+            if x == f and nxt == f:
+                options.append("mu")
+            if x == f:
+                options += ["eps"] + (["delta"] if dim * r <= _MAX_DIM else [])
+            kind = draw(st.sampled_from(options))
+            if kind in ("cap_left", "cap_right", "mu"):
+                i += 2
+                dim //= x.dim * nxt.dim
+                if kind == "mu":
+                    layer.append(box(fd.mu))
+                    new_word.append(f)
+                    dim *= r
+                else:
+                    layer.append(cap_left(nxt) if kind == "cap_left" else cap_right(x))
+                continue
+            i += 1
+            if kind == "identity":
+                layer.append(identity(x))
+                new_word.append(x)
+            elif kind == "endo":
+                layer.append(box(_small_endo(draw, params, x)))
+                new_word.append(x)
+            elif kind == "eps":
+                layer.append(box(fd.eps))
+                dim //= r
+            else:
+                layer.append(box(fd.delta))
+                new_word += [f, f]
+                dim *= r
+        layers.append(layer)
+        word = new_word or [unit_object(r)]
+    return SliceDiagram(tensor_objects(*word), layers)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_layer_fold(data):
+    """The sparse vector push equals the tensor-and-compose fold of the layers."""
+    params = CategoryParams(data.draw(st.integers(1, 4)))
+    d = _random_diagram(data.draw, params)
+    assert d.boundary_bottom.dim > 0
+    assert evaluate(d, params) == _layer_fold(d, params)
 
 
 @pytest.mark.parametrize("r", range(1, 5))

@@ -13,7 +13,7 @@ from stringnet.category import (
     dual_morphism,
     unit_object,
 )
-from stringnet import frobenius
+from stringnet import InvariantError, frobenius
 from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.frobenius import (
     FrobeniusAlgebraData,
@@ -60,8 +60,9 @@ def test_unnormalized_counit_rejected():
     bad_eps = GradedMorphism.from_entries(
         good.object, unit_object(2), {(0, 0): CycNum.one(2)}
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError) as exc:
         FrobeniusAlgebraData(params, good.object, good.mu, good.eta, good.delta, bad_eps)
+    assert exc.value.invariant == "left counit"
 
 
 def test_nakayama_closed_form_and_order():
