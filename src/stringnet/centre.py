@@ -24,15 +24,22 @@ from .category import (
     GradedObject,
     compose,
     dual_object,
-    duality_maps,
     loop_weight,
     simple_object,
-    tensor_morphisms,
     tensor_objects,
 )
 from .coends import CentralHull, HomSpaceVector, central_hull, jmath
 from .cyclotomic import CycNum
-from .diagrams import SliceDiagram, box, cap_left, cup_left, cup_right, evaluate, identity
+from .diagrams import (
+    SliceDiagram,
+    box,
+    cap_left,
+    cup_left,
+    cup_right,
+    evaluate,
+    identity,
+    loop_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -98,16 +105,9 @@ def _h_summand_diagram(z: CentreSimple, u: int, params: CategoryParams) -> Slice
 
 
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
-    """The genus-1 vector attached to a centre simple, in H coordinates."""
-    r = params.r
-    coords = [CycNum.zero(r)] * (r * r)
-    for u in range(r):
-        val = evaluate(_h_summand_diagram(z, u, params), params)
-        weight = loop_weight(u, "right", params)
-        for i, (e,) in enumerate(val.matrix):
-            if e:
-                coords[i] = coords[i] + e * weight
-    return HomSpaceVector(r, 1, (), tuple(coords))
+    """The genus-1 vector of a centre simple: the `loop_sum` of its summands."""
+    coords = loop_sum(lambda u: _h_summand_diagram(z, u, params), "right", params)
+    return HomSpaceVector(params.r, 1, (), tuple(coords))
 
 
 def _p_block_diagram(
@@ -170,25 +170,14 @@ def _ahat_braiding_block(
     abar = GradedMorphism.from_entries(
         j_obj, tensor_objects(i_obj, w), {(p, 0): CycNum.one(r)}
     )
-    cap = tensor_morphisms(
-        duality_maps(i_obj, params).ev_left, GradedMorphism.identity(w)
-    )
+    i_dual = identity(dual_object(i_obj))
+    j_dual = identity(dual_object(j_obj))
+    m_j = [identity(m), identity(j_obj)]
     layers = [
-        [identity(dual_object(i_obj)), identity(m), box(alpha)],
-        [
-            identity(dual_object(i_obj)),
-            cup_left(j_obj),
-            identity(m),
-            identity(j_obj),
-        ],
-        [
-            identity(dual_object(i_obj)),
-            box(abar),
-            identity(dual_object(j_obj)),
-            identity(m),
-            identity(j_obj),
-        ],
-        [box(cap), identity(dual_object(j_obj)), identity(m), identity(j_obj)],
+        [i_dual, identity(m), box(alpha)],
+        [i_dual, cup_left(j_obj), *m_j],
+        [i_dual, box(abar), j_dual, *m_j],
+        [cap_left(i_obj), identity(w), j_dual, *m_j],
     ]
     top = tensor_objects(w, dual_object(j_obj), m, j_obj)
     return evaluate(SliceDiagram(top, layers), params)

@@ -300,7 +300,11 @@ def to_json(a: CycNum) -> dict:
 
 
 def from_json(obj: dict) -> CycNum:
-    return CycNum(int(obj["order"]), [Fraction(s) for s in obj["coeffs"]])
+    try:
+        coeffs = [Fraction(s) for s in obj["coeffs"]]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficients {obj['coeffs']}") from None
+    return CycNum(int(obj["order"]), coeffs)
 
 
 def approx_complex(a: CycNum) -> complex:

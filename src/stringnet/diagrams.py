@@ -6,6 +6,8 @@ caps and cups, and boxes holding arbitrary morphisms.  Evaluation checks
 the grade words adjacent layers exchange, then pushes each bottom basis
 vector up as a sparse {flat index: coefficient} dict, split mixed-radix over
 each layer's generators; no layer's Kronecker product is ever built.
+`loop_sum` is the one place the projector's weighted sum over the loop
+grade u, with weight dim(C_u)/Dim, is written.
 
 Diagrams arrive pre-sliced; there is no planar-graph compiler here.  Every
 construction downstream is drawn in sliceable normal form already, and an
@@ -20,6 +22,7 @@ from .category import (
     GradedObject,
     dual_object,
     duality_maps,
+    loop_weight,
     tensor_objects,
     unit_object,
 )
@@ -219,3 +222,19 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
         vectors = [_push(vec, action) for vec in vectors]
     entries = {(i, c): v for c, vec in enumerate(vectors) for i, v in vec.items()}
     return GradedMorphism.from_entries(bottom, current, entries)
+
+
+def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> list:
+    """The column sum_u loop_weight(u, side) * evaluate(diagram_of_u(u)).
+
+    Each diagram must have the unit object at its bottom.  Only nonzero
+    terms are added, so an entry no term touches stays the shared zero.
+    """
+    diagrams = [diagram_of_u(u) for u in range(params.r)]
+    column = [params.zero()] * diagrams[0].boundary_top.dim
+    for u, d in enumerate(diagrams):
+        weight = loop_weight(u, side, params)
+        for i, (e,) in enumerate(evaluate(d, params).matrix):
+            if e:
+                column[i] = column[i] + e * weight
+    return column

@@ -8,8 +8,9 @@ produces when F is rotated through a cup and a cap.
 
 `chi` and `sigma_F` evaluate the face morphism of the standard one-face
 surface decomposition: one chi per handle threads the face strand through
-a coend box, and the resulting vectors, one per admissible r-spin marking,
-give a basis of the string-net space.
+a coend box.  The state sum is one slice diagram (eta, the chis, eps) that
+`diagrams.evaluate` pushes as a sparse vector, and the resulting vectors,
+one per admissible r-spin marking, give a basis of the string-net space.
 """
 
 from __future__ import annotations
@@ -248,8 +249,9 @@ def chi(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
 def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     """State-sum vector of an admissible marking on the standard decomposition.
 
-    Composes eta, one chi per handle with that handle's two edge indices,
-    and eps on the leftover face strand.
+    One slice diagram, evaluated as a vector: eta, then one chi per handle
+    with that handle's two edge indices beside the H strands already
+    emitted, then eps on the leftover face strand.
     """
     params = f_data.params
     r = params.r
@@ -265,18 +267,12 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
         raise InadmissibleMarkingError(
             f"marking is not admissible; residues {report.residues}", report
         )
-    h_obj = CoendH(r).as_object()
-    state = f_data.eta
+    h = identity(CoendH(r).as_object())
+    layers = [[box(f_data.eta)]]
     for i in range(genus):
         step = chi(m.edge_index[2 * i], m.edge_index[2 * i + 1], f_data)
-        prefix = GradedMorphism.identity(tensor_objects(*([h_obj] * i))) if i else None
-        state = compose(
-            tensor_morphisms(prefix, step) if prefix is not None else step,
-            state,
-        )
-    closer = tensor_morphisms(
-        GradedMorphism.identity(tensor_objects(*([h_obj] * genus))), f_data.eps
-    )
-    state = compose(closer, state)
-    coords = tuple(state.matrix[i][0] for i in range(r ** (2 * genus)))
-    return HomSpaceVector(r, genus, (), coords)
+        layers.append([h] * i + [box(step)])
+    layers.append([h] * genus + [box(f_data.eps)])
+    top = tensor_objects(*[h.obj] * genus)
+    state = evaluate(SliceDiagram(top, layers), params)
+    return HomSpaceVector(r, genus, (), tuple(row[0] for row in state.matrix))

@@ -45,6 +45,8 @@ class ModularDataError(ValueError):
 def _shape_violations(labels, dual, dims, s) -> list[str]:
     n = len(labels)
     out = []
+    if not n:
+        out.append("the label list is empty")
     if len(set(labels)) != n:
         out.append("labels are not distinct")
     if len(dual) != n or len(dims) != n:

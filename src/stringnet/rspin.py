@@ -9,9 +9,7 @@ markings on a fixed decomposition count r-spin structures.
 Conventions pinned here (the source material leaves them to a drawing):
 the face orientation is the cyclic order of its boundary list, and the
 "clockwise" boundary vertex of the preferred edge is the vertex where its
-traversal starts (src for a +1 entry, dst for a -1 entry).  Pass
-d_convention="end" to flip.  The shipped decompositions reproduce the
-standard census either way.
+traversal starts (src for a +1 entry, dst for a -1 entry).
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .caps import check_cap
-
-_D_CONVENTIONS = ("start", "end")
-
 
 class Edge(NamedTuple):
     id: int
@@ -128,22 +123,12 @@ class MarkedPLCW:
         return {"r": self.r, "indices": {str(k): v for k, v in self.edge_index.items()}}
 
 
-def _clockwise_vertex(e: Edge, sign: int, d_convention: str) -> int:
-    start = e.src if sign == 1 else e.dst
-    end = e.dst if sign == 1 else e.src
-    return start if d_convention == "start" else end
-
-
-def _vertex_profiles(
-    complex: PLCW, d_convention: str
-) -> list[tuple[list[int], list[int], int]]:
+def _vertex_profiles(complex: PLCW) -> list[tuple[list[int], list[int], int]]:
     """Per vertex: outgoing non-loop ids, incoming non-loop ids, and the
     index-independent part of the residue.
 
     The hat index of an edge at a vertex is s_e when the edge leaves it,
     -1-s_e when it arrives and -1 on a loop; the -1s land in the constant."""
-    if d_convention not in _D_CONVENTIONS:
-        raise ValueError(f"unknown d_convention {d_convention!r}")
     loops = [0] * complex.num_vertices
     ends = [0] * complex.num_vertices
     outs: list[list[int]] = [[] for _ in range(complex.num_vertices)]
@@ -160,7 +145,8 @@ def _vertex_profiles(
     d = [0] * complex.num_vertices
     for f in complex.faces:
         eid, sign = f.boundary[f.preferred]
-        d[_clockwise_vertex(complex.edge(eid), sign, d_convention)] += 1
+        e = complex.edge(eid)
+        d[e.src if sign == 1 else e.dst] += 1
     profiles = []
     for v in range(complex.num_vertices):
         const = -loops[v] - len(ins[v]) - d[v] + ends[v] - 1
@@ -177,7 +163,7 @@ class AdmissibilityReport:
         return self.ok
 
 
-def is_admissible(m: MarkedPLCW, *, d_convention: str = "start") -> AdmissibilityReport:
+def is_admissible(m: MarkedPLCW) -> AdmissibilityReport:
     """Check the per-vertex congruence sum(hat s_e) = D_v - N_v + 1 mod r.
 
     Loops contribute once to the sum (with hat index -1) and twice to N_v.
@@ -186,7 +172,7 @@ def is_admissible(m: MarkedPLCW, *, d_convention: str = "start") -> Admissibilit
     """
     r = m.r
     residues = {}
-    for v, (outs, ins, const) in enumerate(_vertex_profiles(m.complex, d_convention)):
+    for v, (outs, ins, const) in enumerate(_vertex_profiles(m.complex)):
         acc = const
         for eid in outs:
             acc += m.edge_index[eid]
@@ -197,14 +183,14 @@ def is_admissible(m: MarkedPLCW, *, d_convention: str = "start") -> Admissibilit
 
 
 def enumerate_admissible(
-    complex: PLCW, r: int, *, cap: int | None = None, d_convention: str = "start"
+    complex: PLCW, r: int, *, cap: int | None = None
 ) -> list[MarkedPLCW]:
     """All admissible markings, orientations and preferred edges held fixed."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     n_edges = len(complex.edges)
     check_cap("edge-index assignments", r**n_edges, cap)
-    profiles = _vertex_profiles(complex, d_convention)
+    profiles = _vertex_profiles(complex)
     order = [e.id for e in complex.edges]
     position = {eid: i for i, eid in enumerate(order)}
     compiled = [

@@ -6,10 +6,11 @@ weighted by dim_r(U)/Dim.  For the pointed category the operator is a
 scalar times the identity; the scalar is 1 when r divides 2-2g and 0
 otherwise, so the dimension is r^{2g} or 0.
 
-`tilde_bp_operator` assembles the operator column by column from genuine
-slice diagrams (loop around all 2g handle legs, with pivotal corrections
-where an upward strand fills a double-dual slot) and checks idempotency;
-`bp_scalar` is the analytic value it must equal, computed separately.
+`tilde_bp_operator` assembles the operator one `loop_sum` per column from
+genuine slice diagrams (loop around all 2g handle legs, with pivotal
+corrections where an upward strand fills a double-dual slot) and checks
+idempotency; `bp_scalar` is the analytic value it must equal, computed
+separately.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .category import (
     compose,
     delta_pivot,
     dual_object,
-    loop_weight,
     simple_object,
     tensor_objects,
     unit_object,
@@ -40,8 +40,8 @@ from .diagrams import (
     cap_right,
     cup_left,
     cup_right,
-    evaluate,
     identity,
+    loop_sum,
 )
 from .rspin import count_rspin
 
@@ -87,11 +87,7 @@ def _loop_diagram(u: int, orientation: str, params: CategoryParams) -> SliceDiag
 
 def sphere_sn_dim(params: CategoryParams) -> int:
     """Sphere space dimension, summing the projector loop diagrammatically."""
-    r = params.r
-    acc = CycNum.zero(r)
-    for u in range(r):
-        val = evaluate(_loop_diagram(u, "anticlockwise", params), params)
-        acc = acc + val.matrix[0][0] * loop_weight(u, "right", params)
+    (acc,) = loop_sum(lambda u: _loop_diagram(u, "anticlockwise", params), "right", params)
     require(acc == acc * acc, "sphere projector scalar is idempotent")
     return 1 if acc == 1 else 0
 
@@ -201,17 +197,10 @@ def tilde_bp_operator(
     check_cap("string-net basis", n, cap)
     basis = hom_space_basis(genus, params)
     side = "right" if orientation == "anticlockwise" else "left"
-    weights = [loop_weight(u, side, params) for u in range(r)]
-    zero = CycNum.zero(r)
-    columns: list[list[CycNum]] = []
-    for chi in basis.labels:
-        acc = [zero] * n
-        for u in range(r):
-            val = evaluate(_bp_column_diagram(params, genus, chi, u, orientation), params)
-            for i, (e,) in enumerate(val.matrix):
-                if e:
-                    acc[i] = acc[i] + e * weights[u]
-        columns.append(acc)
+    columns = [
+        loop_sum(lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params)
+        for chi in basis.labels
+    ]
 
     top = tensor_objects(*[CoendH(r).as_object()] * genus) if genus else unit_object(r)
     mat = [[columns[j][i] for j in range(n)] for i in range(n)]

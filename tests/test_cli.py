@@ -182,6 +182,32 @@ def test_validate_modular(capsys, tmp_path):
     assert code == 2
 
 
+def test_malformed_modular_files_give_json_errors(capsys, tmp_path):
+    zero_denominator = tmp_path / "zero_denominator.json"
+    zero_denominator.write_text(
+        json.dumps(
+            {
+                "labels": ["1"],
+                "dual": [0],
+                "dims": [{"order": 1, "coeffs": ["1/0"]}],
+                "s": [[{"order": 1, "coeffs": ["1/1"]}]],
+            }
+        )
+    )
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"labels": [], "dual": [], "dims": [], "s": []}))
+    charge = ("--j", "1", "--u", "1", "--v", "1")
+    code, out = _run(capsys, "validate-modular", "--data", str(zero_denominator))
+    assert code == 1 and "zero denominator" in json.loads(out)["error"]
+    code, out = _run(capsys, "charge", "--data", str(zero_denominator), *charge)
+    assert code == 1 and "zero denominator" in json.loads(out)["error"]
+    payload = _payload(capsys, "validate-modular", "--data", str(empty))
+    assert payload["valid"] is False
+    assert payload["violations"] == ["the label list is empty"]
+    code, out = _run(capsys, "charge", "--data", str(empty), *charge)
+    assert code == 1 and json.loads(out)["violations"] == ["the label list is empty"]
+
+
 def _example_argv(name):
     return {
         "sn-dim": ["--r", "2", "--genus", "2"],

@@ -183,34 +183,52 @@ def test_chi_coefficient_vectors_have_full_rank():
     assert rank_cyc([[cols[j][i] for j in range(r * r)] for i in range(r * r)]) == r * r
 
 
+def _assert_sigma_closed_form(m, fd):
+    """sigma_F(m) has coord r^{1-2g} prod_i zeta^{s_i a_i + t_i b_i} at (s_i, t_i)_i."""
+    r, genus = m.r, m.complex.genus
+    v = sigma_F(m, fd)
+    assert (v.r, v.genus, v.boundary_data) == (r, genus, ())
+    dim = r ** (2 * genus)
+    assert len(v.coords) == dim
+    scale = Fraction(1, r ** (2 * genus - 1))
+    for flat in range(dim):
+        word = []
+        rest = flat
+        for _ in range(2 * genus):
+            word.append(rest % r)
+            rest //= r
+        word.reverse()
+        exponent = sum(word[e] * m.edge_index[e] for e in range(2 * genus))
+        assert v.coords[flat] == zeta_power(r, exponent) * scale
+    return v
+
+
 def test_sigma_closed_form_and_rank():
     for r, genus in [(1, 1), (2, 1), (3, 1), (2, 2), (1, 3)]:
         fd = frobenius_zr(CategoryParams(r))
-        complex_ = standard_decomposition(genus)
-        markings = enumerate_admissible(complex_, r)
-        assert len(markings) == r ** (2 * genus)
+        markings = enumerate_admissible(standard_decomposition(genus), r)
         dim = r ** (2 * genus)
-        vecs = []
-        for m in markings:
-            v = sigma_F(m, fd)
-            assert (v.r, v.genus, v.boundary_data) == (r, genus, ())
-            # coord at (s_i, t_i)_i is r^{1-2g} prod_i zeta^{s_i a_i + t_i b_i}
-            for flat in range(dim):
-                word = []
-                rest = flat
-                for _ in range(2 * genus):
-                    word.append(rest % r)
-                    rest //= r
-                word.reverse()
-                exponent = sum(
-                    word[2 * i] * m.edge_index[2 * i]
-                    + word[2 * i + 1] * m.edge_index[2 * i + 1]
-                    for i in range(genus)
-                )
-                want = zeta_power(r, exponent) * Fraction(1, r ** (2 * genus - 1))
-                assert v.coords[flat] == want
-            vecs.append(v.coords)
+        assert len(markings) == dim
+        vecs = [_assert_sigma_closed_form(m, fd).coords for m in markings]
         assert rank_cyc([[v[i] for v in vecs] for i in range(dim)]) == dim
+
+
+def test_sigma_closed_form_at_genus_6():
+    fd = frobenius_zr(CategoryParams(2))
+    complex_ = standard_decomposition(6)
+    for indices in ([0] * 12, [1] * 12, [1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1]):
+        _assert_sigma_closed_form(MarkedPLCW(complex_, 2, dict(enumerate(indices))), fd)
+
+
+def test_sigma_is_one_diagram_not_a_tensor_fold(monkeypatch):
+    fd = frobenius_zr(CategoryParams(2))
+
+    def refuse(*args):
+        raise AssertionError("sigma_F tensored morphisms by hand")
+
+    monkeypatch.setattr(frobenius, "tensor_morphisms", refuse)
+    m = MarkedPLCW(standard_decomposition(3), 2, {e: e % 2 for e in range(6)})
+    _assert_sigma_closed_form(m, fd)
 
 
 def test_sigma_zero_marking_is_constant_vector():

@@ -125,6 +125,23 @@ def test_malformed_files(tmp_path):
     partial.write_text(json.dumps({"labels": ["0"]}))
     with pytest.raises(ValueError, match="not a modular-data object"):
         load_modular_data(partial)
+    zero_denominator = tmp_path / "zero_denominator.json"
+    zero_denominator.write_text(
+        json.dumps(
+            {
+                "labels": ["1"],
+                "dual": [0],
+                "dims": [{"order": 1, "coeffs": ["1/0"]}],
+                "s": [[{"order": 1, "coeffs": ["1/1"]}]],
+            }
+        )
+    )
+    with pytest.raises(ValueError, match="zero denominator"):
+        load_modular_data(zero_denominator)
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"labels": [], "dual": [], "dims": [], "s": []}))
+    with pytest.raises(ModularDataError, match="label list is empty"):
+        load_modular_data(empty)
 
 
 def test_unknown_label():

@@ -125,14 +125,10 @@ def test_enumeration_cap():
     assert exc.value.size == 81
 
 
-def test_convention_flag():
+def test_sphere_census():
     c = sphere_decomposition()
     for r in (2, 3, 4):
-        a = len(enumerate_admissible(c, r))
-        b = len(enumerate_admissible(c, r, d_convention="end"))
-        assert a == b == count_rspin(0, r)
-    with pytest.raises(ValueError):
-        is_admissible(MarkedPLCW(c, 2, {0: 0}), d_convention="middle")
+        assert len(enumerate_admissible(c, r)) == count_rspin(0, r)
 
 
 def test_sphere_residue_report():
