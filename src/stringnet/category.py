@@ -24,28 +24,25 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
+from . import Record
 from .cyclotomic import CycNum, rational_scale, zeta_power
 
 
-@dataclass(frozen=True)
-class CategoryParams:
+class CategoryParams(Record):
     """r and the exponent selecting zeta = zeta_r^zeta_exponent (primitive)."""
 
-    r: int
-    zeta_exponent: int = 1
+    __slots__ = _fields = ("r", "zeta_exponent")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
-        if gcd(self.zeta_exponent, self.r) != 1:
-            raise ValueError(
-                f"zeta_exponent {self.zeta_exponent} must be coprime to r={self.r}"
-            )
+    def __init__(self, r: int, zeta_exponent: int = 1) -> None:
+        if r < 1:
+            raise ValueError(f"r must be positive, got {r}")
+        if gcd(zeta_exponent, r) != 1:
+            raise ValueError(f"zeta_exponent {zeta_exponent} must be coprime to r={r}")
+        super().__init__(r, zeta_exponent)
 
     def zeta(self, k: int = 1) -> CycNum:
         """zeta^k as an element of Q(zeta_r)."""
@@ -58,12 +55,10 @@ class CategoryParams:
         return CycNum.zero(self.r)
 
 
-@dataclass(frozen=True)
-class GradedObject:
+class GradedObject(Record):
     """An ordered direct sum of invertible simples, one grade per summand."""
 
-    r: int
-    grades: tuple[int, ...]
+    __slots__ = _fields = ("r", "grades")
 
     def __init__(self, r: int, grades: Iterable[int]) -> None:
         if r < 1:
@@ -276,40 +271,34 @@ def delta_pivot(x: GradedObject, params: CategoryParams) -> GradedMorphism:
     return GradedMorphism.from_entries(x, x, entries)
 
 
-class DualityMaps(NamedTuple):
-    ev_left: GradedMorphism
-    coev_left: GradedMorphism
-    ev_right: GradedMorphism
-    coev_right: GradedMorphism
+_DUALITY_KINDS = ("cap_left", "cap_right", "cup_left", "cup_right")
 
 
-def duality_maps(x: GradedObject, params: CategoryParams) -> DualityMaps:
-    """The four (co)evaluations for X with the pivotal weights.
+def duality_map(x: GradedObject, kind: str, params: CategoryParams) -> GradedMorphism:
+    """One (co)evaluation for X, named as its diagram generator is.
 
-    Left maps pair mirrored positions with coefficient 1; right maps carry
-    zeta^{g} (ev) and zeta^{-g} (coev) per simple summand.
+    cap_left: X^dual (x) X -> 1 and cup_left: 1 -> X (x) X^dual pair mirrored
+    positions with coefficient 1; cap_right: X (x) X^dual -> 1 carries zeta^g
+    and cup_right: 1 -> X^dual (x) X carries zeta^{-g} per grade-g summand.
     """
+    if kind not in _DUALITY_KINDS:
+        raise ValueError(f"kind must be one of {', '.join(_DUALITY_KINDS)}, got {kind!r}")
     n = x.dim
-    unit = unit_object(x.r)
-    xd = dual_object(x)
-    ev_l = {}
-    coev_l = {}
-    ev_r = {}
-    coev_r = {}
+    dual_first = kind in ("cap_left", "cup_right")
+    cap = kind.startswith("cap")
     one = params.one()
+    entries = {}
     for i, g in enumerate(x.grades):
-        p = n - 1 - i
-        # X^dual (x) X, flat index p*n + i ; X (x) X^dual, flat index i*n + p
-        ev_l[(0, p * n + i)] = one
-        coev_l[(i * n + p, 0)] = one
-        ev_r[(0, i * n + p)] = params.zeta(g)
-        coev_r[(p * n + i, 0)] = params.zeta(-g)
-    return DualityMaps(
-        ev_left=GradedMorphism.from_entries(tensor_objects(xd, x), unit, ev_l),
-        coev_left=GradedMorphism.from_entries(unit, tensor_objects(x, xd), coev_l),
-        ev_right=GradedMorphism.from_entries(tensor_objects(x, xd), unit, ev_r),
-        coev_right=GradedMorphism.from_entries(unit, tensor_objects(xd, x), coev_r),
-    )
+        # x_i meets its mirror n-1-i: flat index (n-1-i)*n + i in X^dual (x) X,
+        # i*n + (n-1-i) in X (x) X^dual
+        flat = (n - 1 - i) * n + i if dual_first else i * n + n - 1 - i
+        weight = one if kind.endswith("left") else params.zeta(g if cap else -g)
+        entries[(0, flat) if cap else (flat, 0)] = weight
+    xd = dual_object(x)
+    pair = tensor_objects(xd, x) if dual_first else tensor_objects(x, xd)
+    unit = unit_object(x.r)
+    source, target = (pair, unit) if cap else (unit, pair)
+    return GradedMorphism.from_entries(source, target, entries)
 
 
 def dimension(x: GradedObject, side: str, params: CategoryParams) -> CycNum:
@@ -326,21 +315,26 @@ def dimension(x: GradedObject, side: str, params: CategoryParams) -> CycNum:
 def trace(f: GradedMorphism, side: str, params: CategoryParams) -> CycNum:
     """Close an endomorphism to a scalar with the pivotal duality maps.
 
-    tr_left threads through coev_right then ev_left; tr_right through
-    coev_left then ev_right.  tr(id_X) recovers dimension(X, side).
+    tr_left threads through cup_right then cap_left; tr_right through
+    cup_left then cap_right.  tr(id_X) recovers dimension(X, side).
     """
     if not f.is_endo():
         raise ValueError("trace needs an endomorphism")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x = f.source
-    d = duality_maps(x, params)
     if side == "left":
         middle = tensor_morphisms(GradedMorphism.identity(dual_object(x)), f)
-        closed = compose(d.ev_left, compose(middle, d.coev_right))
+        closed = compose(
+            duality_map(x, "cap_left", params),
+            compose(middle, duality_map(x, "cup_right", params)),
+        )
     else:
         middle = tensor_morphisms(f, GradedMorphism.identity(dual_object(x)))
-        closed = compose(d.ev_right, compose(middle, d.coev_left))
+        closed = compose(
+            duality_map(x, "cap_right", params),
+            compose(middle, duality_map(x, "cup_left", params)),
+        )
     return closed.matrix[0][0]
 
 

@@ -14,10 +14,9 @@ check it against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import require
+from . import Record, require
 from .category import (
     CategoryParams,
     GradedMorphism,
@@ -42,19 +41,15 @@ from .diagrams import (
 )
 
 
-@dataclass(frozen=True)
-class CentreSimple:
+class CentreSimple(Record):
     """Underlying grade a with half-braiding character k."""
 
-    r: int
-    a: int
-    k: int
+    __slots__ = _fields = ("r", "a", "k")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
-        object.__setattr__(self, "a", self.a % self.r)
-        object.__setattr__(self, "k", self.k % self.r)
+    def __init__(self, r: int, a: int, k: int) -> None:
+        if r < 1:
+            raise ValueError(f"r must be positive, got {r}")
+        super().__init__(r, a % r, k % r)
 
     def underlying(self) -> GradedObject:
         return simple_object(self.r, self.a)

@@ -6,6 +6,13 @@ byte-identical.  Exit codes: 0 success, 1 a domain error raised by the
 computation, 2 a bad invocation (including missing files), 3 a failed
 theorem check (an InvariantError, named in the payload).  `--json-schema`
 on any subcommand prints the shipped schema for its output and exits.
+
+Each subcommand loads only the modules it runs: its handler imports the
+library functions it calls, and the errors `main` reports live in the
+package itself.  Loading this module and parsing the command line import
+none of the arithmetic, so `--json-schema`, usage errors, the r-spin
+commands and the modular-data commands never load the category, diagram,
+coend, centre, spaces or Frobenius layers.
 """
 
 from __future__ import annotations
@@ -13,27 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
-from pathlib import Path
 
-from . import InvariantError
+from . import InadmissibleMarkingError, InvariantError, ModularDataError
 from .caps import SizeCapError
-from .category import CategoryParams, GradedMorphism, compose
-from .centre import h_vector, list_centre_simples
-from .cyclotomic import CycNum, approx_complex, to_json
-from .frobenius import InadmissibleMarkingError, frobenius_zr
-from .frobenius import sigma_F as _sigma_F
-from .linalg import rank_cyc
-from .modular import ModularDataError, load_modular_data, sphere_charge_dim
-from .rspin import (
-    MarkedPLCW,
-    count_rspin,
-    enumerate_admissible,
-    is_admissible,
-    sphere_decomposition,
-    standard_decomposition,
-)
-from .spaces import annulus_hom_dim, sn_closed_dim, sphere_sn_dim, tilde_bp_operator
 
 COMMANDS = (
     "sn-dim",
@@ -77,6 +66,8 @@ class _SchemaAction(argparse.Action):
 
 
 def schema_text(command: str) -> str:
+    from importlib import resources
+
     if command not in COMMANDS:
         raise ValueError(f"unknown subcommand {command!r}")
     return (
@@ -88,10 +79,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _render(a: CycNum, approx: bool) -> dict:
-    obj = to_json(a)
+def _render(a, approx: bool, cyclotomic) -> dict:
+    """A CycNum as JSON, with its decimal value when `approx` is set.
+
+    The caller passes the loaded `cyclotomic` module, which keeps the import
+    out of this per-entry call.
+    """
+    obj = cyclotomic.to_json(a)
     if approx:
-        z = approx_complex(a)
+        z = cyclotomic.approx_complex(a)
         obj["approx"] = f"{z.real:.12g}{z.imag:+.12g}j"
     return obj
 
@@ -125,7 +121,9 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
-def _existing_file(text: str) -> Path:
+def _existing_file(text: str):
+    from pathlib import Path
+
     path = Path(text)
     if not path.is_file():
         raise _FlagError(f"no such file: {text}")
@@ -133,10 +131,14 @@ def _existing_file(text: str) -> Path:
 
 
 def _decomposition(genus: int):
+    from .rspin import sphere_decomposition, standard_decomposition
+
     return sphere_decomposition() if genus == 0 else standard_decomposition(genus)
 
 
-def _marking(args) -> MarkedPLCW:
+def _marking(args):
+    from .rspin import MarkedPLCW
+
     complex_ = _decomposition(args.genus)
     n_edges = len(complex_.edges)
     if len(args.indices) != n_edges:
@@ -147,6 +149,9 @@ def _marking(args) -> MarkedPLCW:
 
 
 def _cmd_sn_dim(args) -> dict:
+    from .category import CategoryParams
+    from .spaces import sn_closed_dim
+
     return {
         "inputs": {"r": args.r, "genus": args.genus},
         "reference": "closed-surface string-net dimension r^2g when r divides 2-2g",
@@ -155,6 +160,9 @@ def _cmd_sn_dim(args) -> dict:
 
 
 def _cmd_sphere(args) -> dict:
+    from .category import CategoryParams
+    from .spaces import sphere_sn_dim
+
     return {
         "inputs": {"r": args.r},
         "reference": "sphere string-net dimension via sum of dim_r(U)^2 over Dim",
@@ -163,13 +171,18 @@ def _cmd_sphere(args) -> dict:
 
 
 def _cmd_torus_basis(args) -> dict:
+    from . import cyclotomic
+    from .category import CategoryParams
+    from .centre import h_vector, list_centre_simples
+    from .linalg import rank_cyc
+
     params = CategoryParams(args.r)
     vectors = []
     coords_matrix = []
     for z in list_centre_simples(params):
         v = h_vector(z, params)
         vectors.append(
-            {"z": z.to_json(), "coords": [_render(c, args.approx) for c in v.coords]}
+            {"z": z.to_json(), "coords": [_render(c, args.approx, cyclotomic) for c in v.coords]}
         )
         coords_matrix.append(list(v.coords))
     rank = rank_cyc([list(col) for col in zip(*coords_matrix)]) if vectors else 0
@@ -182,6 +195,10 @@ def _cmd_torus_basis(args) -> dict:
 
 
 def _cmd_bp_operator(args) -> dict:
+    from . import cyclotomic
+    from .category import CategoryParams
+    from .spaces import tilde_bp_operator
+
     report = tilde_bp_operator(
         CategoryParams(args.r),
         args.genus,
@@ -192,9 +209,9 @@ def _cmd_bp_operator(args) -> dict:
         "inputs": {"r": args.r, "genus": args.genus, "orientation": args.orientation},
         "reference": "plaquette projector on the genus-g handle space",
         "dim": args.r ** (2 * args.genus),
-        "scalar": _render(report.analytic_scalar, args.approx),
+        "scalar": _render(report.analytic_scalar, args.approx, cyclotomic),
         "matrix": [
-            [_render(entry, args.approx) for entry in row]
+            [_render(entry, args.approx, cyclotomic) for entry in row]
             for row in report.operator_matrix
         ],
         "rank": report.image_rank,
@@ -202,6 +219,9 @@ def _cmd_bp_operator(args) -> dict:
 
 
 def _cmd_annulus(args) -> dict:
+    from .category import CategoryParams
+    from .spaces import annulus_hom_dim
+
     if not (0 <= args.a < args.r and 0 <= args.b < args.r):
         raise _FlagError(f"boundary grades must lie in 0..{args.r - 1}")
     return {
@@ -212,6 +232,8 @@ def _cmd_annulus(args) -> dict:
 
 
 def _cmd_rspin_count(args) -> dict:
+    from .rspin import count_rspin
+
     return {
         "inputs": {"r": args.r, "genus": args.genus},
         "reference": "closed-form r-spin count r^2g when r divides 2-2g",
@@ -220,6 +242,8 @@ def _cmd_rspin_count(args) -> dict:
 
 
 def _cmd_rspin_enumerate(args) -> dict:
+    from .rspin import enumerate_admissible
+
     complex_ = _decomposition(args.genus)
     edge_ids = [e.id for e in complex_.edges]
     markings = enumerate_admissible(complex_, args.r, cap=args.cap)
@@ -233,6 +257,8 @@ def _cmd_rspin_enumerate(args) -> dict:
 
 
 def _cmd_rspin_check(args) -> dict:
+    from .rspin import is_admissible
+
     report = is_admissible(_marking(args))
     return {
         "inputs": {"r": args.r, "genus": args.genus, "indices": list(args.indices)},
@@ -243,8 +269,12 @@ def _cmd_rspin_check(args) -> dict:
 
 
 def _cmd_sigma_f(args) -> dict:
+    from . import cyclotomic
+    from .category import CategoryParams
+    from .frobenius import frobenius_zr, sigma_F
+
     marking = _marking(args)
-    vector = _sigma_F(marking, frobenius_zr(CategoryParams(args.r)))
+    vector = sigma_F(marking, frobenius_zr(CategoryParams(args.r)))
     return {
         "inputs": {"r": args.r, "genus": args.genus, "indices": list(args.indices)},
         "reference": "state-sum vector of an admissible marking in the handle space",
@@ -252,12 +282,16 @@ def _cmd_sigma_f(args) -> dict:
         "vector": {
             "r": vector.r,
             "genus": vector.genus,
-            "coords": [_render(c, args.approx) for c in vector.coords],
+            "coords": [_render(c, args.approx, cyclotomic) for c in vector.coords],
         },
     }
 
 
 def _cmd_frobenius_check(args) -> dict:
+    from . import cyclotomic
+    from .category import CategoryParams, GradedMorphism, compose
+    from .frobenius import frobenius_zr
+
     f_data = frobenius_zr(CategoryParams(args.r))
     pair = f_data.nakayama_pair
     ident = GradedMorphism.identity(f_data.object)
@@ -270,13 +304,15 @@ def _cmd_frobenius_check(args) -> dict:
         "inputs": {"r": args.r},
         "reference": "Frobenius axioms and the Nakayama automorphism of the group algebra",
         "nakayama_diagonal": [
-            _render(pair.forward.matrix[a][a], args.approx) for a in range(args.r)
+            _render(pair.forward.matrix[a][a], args.approx, cyclotomic) for a in range(args.r)
         ],
         "nakayama_order": order,
     }
 
 
 def _cmd_charge(args) -> dict:
+    from .modular import load_modular_data, sphere_charge_dim
+
     data = load_modular_data(_existing_file(args.data))
     return {
         "inputs": {"data": args.data, "j": args.j, "u": args.u, "v": args.v},
@@ -286,6 +322,8 @@ def _cmd_charge(args) -> dict:
 
 
 def _cmd_validate_modular(args) -> dict:
+    from .modular import load_modular_data
+
     path = _existing_file(args.data)
     inputs = {"data": args.data}
     reference = "defining identities of an unnormalized s-matrix"

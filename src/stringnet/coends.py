@@ -15,10 +15,10 @@ reference, and its rescaled pairs show the result does not depend on them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from . import Record
 from .category import (
     CategoryParams,
     GradedMorphism,
@@ -33,18 +33,15 @@ from .category import (
 from .cyclotomic import CycNum
 
 
-@dataclass(frozen=True)
-class CoendH:
+class CoendH(Record):
     """The coend object with its ordered summand labels."""
 
-    r: int
-    summands: tuple[tuple[int, int], ...] = field(init=False)
+    __slots__ = _fields = ("r", "summands")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
-        labels = tuple(itertools.product(range(self.r), repeat=2))
-        object.__setattr__(self, "summands", labels)
+    def __init__(self, r: int) -> None:
+        if r < 1:
+            raise ValueError(f"r must be positive, got {r}")
+        super().__init__(r, tuple(itertools.product(range(r), repeat=2)))
 
     def as_object(self) -> GradedObject:
         return GradedObject(self.r, (0,) * (self.r * self.r))
@@ -53,13 +50,10 @@ class CoendH:
         return (s % self.r) * self.r + (t % self.r)
 
 
-@dataclass(frozen=True)
-class CentralHull:
+class CentralHull(Record):
     """A(X) together with where each summand u sits inside it."""
 
-    base: GradedObject
-    object: GradedObject
-    offsets: tuple[int, ...]
+    __slots__ = _fields = ("base", "object", "offsets")
 
     @property
     def r(self) -> int:
@@ -166,23 +160,24 @@ def unit_hom_dimension(factors: Sequence[GradedObject], r: int) -> int:
     return hist[0]
 
 
-@dataclass(frozen=True)
-class HomSpaceVector:
+class HomSpaceVector(Record):
     """Coordinates in C(1, A(V_1) (x) ... (x) A(V_b) (x) H^{(x)g})."""
 
-    r: int
-    genus: int
-    boundary_data: tuple[GradedObject, ...]
-    coords: tuple[CycNum, ...]
+    __slots__ = _fields = ("r", "genus", "boundary_data", "coords")
 
-    def __post_init__(self) -> None:
-        factors = [central_hull(v).object for v in self.boundary_data]
-        factors.extend(CoendH(self.r).as_object() for _ in range(self.genus))
-        want = unit_hom_dimension(factors, self.r)
-        if len(self.coords) != want:
-            raise ValueError(
-                f"expected {want} coordinates, got {len(self.coords)}"
-            )
-        for a in self.coords:
-            if not isinstance(a, CycNum) or a.order != self.r:
+    def __init__(
+        self,
+        r: int,
+        genus: int,
+        boundary_data: tuple[GradedObject, ...],
+        coords: tuple[CycNum, ...],
+    ) -> None:
+        factors = [central_hull(v).object for v in boundary_data]
+        factors.extend(CoendH(r).as_object() for _ in range(genus))
+        want = unit_hom_dimension(factors, r)
+        if len(coords) != want:
+            raise ValueError(f"expected {want} coordinates, got {len(coords)}")
+        for a in coords:
+            if not isinstance(a, CycNum) or a.order != r:
                 raise ValueError("coords must be CycNum of conductor r")
+        super().__init__(r, genus, boundary_data, coords)

@@ -21,7 +21,7 @@ from .category import (
     GradedMorphism,
     GradedObject,
     dual_object,
-    duality_maps,
+    duality_map,
     loop_weight,
     tensor_objects,
     unit_object,
@@ -79,13 +79,7 @@ class Generator:
             return self.morphism
         if self.kind == "identity":
             return GradedMorphism.identity(self.obj)
-        d = duality_maps(self.obj, params)
-        return {
-            "cap_left": d.ev_left,
-            "cap_right": d.ev_right,
-            "cup_left": d.coev_left,
-            "cup_right": d.coev_right,
-        }[self.kind]
+        return duality_map(self.obj, self.kind, params)
 
     def __repr__(self):
         if self.kind == "box":

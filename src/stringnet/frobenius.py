@@ -15,12 +15,11 @@ one per admissible r-spin marking, give a basis of the string-net space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from . import require
+from . import InadmissibleMarkingError, Record, require
 from .category import (
     CategoryParams,
     GradedMorphism,
@@ -44,31 +43,35 @@ from .diagrams import (
     evaluate,
     identity,
 )
-from .rspin import AdmissibilityReport, MarkedPLCW, is_admissible, standard_decomposition
+from .rspin import MarkedPLCW, is_admissible, standard_decomposition
 
 
 class UnsupportedComplexError(ValueError):
     """sigma_F only evaluates the standard one-face decomposition."""
 
 
-class InadmissibleMarkingError(ValueError):
-    def __init__(self, message: str, report: AdmissibilityReport):
-        super().__init__(message)
-        self.report = report
+class FrobeniusAlgebraData(Record):
+    """Algebra and coalgebra structure on F; axioms are checked on construction.
 
+    No __slots__: `nakayama_pair` caches in the instance dict.
+    """
 
-@dataclass(frozen=True)
-class FrobeniusAlgebraData:
-    """Algebra and coalgebra structure on F; axioms are checked on construction."""
+    _fields = ("params", "object", "mu", "eta", "delta", "eps")
 
-    params: CategoryParams
-    object: GradedObject
-    mu: GradedMorphism
-    eta: GradedMorphism
-    delta: GradedMorphism
-    eps: GradedMorphism
+    def __init__(
+        self,
+        params: CategoryParams,
+        object: GradedObject,
+        mu: GradedMorphism,
+        eta: GradedMorphism,
+        delta: GradedMorphism,
+        eps: GradedMorphism,
+    ) -> None:
+        super().__init__(params, object, mu, eta, delta, eps)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Prove the nine Frobenius-algebra axioms on the stored structure."""
         f = self.object
         idf = GradedMorphism.identity(f)
         mu, eta, delta, eps = self.mu, self.eta, self.delta, self.eps

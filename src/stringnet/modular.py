@@ -23,23 +23,13 @@ than by building any diagram.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from math import gcd
 from pathlib import Path
-from typing import Sequence
 
-from . import require
+from . import ModularDataError, Record, require
 from .cyclotomic import CycNum, _inv, from_json, to_json, zeta_power
 from .linalg import rank_cyc
-
-
-class ModularDataError(ValueError):
-    """Modular data violating a defining identity; `.violations` lists them."""
-
-    def __init__(self, violations: Sequence[str]):
-        super().__init__("; ".join(violations))
-        self.violations = tuple(violations)
 
 
 def _shape_violations(labels, dual, dims, s) -> list[str]:
@@ -51,6 +41,8 @@ def _shape_violations(labels, dual, dims, s) -> list[str]:
         out.append("labels are not distinct")
     if len(dual) != n or len(dims) != n:
         out.append(f"dual and dims must both have length {n}")
+    if any(not isinstance(d, int) or isinstance(d, bool) for d in dual):
+        out.append("dual entries must be integers")
     if len(s) != n or any(len(row) != n for row in s):
         out.append(f"s must be a {n}x{n} matrix")
     orders = {d.order for d in dims} | {e.order for row in s for e in row}
@@ -59,25 +51,21 @@ def _shape_violations(labels, dual, dims, s) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ModularData:
+class ModularData(Record):
     """Labels, duality involution, dims, and the unnormalized s-matrix.
 
     Construction validates every defining identity and raises
     ModularDataError with the full violation list when any fails.
     """
 
-    labels: tuple[str, ...]
-    dual: tuple[int, ...]
-    dims: tuple[CycNum, ...]
-    s_unnorm: tuple[tuple[CycNum, ...], ...]
+    __slots__ = _fields = ("labels", "dual", "dims", "s_unnorm")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        object.__setattr__(self, "dual", tuple(int(x) for x in self.dual))
-        object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(
-            self, "s_unnorm", tuple(tuple(row) for row in self.s_unnorm)
+    def __init__(self, labels, dual, dims, s_unnorm) -> None:
+        super().__init__(
+            tuple(str(x) for x in labels),
+            tuple(dual),
+            tuple(dims),
+            tuple(tuple(row) for row in s_unnorm),
         )
         violations = _shape_violations(self.labels, self.dual, self.dims, self.s_unnorm)
         if not violations:
@@ -154,13 +142,13 @@ class ModularData:
 
 def modular_data_from_json(obj: dict) -> ModularData:
     try:
-        labels = obj["labels"]
-        dual = obj["dual"]
+        labels = tuple(obj["labels"])
+        dual = tuple(obj["dual"])
         dims = [from_json(d) for d in obj["dims"]]
         s = [[from_json(e) for e in row] for row in obj["s"]]
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"not a modular-data object: {exc}") from exc
-    return ModularData(tuple(labels), tuple(dual), tuple(dims), tuple(map(tuple, s)))
+    return ModularData(labels, dual, dims, s)
 
 
 def load_modular_data(path) -> ModularData:
@@ -180,20 +168,17 @@ def sample_path(name: str) -> Path:
     return p
 
 
-@dataclass(frozen=True)
-class PointedFormSpec:
+class PointedFormSpec(Record):
     """Z_n with quadratic form theta_a = zeta_n^{c a^2}; needs gcd(2c, n) = 1."""
 
-    n: int
-    c: int
+    __slots__ = _fields = ("n", "c")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if gcd(2 * self.c, self.n) != 1:
-            raise ValueError(
-                f"degenerate form: gcd(2*{self.c}, {self.n}) != 1"
-            )
+    def __init__(self, n: int, c: int) -> None:
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        if gcd(2 * c, n) != 1:
+            raise ValueError(f"degenerate form: gcd(2*{c}, {n}) != 1")
+        super().__init__(n, c)
 
 
 def pointed_modular_data(form: PointedFormSpec) -> ModularData:
@@ -242,13 +227,10 @@ def eta_scalar(j: str, x: str, m: ModularData) -> CycNum:
     return m.s_unnorm[ji][xi] * _inv(m.dims[ji] * m.dims[xi])
 
 
-@dataclass(frozen=True)
-class DeformedDims:
+class DeformedDims(Record):
     """Left/right dims after deforming the pivotal structure by J."""
 
-    dim_l: tuple[CycNum, ...]
-    dim_r: tuple[CycNum, ...]
-    is_spherical: bool
+    __slots__ = _fields = ("dim_l", "dim_r", "is_spherical")
 
 
 def deformed_dims(j: str, m: ModularData) -> DeformedDims:

@@ -15,10 +15,11 @@ traversal starts (src for a +1 entry, dst for a -1 entry).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import Record
 from .caps import check_cap
+
 
 class Edge(NamedTuple):
     id: int
@@ -34,24 +35,21 @@ class Face(NamedTuple):
     preferred: int
 
 
-@dataclass(frozen=True)
-class PLCW:
+class PLCW(Record):
     """Combinatorial closed surface; validates on construction."""
 
-    num_vertices: int
-    edges: tuple[Edge, ...]
-    faces: tuple[Face, ...]
+    __slots__ = _fields = ("num_vertices", "edges", "faces")
 
     def __init__(self, num_vertices, edges, faces):
-        object.__setattr__(self, "num_vertices", int(num_vertices))
-        object.__setattr__(
-            self, "edges", tuple(Edge(int(e[0]), int(e[1]), int(e[2])) for e in edges)
-        )
         norm_faces = []
         for f in faces:
             boundary = tuple((int(e), int(s)) for e, s in f[0])
             norm_faces.append(Face(boundary, int(f[1])))
-        object.__setattr__(self, "faces", tuple(norm_faces))
+        super().__init__(
+            int(num_vertices),
+            tuple(Edge(int(e[0]), int(e[1]), int(e[2])) for e in edges),
+            tuple(norm_faces),
+        )
         self._validate()
 
     def _validate(self) -> None:
@@ -99,25 +97,22 @@ class PLCW:
                 return e
         raise KeyError(edge_id)
 
-@dataclass(frozen=True)
-class MarkedPLCW:
-    """An edge-index assignment in Z_r on a fixed decomposition."""
 
-    complex: PLCW
-    r: int
-    edge_index: dict[int, int]
+class MarkedPLCW(Record):
+    """An edge-index assignment in Z_r on a fixed decomposition.
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
-        missing = [e.id for e in self.complex.edges if e.id not in self.edge_index]
+    Not hashable: `edge_index` is a dict.
+    """
+
+    __slots__ = _fields = ("complex", "r", "edge_index")
+
+    def __init__(self, complex: PLCW, r: int, edge_index: dict[int, int]):
+        if r < 1:
+            raise ValueError(f"r must be positive, got {r}")
+        missing = [e.id for e in complex.edges if e.id not in edge_index]
         if missing:
             raise ValueError(f"edges {missing} have no index")
-        object.__setattr__(
-            self,
-            "edge_index",
-            {e.id: self.edge_index[e.id] % self.r for e in self.complex.edges},
-        )
+        super().__init__(complex, r, {e.id: edge_index[e.id] % r for e in complex.edges})
 
     def to_json(self) -> dict:
         return {"r": self.r, "indices": {str(k): v for k, v in self.edge_index.items()}}
@@ -154,10 +149,10 @@ def _vertex_profiles(complex: PLCW) -> list[tuple[list[int], list[int], int]]:
     return profiles
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    residues: dict[int, int] = field(compare=False)
+class AdmissibilityReport(Record, compare=("ok",)):
+    """Whether a marking is admissible, with its residue at each vertex."""
+
+    __slots__ = _fields = ("ok", "residues")
 
     def __bool__(self) -> bool:
         return self.ok

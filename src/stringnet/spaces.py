@@ -15,10 +15,9 @@ separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import require
+from . import Record, require
 from .caps import check_cap
 from .category import (
     CategoryParams,
@@ -48,15 +47,10 @@ from .rspin import count_rspin
 _ORIENTATIONS = ("anticlockwise", "clockwise")
 
 
-@dataclass(frozen=True)
-class ProjectorReport:
+class ProjectorReport(Record):
     """Outcome of building the plaquette projector on C(1, H^{(x)g})."""
 
-    r: int
-    genus: int
-    analytic_scalar: CycNum
-    operator_matrix: tuple[tuple[CycNum, ...], ...]
-    image_rank: int
+    __slots__ = _fields = ("r", "genus", "analytic_scalar", "operator_matrix", "image_rank")
 
 
 def sn_closed_dim(params: CategoryParams, genus: int) -> int:
@@ -210,11 +204,7 @@ def tilde_bp_operator(
     want = GradedMorphism.identity(top).scale(scalar)
     require(op == want, "plaquette operator is the analytic scalar times the identity")
     return ProjectorReport(
-        r=r,
-        genus=genus,
-        analytic_scalar=scalar,
-        operator_matrix=tuple(tuple(row) for row in mat),
-        image_rank=n if scalar else 0,
+        r, genus, scalar, tuple(tuple(row) for row in mat), n if scalar else 0
     )
 
 

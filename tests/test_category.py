@@ -18,7 +18,7 @@ from stringnet.category import (
     dimension,
     dual_morphism,
     dual_object,
-    duality_maps,
+    duality_map,
     global_dimension,
     loop_weight,
     simple_object,
@@ -156,13 +156,16 @@ def test_zigzag_identities(r):
     for grades in [(0,), (1 % r,), (0, 1 % r), (1 % r, 2 % r, (r - 1) % r)]:
         x = GradedObject(r, grades)
         xd = dual_object(x)
-        d = duality_maps(x, params)
+        ev_left, coev_left, ev_right, coev_right = (
+            duality_map(x, kind, params)
+            for kind in ("cap_left", "cup_left", "cap_right", "cup_right")
+        )
         id_x = GradedMorphism.identity(x)
         id_xd = GradedMorphism.identity(xd)
-        assert compose(d.ev_left @ id_xd, id_xd @ d.coev_left) == id_xd
-        assert compose(id_x @ d.ev_left, d.coev_left @ id_x) == id_x
-        assert compose(d.ev_right @ id_x, id_x @ d.coev_right) == id_x
-        assert compose(id_xd @ d.ev_right, d.coev_right @ id_xd) == id_xd
+        assert compose(ev_left @ id_xd, id_xd @ coev_left) == id_xd
+        assert compose(id_x @ ev_left, coev_left @ id_x) == id_x
+        assert compose(ev_right @ id_x, id_x @ coev_right) == id_x
+        assert compose(id_xd @ ev_right, coev_right @ id_xd) == id_xd
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -171,18 +174,16 @@ def test_pivot_relates_left_and_right_duality(r):
     for grades in [(0,), (2 % r, 1 % r), (1 % r, 1 % r, 3 % r)]:
         x = GradedObject(r, grades)
         xd = dual_object(x)
-        d = duality_maps(x, params)
-        dd = duality_maps(xd, params)
         piv = delta_pivot(x, params)
-        assert d.ev_right == compose(
-            dd.ev_left, piv @ GradedMorphism.identity(xd)
+        assert duality_map(x, "cap_right", params) == compose(
+            duality_map(xd, "cap_left", params), piv @ GradedMorphism.identity(xd)
         )
         # and the coev counterpart through the inverse pivot
         piv_inv = GradedMorphism.from_entries(
             x, x, {(i, i): params.zeta(-g) for i, g in enumerate(x.grades)}
         )
-        assert d.coev_right == compose(
-            GradedMorphism.identity(xd) @ piv_inv, dd.coev_left
+        assert duality_map(x, "cup_right", params) == compose(
+            GradedMorphism.identity(xd) @ piv_inv, duality_map(xd, "cup_left", params)
         )
 
 

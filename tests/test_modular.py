@@ -142,6 +142,14 @@ def test_malformed_files(tmp_path):
     empty.write_text(json.dumps({"labels": [], "dual": [], "dims": [], "s": []}))
     with pytest.raises(ModularDataError, match="label list is empty"):
         load_modular_data(empty)
+    number_labels = tmp_path / "number_labels.json"
+    number_labels.write_text(json.dumps({**_load("semion").to_json(), "labels": 5}))
+    with pytest.raises(ValueError, match="not a modular-data object"):
+        load_modular_data(number_labels)
+    fractional_dual = tmp_path / "fractional_dual.json"
+    fractional_dual.write_text(json.dumps({**_load("trivial").to_json(), "dual": [0.5]}))
+    with pytest.raises(ModularDataError, match="dual entries must be integers"):
+        load_modular_data(fractional_dual)
 
 
 def test_unknown_label():
