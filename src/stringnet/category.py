@@ -70,9 +70,6 @@ class GradedObject(Record):
     def dim(self) -> int:
         return len(self.grades)
 
-    def __matmul__(self, other: "GradedObject") -> "GradedObject":
-        return tensor_objects(self, other)
-
 
 def unit_object(r: int) -> GradedObject:
     return GradedObject(r, (0,))
@@ -203,13 +200,6 @@ class GradedMorphism:
         return GradedMorphism(
             self.source, self.target, [[a * c for a in row] for row in self.matrix]
         )
-
-    def __matmul__(self, other: "GradedMorphism") -> "GradedMorphism":
-        return tensor_morphisms(self, other)
-
-    def __rshift__(self, other: "GradedMorphism") -> "GradedMorphism":
-        """Diagrammatic order: (f >> g) applies f first."""
-        return compose(other, self)
 
     def __repr__(self):
         return (

@@ -4,8 +4,10 @@ Every subcommand echoes its inputs, names the quantity it computes in a
 "reference" field, and emits sorted-key JSON so identical invocations are
 byte-identical.  Exit codes: 0 success, 1 a domain error raised by the
 computation, 2 a bad invocation (including missing files), 3 a failed
-theorem check (an InvariantError, named in the payload).  `--json-schema`
-on any subcommand prints the shipped schema for its output and exits.
+theorem check (an InvariantError, named in the payload).  A reader that
+closes stdout early ends the run with exit 1 and nothing on stderr.
+`--json-schema` on any subcommand prints the shipped schema for its output
+and exits.
 
 Each subcommand loads only the modules it runs: its handler imports the
 library functions it calls, and the errors `main` reports live in the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import InadmissibleMarkingError, InvariantError, ModularDataError
@@ -410,6 +413,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()  # a closed pipe shows up here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at exit
+        # stays quiet too, and fail without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = args.handler(args)

@@ -7,15 +7,15 @@ which for graded X is just r shifted-and-unshifted copies of X stacked in
 order u = 0..r-1.
 
 jmath is written in closed form, one entry 1 per pair of positions of X and
-Y.  `_jmath_with_scales` assembles it from explicit dual-basis pairs (alpha,
-alpha-bar) with alpha o alpha-bar = id on the simple target; it is the test
-reference, and its rescaled pairs show the result does not depend on them.
+Y.  The scaled-basis reference lives in tests/test_coends.py: it assembles
+jmath from explicit dual-basis pairs (alpha, alpha-bar) with
+alpha o alpha-bar = id on the simple target, and its rescaled pairs show the
+result does not depend on them.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import Record
@@ -23,11 +23,8 @@ from .category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
-    compose,
-    dual_morphism,
     dual_object,
     simple_object,
-    tensor_morphisms,
     tensor_objects,
 )
 from .cyclotomic import CycNum
@@ -74,30 +71,6 @@ def central_hull(x: GradedObject) -> CentralHull:
     return CentralHull(x, GradedObject(r, grades), tuple(offsets))
 
 
-def _simple_basis(x: GradedObject, s: int, scales: Sequence[Fraction] | None = None):
-    """Dual-basis pairs for C(X, C_s): (alpha: X -> C_s, abar: C_s -> X).
-
-    One pair per position of X carrying grade s.  Optional nonzero scales
-    multiply alpha and divide abar, preserving alpha o abar = id.
-    """
-    r = x.r
-    cs = simple_object(r, s)
-    out = []
-    positions = [i for i, g in enumerate(x.grades) if g == s % r]
-    for k, i in enumerate(positions):
-        c = Fraction(1) if scales is None else Fraction(scales[k])
-        if c == 0:
-            raise ValueError("basis scale must be nonzero")
-        alpha = GradedMorphism.from_entries(
-            x, cs, {(0, i): CycNum.from_rational(r, c)}
-        )
-        abar = GradedMorphism.from_entries(
-            cs, x, {(i, 0): CycNum.from_rational(r, 1 / c)}
-        )
-        out.append((alpha, abar))
-    return out
-
-
 def jmath(x: GradedObject, y: GradedObject) -> GradedMorphism:
     """The coend map X^dual (x) Y^dual (x) X (x) Y -> H; x_i pairs with X^dual[dx-1-i]."""
     h, dx, dy, one = CoendH(x.r), x.dim, y.dim, CycNum.one(x.r)
@@ -108,27 +81,6 @@ def jmath(x: GradedObject, y: GradedObject) -> GradedMorphism:
     }
     source = tensor_objects(dual_object(x), dual_object(y), x, y)
     return GradedMorphism.from_entries(source, h.as_object(), entries)
-
-
-def _jmath_with_scales(x, y, x_scales, y_scales) -> GradedMorphism:
-    r = x.r
-    h = CoendH(r)
-    h_obj = h.as_object()
-    source = tensor_objects(dual_object(x), dual_object(y), x, y)
-    total = GradedMorphism.zero_map(source, h_obj)
-    for s, t in h.summands:
-        row = GradedMorphism.from_entries(
-            simple_object(r, 0), h_obj, {(h.index(s, t), 0): CycNum.one(r)}
-        )
-        for alpha, abar in _simple_basis(x, s, x_scales):
-            for beta, bbar in _simple_basis(y, t, y_scales):
-                leg = tensor_morphisms(
-                    tensor_morphisms(dual_morphism(abar), dual_morphism(bbar)),
-                    tensor_morphisms(alpha, beta),
-                )
-                # leg lands in S^dual T^dual S T, a single grade-0 summand
-                total = total + compose(row, leg)
-    return total
 
 
 class BasisDescription(NamedTuple):

@@ -11,10 +11,10 @@ and the shared per-conductor constants (`zero`, `one`, `zeta_power`) skip
 that through `_from_reduced`, which trusts its tuple to hold exactly phi(order)
 Fractions already reduced modulo Phi_order.
 
-Division is deliberately not public: downstream computations only ever
-rescale by nonzero rationals and multiply by roots of unity.  A private
-`_inv` exists for the one consumer that needs quotients of quantum
-dimensions; it is not part of the supported surface.
+There is no division in the field: downstream computations only ever
+rescale by nonzero rationals and multiply by roots of unity, and the one
+quotient of quantum dimensions the charge criterion needs is decided by
+cross-multiplying.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import require
 
 
 class ConductorMismatchError(ValueError):
-    """Two CycNums from different Q(zeta_n) met without an explicit embed."""
+    """Two CycNums from different Q(zeta_n) met in one operation."""
 
 
 def _divisors(n: int) -> list[int]:
@@ -87,16 +87,6 @@ def _reduce(coeffs: list[Fraction], n: int) -> list[Fraction]:
     return coeffs
 
 
-@lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_n^k in the power basis for k = 0..n-1 (integer coordinates)."""
-    rows = []
-    for k in range(n):
-        row = _reduce([Fraction(0)] * k + [Fraction(1)], n)
-        rows.append(tuple(int(c) for c in row))
-    return tuple(rows)
-
-
 class CycNum:
     """An element of Q(zeta_n) with exact rational power-basis coordinates."""
 
@@ -153,8 +143,7 @@ class CycNum:
         if isinstance(other, CycNum):
             if other.order != self.order:
                 raise ConductorMismatchError(
-                    f"conductors differ: {self.order} vs {other.order}; "
-                    "embed into a common conductor first"
+                    f"conductors differ: {self.order} vs {other.order}"
                 )
             return other
         if isinstance(other, (int, Fraction)):
@@ -199,18 +188,6 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not public; see module docstring")
-        result = CycNum.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -239,7 +216,8 @@ def _from_reduced(order: int, coeffs: tuple) -> CycNum:
 @lru_cache(maxsize=None)
 def _zeta_table(n: int) -> tuple[CycNum, ...]:
     """Shared constants zeta_n^0 .. zeta_n^{n-1}, then zero, for conductor n."""
-    rows = [tuple(map(Fraction, row)) for row in _power_table(n)] + [(Fraction(0),) * degree(n)]
+    rows = [tuple(_reduce([Fraction(0)] * k + [Fraction(1)], n)) for k in range(n)]
+    rows.append((Fraction(0),) * degree(n))
     return tuple(_from_reduced(n, row) for row in rows)
 
 
@@ -251,42 +229,9 @@ def zeta_power(n: int, k: int) -> CycNum:
 
 
 def rational_scale(a: CycNum, q) -> CycNum:
-    """Multiply by an exact rational (the only public scalar division route)."""
+    """Multiply by an exact rational."""
     q = Fraction(q)
     return _from_reduced(a.order, tuple([c * q for c in a.coeffs]))
-
-
-def conjugate(a: CycNum) -> CycNum:
-    """Complex conjugation, zeta |-> zeta^{-1}; a ring automorphism."""
-    n = a.order
-    table = _power_table(n)
-    out = [Fraction(0)] * degree(n)
-    for j, c in enumerate(a.coeffs):
-        if c:
-            row = table[(n - j) % n]
-            for i, t in enumerate(row):
-                if t:
-                    out[i] += c * t
-    return CycNum(n, out)
-
-
-def embed(a: CycNum, new_order: int) -> CycNum:
-    """Lift from Q(zeta_n) into Q(zeta_m) when n | m, via zeta_n = zeta_m^{m/n}."""
-    n = a.order
-    if new_order % n != 0:
-        raise ConductorMismatchError(
-            f"cannot embed conductor {n} into {new_order}: not a multiple"
-        )
-    step = new_order // n
-    table = _power_table(new_order)
-    out = [Fraction(0)] * degree(new_order)
-    for j, c in enumerate(a.coeffs):
-        if c:
-            row = table[(j * step) % new_order]
-            for i, t in enumerate(row):
-                if t:
-                    out[i] += c * t
-    return CycNum(new_order, out)
 
 
 # -- JSON ------------------------------------------------------------------
@@ -317,72 +262,3 @@ def approx_complex(a: CycNum) -> complex:
     z = cmath.exp(2j * cmath.pi / a.order)
     return sum(complex(c) * z**j for j, c in enumerate(a.coeffs))
 
-
-# -- private ---------------------------------------------------------------
-
-
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]):
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for j in range(len(rem) - len(b), -1, -1):
-        c = rem[j + len(b) - 1] / lead
-        if c:
-            quot[j] = c
-            for i, bi in enumerate(b):
-                rem[j + i] -= c * bi
-    return quot, _ptrim(rem)
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid in Q[x]: returns (g, u) with u*a = g mod b, g the gcd."""
-    r0, r1 = _ptrim(list(a)), _ptrim(list(b))
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, rem = _pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _psub(u0, _pmul(q, u1))
-    return r0, u0
-
-
-def _inv(a: CycNum) -> CycNum:
-    """Multiplicative inverse; internal use only (see module docstring)."""
-    if a.is_zero():
-        raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-    if a.is_rational():
-        return CycNum.from_rational(a.order, 1 / a.coeffs[0])
-    phi = [Fraction(c) for c in cyclotomic_polynomial(a.order)]
-    g, u = _poly_xgcd(list(a.coeffs), phi)
-    # Phi_n is squarefree and a is nonzero, so the gcd is a nonzero constant.
-    require(len(g) == 1 and g[0] != 0, "gcd with Phi_n is a nonzero constant")
-    inv_coeffs = [c / g[0] for c in u]
-    inv_coeffs += [Fraction(0)] * (degree(a.order) - len(inv_coeffs))
-    out = CycNum(a.order, _reduce(list(inv_coeffs), a.order))
-    require(out * a == CycNum.one(a.order), "inverse times a is one")
-    return out

@@ -25,7 +25,6 @@ from .category import (
     GradedMorphism,
     GradedObject,
     compose,
-    dual_morphism,
     dual_object,
     tensor_morphisms,
     tensor_objects,
@@ -169,49 +168,6 @@ def nakayama(f_data: FrobeniusAlgebraData) -> NakayamaPair:
     require(forward == closed, "Nakayama diagram equals the closed form")
     require(compose(forward, inverse) == GradedMorphism.identity(f), "Nakayama inverse")
     return NakayamaPair(forward, inverse)
-
-
-def _mu_power(f_data: FrobeniusAlgebraData, n: int) -> GradedMorphism:
-    """n-fold multiplication F^{(x)n} -> F, left-nested."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    acc = GradedMorphism.identity(f_data.object)
-    for _ in range(n - 1):
-        acc = compose(
-            f_data.mu,
-            tensor_morphisms(acc, GradedMorphism.identity(f_data.object)),
-        )
-    return acc
-
-
-def face_and_edge_labels(
-    n: int, u: int, f_data: FrobeniusAlgebraData
-) -> tuple[GradedMorphism, GradedMorphism]:
-    """The face label M^(n) = (eps o mu^(n))-dual and edge label E_u.
-
-    E_u = (N^u (x) id) o Delta o eta = (1/r) sum_b zeta^{-ub} 1_b (x) 1_{-b}.
-    """
-    m_n = dual_morphism(compose(f_data.eps, _mu_power(f_data, n)))
-    nak = f_data.nakayama_pair.forward
-    twist = GradedMorphism.identity(f_data.object)
-    for _ in range(u % f_data.params.r):
-        twist = compose(nak, twist)
-    e_u = compose(
-        tensor_morphisms(twist, GradedMorphism.identity(f_data.object)),
-        compose(f_data.delta, f_data.eta),
-    )
-    return m_n, e_u
-
-
-def rotate_pair(phi: GradedMorphism, f_data: FrobeniusAlgebraData) -> GradedMorphism:
-    """Pull the first output of phi: 1 -> F(x)F around to the back."""
-    f = f_data.object
-    layers = [
-        [cup_right(f)],
-        [identity(dual_object(f)), box(phi), identity(f)],
-        [cap_left(f), identity(f), identity(f)],
-    ]
-    return evaluate(SliceDiagram(tensor_objects(f, f), layers), f_data.params)
 
 
 def chi(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:

@@ -2,9 +2,10 @@
 
 A PLCW decomposition is a combinatorial closed surface: vertices, oriented
 edges, and faces with a cyclic boundary word in which every edge appears
-exactly twice.  A marking assigns an index s_e in Z_r to each edge; the
-marking is admissible when a per-vertex congruence holds, and admissible
-markings on a fixed decomposition count r-spin structures.
+exactly twice, once each way, and the faces glued along their shared edges
+form one connected surface.  A marking assigns an index s_e in Z_r to each
+edge; the marking is admissible when a per-vertex congruence holds, and
+admissible markings on a fixed decomposition count r-spin structures.
 
 Conventions pinned here (the source material leaves them to a drawing):
 the face orientation is the cyclic order of its boundary list, and the
@@ -36,7 +37,7 @@ class Face(NamedTuple):
 
 
 class PLCW(Record):
-    """Combinatorial closed surface; validates on construction."""
+    """Combinatorial closed, connected, oriented surface; validates on construction."""
 
     __slots__ = _fields = ("num_vertices", "edges", "faces")
 
@@ -55,30 +56,44 @@ class PLCW(Record):
     def _validate(self) -> None:
         if self.num_vertices < 0:
             raise ValueError("negative vertex count")
+        if not self.faces:
+            raise ValueError("a surface needs at least one face")
         ids = [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
         for e in self.edges:
             if not (0 <= e.src < self.num_vertices and 0 <= e.dst < self.num_vertices):
                 raise ValueError(f"edge {e.id} references a missing vertex")
-        id_set = set(ids)
-        uses: dict[int, int] = {i: 0 for i in ids}
+        uses: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}  # (sign, face)
         for fi, f in enumerate(self.faces):
             if not f.boundary:
                 raise ValueError(f"face {fi} has empty boundary")
             if not (0 <= f.preferred < len(f.boundary)):
                 raise ValueError(f"face {fi} preferred index out of range")
             for eid, sign in f.boundary:
-                if eid not in id_set:
+                if eid not in uses:
                     raise ValueError(f"face {fi} references unknown edge {eid}")
                 if sign not in (1, -1):
                     raise ValueError(f"face {fi} has boundary sign {sign}, want +-1")
-                uses[eid] += 1
-        bad = [eid for eid, n in uses.items() if n != 2]
+                uses[eid].append((sign, fi))
+        bad = [eid for eid, u in uses.items() if len(u) != 2]
         if bad:
             raise ValueError(
                 f"edges {bad} do not appear exactly twice in face boundaries"
             )
+        # an orientable surface traverses each edge once each way
+        bad = [eid for eid, ((s1, _), (s2, _)) in uses.items() if s1 == s2]
+        if bad:
+            raise ValueError(f"edges {bad} are not traversed once with +1 and once with -1")
+        reached, todo = {0}, [0]  # faces glued along shared edges, from face 0
+        while todo:
+            for eid, _ in self.faces[todo.pop()].boundary:
+                for _, fj in uses[eid]:
+                    if fj not in reached:
+                        reached.add(fj)
+                        todo.append(fj)
+        if len(reached) != len(self.faces):
+            raise ValueError("the faces do not glue into one connected surface")
         chi = self.euler_characteristic
         if chi % 2 != 0 or chi > 2:
             raise ValueError(f"Euler characteristic {chi} is not 2-2g")

@@ -78,7 +78,7 @@ def test_half_braiding_hexagon():
             step2 = tensor_morphisms(
                 GradedMorphism.identity(v), half_braiding_box(z, w, params)
             )
-            assert step1 >> step2 == lhs
+            assert compose(step2, step1) == lhs
 
 
 def test_half_braiding_naturality():
@@ -236,7 +236,7 @@ def test_ahat_braiding_hexagon():
     lhs = st.half_braiding(tensor_objects(v, w))
     step1 = tensor_morphisms(st.half_braiding(v), GradedMorphism.identity(w))
     step2 = tensor_morphisms(GradedMorphism.identity(v), st.half_braiding(w))
-    assert step1 >> step2 == lhs
+    assert compose(step2, step1) == lhs
 
 
 def test_ahat_maps_are_centre_morphisms():

@@ -206,6 +206,20 @@ def test_malformed_modular_files_give_json_errors(capsys, tmp_path):
     assert payload["violations"] == ["the label list is empty"]
     code, out = _run(capsys, "charge", "--data", str(empty), *charge)
     assert code == 1 and json.loads(out)["violations"] == ["the label list is empty"]
+    # every other identity holds, and charge would answer dim 1 for x
+    one, zero = ({"order": 1, "coeffs": [c]} for c in ("1/1", "0/1"))
+    vanishing_dim = tmp_path / "vanishing_dim.json"
+    s = [[one, zero], [zero, one]]
+    vanishing_dim.write_text(
+        json.dumps({"labels": ["1", "x"], "dual": [0, 1], "dims": [one, zero], "s": s})
+    )
+    payload = _payload(capsys, "validate-modular", "--data", str(vanishing_dim))
+    assert payload["valid"] is False
+    assert payload["violations"] == ["dim of x vanishes"]
+    code, out = _run(
+        capsys, "charge", "--data", str(vanishing_dim), "--j", "1", "--u", "x", "--v", "x"
+    )
+    assert code == 1 and json.loads(out)["violations"] == ["dim of x vanishes"]
 
 
 def _example_argv(name):
@@ -287,3 +301,21 @@ def test_invariant_failure_exits_3_under_optimize():
     payload = json.loads(proc.stdout)
     assert payload["invariant"] == "plaquette operator is the analytic scalar times the identity"
     assert "invariant violated" in payload["error"]
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes 10 bytes of a ~0.5 MB payload and closes the pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stringnet.cli", "bp-operator", "--r", "3", "--genus", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert head == b'{\n  "dim":'
+    assert stderr == b""

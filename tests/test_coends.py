@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringnet.category import CategoryParams, GradedObject, simple_object
+from stringnet.category import (
+    CategoryParams,
+    GradedMorphism,
+    GradedObject,
+    compose,
+    dual_morphism,
+    dual_object,
+    simple_object,
+    tensor_morphisms,
+    tensor_objects,
+)
 from stringnet.coends import (
     CoendH,
     HomSpaceVector,
-    _jmath_with_scales,
     central_hull,
     hom_space_basis,
     jmath,
@@ -84,6 +95,52 @@ def test_jmath_of_f_hits_every_summand(r):
     rows_hit = {i for i in range(r * r) if any(m.matrix[i])}
     assert rows_hit == set(range(r * r))
     assert rank_cyc([list(row) for row in m.matrix]) == r * r
+
+
+def _simple_basis(x: GradedObject, s: int, scales: Sequence[Fraction] | None = None):
+    """Dual-basis pairs for C(X, C_s): (alpha: X -> C_s, abar: C_s -> X).
+
+    One pair per position of X carrying grade s.  Optional nonzero scales
+    multiply alpha and divide abar, preserving alpha o abar = id.
+    """
+    r = x.r
+    cs = simple_object(r, s)
+    out = []
+    positions = [i for i, g in enumerate(x.grades) if g == s % r]
+    for k, i in enumerate(positions):
+        c = Fraction(1) if scales is None else Fraction(scales[k])
+        if c == 0:
+            raise ValueError("basis scale must be nonzero")
+        alpha = GradedMorphism.from_entries(
+            x, cs, {(0, i): CycNum.from_rational(r, c)}
+        )
+        abar = GradedMorphism.from_entries(
+            cs, x, {(i, 0): CycNum.from_rational(r, 1 / c)}
+        )
+        out.append((alpha, abar))
+    return out
+
+
+def _jmath_with_scales(x, y, x_scales, y_scales) -> GradedMorphism:
+    """jmath assembled from the dual-basis pairs of `_simple_basis`."""
+    r = x.r
+    h = CoendH(r)
+    h_obj = h.as_object()
+    source = tensor_objects(dual_object(x), dual_object(y), x, y)
+    total = GradedMorphism.zero_map(source, h_obj)
+    for s, t in h.summands:
+        row = GradedMorphism.from_entries(
+            simple_object(r, 0), h_obj, {(h.index(s, t), 0): CycNum.one(r)}
+        )
+        for alpha, abar in _simple_basis(x, s, x_scales):
+            for beta, bbar in _simple_basis(y, t, y_scales):
+                leg = tensor_morphisms(
+                    tensor_morphisms(dual_morphism(abar), dual_morphism(bbar)),
+                    tensor_morphisms(alpha, beta),
+                )
+                # leg lands in S^dual T^dual S T, a single grade-0 summand
+                total = total + compose(row, leg)
+    return total
 
 
 @given(st.data())

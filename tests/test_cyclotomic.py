@@ -11,16 +11,13 @@ from stringnet.cyclotomic import (
     ConductorMismatchError,
     CycNum,
     approx_complex,
-    conjugate,
     cyclotomic_polynomial,
     degree,
-    embed,
     from_json,
     rational_scale,
     to_json,
     zeta_power,
 )
-from stringnet.cyclotomic import _inv
 
 
 def _sympy_phi(n: int) -> tuple[int, ...]:
@@ -54,7 +51,7 @@ def test_field_arithmetic_trivial_values():
     n3 = zeta_power(3, 0) + zeta_power(3, 1) + zeta_power(3, 2)
     assert n3.is_zero()
     assert rational_scale(zeta_power(2, 1), Fraction(1, 2)) == Fraction(-1, 2)
-    assert conjugate(zeta_power(6, 1)) == zeta_power(6, 5)
+    assert zeta_power(6, 1) * zeta_power(6, 5) == 1
 
 
 def test_mixed_conductors_rejected():
@@ -67,7 +64,10 @@ def test_mixed_conductors_rejected():
 def test_root_of_unity_order_and_equality():
     for n in range(1, 13):
         for k in range(n):
-            assert zeta_power(n, k) ** n == 1
+            power = CycNum.one(n)
+            for _ in range(n):
+                power = power * zeta_power(n, k)
+            assert power == 1
             for j in range(n):
                 assert (zeta_power(n, k) == zeta_power(n, j)) == (k % n == j % n)
 
@@ -112,52 +112,6 @@ def test_product_matches_sympy(n, ks, qs):
     want = (pa * pb).rem(phi)
     got = _as_sympy_poly((a * b).coeffs, x)
     assert (got - want).is_zero, (got, want)
-
-
-@given(
-    n=st.integers(min_value=1, max_value=12),
-    k1=st.integers(min_value=-12, max_value=12),
-    k2=st.integers(min_value=-12, max_value=12),
-    q=st.fractions(min_value=-4, max_value=4),
-)
-@settings(max_examples=60, deadline=None)
-def test_conjugate_is_ring_homomorphism_and_involution(n, k1, k2, q):
-    a = rational_scale(zeta_power(n, k1), q) + zeta_power(n, k2)
-    b = zeta_power(n, k2) - rational_scale(zeta_power(n, k1), 2)
-    assert conjugate(conjugate(a)) == a
-    assert conjugate(a + b) == conjugate(a) + conjugate(b)
-    assert conjugate(a * b) == conjugate(a) * conjugate(b)
-
-
-def test_embed_is_compatible_with_arithmetic():
-    a = zeta_power(3, 1) + 2
-    b = zeta_power(3, 2)
-    assert embed(a * b, 12) == embed(a, 12) * embed(b, 12)
-    assert embed(a, 12) == zeta_power(12, 4) + 2
-    with pytest.raises(ConductorMismatchError):
-        embed(a, 8)
-
-
-def test_embed_then_compare_across_conductors():
-    # zeta_2 and zeta_4^2 agree after an explicit embed
-    assert embed(zeta_power(2, 1), 4) == zeta_power(4, 2)
-
-
-def test_negative_power_is_rejected():
-    with pytest.raises(ValueError):
-        zeta_power(5, 1) ** -1
-
-
-def test_private_inverse():
-    vals = [
-        zeta_power(12, 7),
-        zeta_power(5, 1) + 1,
-        rational_scale(zeta_power(8, 3), Fraction(3, 7)) - 2,
-    ]
-    for a in vals:
-        assert _inv(a) * a == 1
-    with pytest.raises(ZeroDivisionError):
-        _inv(CycNum.zero(6))
 
 
 def test_json_round_trip():
@@ -211,13 +165,10 @@ def test_arithmetic_results_are_canonical(n, data):
     b = CycNum(n, data.draw(st.lists(coeff, min_size=degree(n), max_size=degree(n))))
     k = data.draw(st.integers(-20, 20))
     q = data.draw(coeff)
-    m = n * data.draw(st.integers(1, 3))
     results = [a + b, a - b, -a, a * b, a * q, 2 * a, a + 1, rational_scale(a, q)]
-    results += [zeta_power(n, k), conjugate(a), CycNum.zero(n), CycNum.one(n)]
-    results += [CycNum.from_rational(n, q), a**2]
+    results += [zeta_power(n, k), CycNum.zero(n), CycNum.one(n), CycNum.from_rational(n, q)]
     for res in results:
         assert _is_canonical(res, n), res
-    assert _is_canonical(embed(a, m), m)
 
 
 def test_public_constructor_still_checks():

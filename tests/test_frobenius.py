@@ -1,4 +1,4 @@
-"""Frobenius algebra axioms, Nakayama rotation, face labels, sigma vectors."""
+"""Frobenius algebra axioms, Nakayama rotation, chi, sigma vectors."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from stringnet.category import (
     CategoryParams,
     GradedMorphism,
     compose,
-    dual_morphism,
     unit_object,
 )
 from stringnet import InvariantError, frobenius
@@ -19,12 +18,9 @@ from stringnet.frobenius import (
     FrobeniusAlgebraData,
     InadmissibleMarkingError,
     UnsupportedComplexError,
-    _mu_power,
     chi,
-    face_and_edge_labels,
     frobenius_zr,
     nakayama,
-    rotate_pair,
     sigma_F,
 )
 from stringnet.linalg import rank_cyc
@@ -100,55 +96,8 @@ def test_nakayama_evaluated_once_per_algebra(monkeypatch):
     for genus in (2, 3):
         c = standard_decomposition(genus)
         sigma_F(MarkedPLCW(c, 2, {e.id: e.id % 2 for e in c.edges}), fd)
-    face_and_edge_labels(2, 1, fd)
+    chi(0, 1, fd)
     assert sorted(calls) == [-1, 1]
-
-
-def test_mu_power_validation_and_base():
-    fd = frobenius_zr(CategoryParams(2))
-    assert _mu_power(fd, 1) == GradedMorphism.identity(fd.object)
-    assert _mu_power(fd, 2) == fd.mu
-    with pytest.raises(ValueError):
-        _mu_power(fd, 0)
-
-
-def test_face_label_n1_is_dual_counit():
-    for r in (1, 2, 3):
-        fd = frobenius_zr(CategoryParams(r))
-        m1, _ = face_and_edge_labels(1, 0, fd)
-        assert m1 == dual_morphism(fd.eps)
-
-
-def test_edge_label_u0_is_delta_eta():
-    for r in (1, 2, 3, 4):
-        fd = frobenius_zr(CategoryParams(r))
-        _, e0 = face_and_edge_labels(1, 0, fd)
-        assert e0 == compose(fd.delta, fd.eta)
-
-
-def test_edge_label_closed_form():
-    # E_u = (1/r) sum_b zeta^{-ub} 1_b (x) 1_{-b}
-    r = 4
-    fd = frobenius_zr(CategoryParams(r))
-    for u in range(r):
-        _, e_u = face_and_edge_labels(1, u, fd)
-        for b in range(r):
-            for c in range(r):
-                got = e_u.matrix[b * r + c][0]
-                if c == (-b) % r:
-                    assert got == zeta_power(r, -u * b) * Fraction(1, r)
-                else:
-                    assert got == CycNum.zero(r)
-
-
-def test_rotation_shifts_edge_label():
-    # rotating E_s around the back gives E_{-s-1}
-    for r in (1, 2, 3, 4):
-        fd = frobenius_zr(CategoryParams(r))
-        for s in range(r):
-            _, e_s = face_and_edge_labels(1, s, fd)
-            _, e_flip = face_and_edge_labels(1, (-s - 1) % r, fd)
-            assert rotate_pair(e_s, fd) == e_flip
 
 
 def test_chi_closed_form():

@@ -1,4 +1,4 @@
-"""Modular data files, validation gates, deformed dims, sphere charge."""
+"""Modular data files, validation gates, sphere charge."""
 
 from __future__ import annotations
 
@@ -6,18 +6,12 @@ import json
 
 import pytest
 
-from stringnet.cyclotomic import CycNum, _inv, zeta_power
-from stringnet.linalg import rank_cyc
+from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.modular import (
-    DeformedDims,
     ModularData,
     ModularDataError,
-    PointedFormSpec,
-    deformed_dims,
-    eta_scalar,
     load_modular_data,
     modular_data_from_json,
-    pointed_modular_data,
     sample_path,
     sphere_charge_dim,
 )
@@ -38,46 +32,34 @@ def test_sample_files_load():
         assert m.global_dim == CycNum.from_rational(m.order, n)
 
 
+def _assert_theta_oracle(name, labels, conductor, c):
+    """Z_k labels with theta_a = zeta^{c a^2}: dims 1, dual a -> -a, and
+    s_{a,b} = theta_{a+b} / (theta_a theta_b) = zeta^{2cab}, the quotient
+    checked by cross-multiplying."""
+    m = _load(name)
+    k = len(labels)
+    theta = [zeta_power(conductor, c * a * a) for a in range(k)]
+    assert m.labels == labels
+    assert m.dual == tuple((-a) % k for a in range(k))
+    assert m.dims == (CycNum.one(conductor),) * k
+    for a in range(k):
+        for b in range(k):
+            assert m.s_unnorm[a][b] * theta[a] * theta[b] == theta[(a + b) % k]
+            assert m.s_unnorm[a][b] == zeta_power(conductor, 2 * c * a * b)
+
+
 def test_semion_matches_theta_oracle():
-    # theta_1 = i; s_{a,b} = theta_{a+b}/(theta_a theta_b) with indices in Z_2
-    m = _load("semion")
-    assert m.dims == (CycNum.one(4), CycNum.one(4))
-    theta = [CycNum.one(4), zeta_power(4, 1)]
-    for a in range(2):
-        for b in range(2):
-            want = theta[(a + b) % 2] * _inv(theta[a] * theta[b])
-            assert m.s_unnorm[a][b] == want
+    # theta_1 = i, indices in Z_2
+    _assert_theta_oracle("semion", ("1", "s"), 4, 1)
 
 
 def test_z3_matches_theta_oracle():
-    m = _load("z3_pointed")
-    for a in range(3):
-        for b in range(3):
-            want = zeta_power(3, (a + b) ** 2) * _inv(
-                zeta_power(3, a * a) * zeta_power(3, b * b)
-            )
-            assert m.s_unnorm[a][b] == want
-            assert m.s_unnorm[a][b] == zeta_power(3, 2 * a * b)
+    _assert_theta_oracle("z3_pointed", ("0", "1", "2"), 3, 1)
 
 
-def test_shipped_pointed_files_match_generator():
-    for name, form in [
-        ("trivial", PointedFormSpec(1, 0)),
-        ("z3_pointed", PointedFormSpec(3, 1)),
-        ("z5_pointed", PointedFormSpec(5, 2)),
-    ]:
-        assert _load(name) == pointed_modular_data(form)
-
-
-def test_pointed_form_validation():
-    with pytest.raises(ValueError, match="degenerate"):
-        PointedFormSpec(2, 1)
-    with pytest.raises(ValueError, match="degenerate"):
-        PointedFormSpec(3, 3)
-    with pytest.raises(ValueError):
-        PointedFormSpec(0, 1)
-    m = pointed_modular_data(PointedFormSpec(5, 2))
-    assert rank_cyc([list(row) for row in m.s_unnorm]) == 5
+def test_trivial_and_z5_match_theta_oracle():
+    _assert_theta_oracle("trivial", ("0",), 1, 0)
+    _assert_theta_oracle("z5_pointed", ("0", "1", "2", "3", "4"), 5, 2)
 
 
 def test_degenerate_s_rejected():
@@ -150,6 +132,19 @@ def test_malformed_files(tmp_path):
     fractional_dual.write_text(json.dumps({**_load("trivial").to_json(), "dual": [0.5]}))
     with pytest.raises(ModularDataError, match="dual entries must be integers"):
         load_modular_data(fractional_dual)
+    string_labels = tmp_path / "string_labels.json"
+    string_labels.write_text(json.dumps({**_load("semion").to_json(), "labels": "1s"}))
+    with pytest.raises(ValueError, match="labels must be a list of strings"):
+        load_modular_data(string_labels)
+    # every other identity holds for this file
+    one, zero = ({"order": 1, "coeffs": [c]} for c in ("1/1", "0/1"))
+    vanishing_dim = tmp_path / "vanishing_dim.json"
+    s = [[one, zero], [zero, one]]
+    vanishing_dim.write_text(
+        json.dumps({"labels": ["1", "x"], "dual": [0, 1], "dims": [one, zero], "s": s})
+    )
+    with pytest.raises(ModularDataError, match="dim of x vanishes"):
+        load_modular_data(vanishing_dim)
 
 
 def test_unknown_label():
@@ -177,53 +172,10 @@ def _ising():
 def test_noninvertible_label_rejected():
     m = _ising()
     with pytest.raises(ValueError, match="not invertible"):
-        eta_scalar("sigma", "1", m)
-    with pytest.raises(ValueError, match="not invertible"):
-        deformed_dims("sigma", m)
-    # the fermion is invertible and order 2, so its deformation is spherical
-    assert deformed_dims("f", m).is_spherical
+        sphere_charge_dim("sigma", "1", "1", m)
+    # the fermion is invertible and order 2, so it charges the unit
     assert sphere_charge_dim("f", "1", "1", m) == 1
     assert sphere_charge_dim("f", "f", "f", m) == 0
-
-
-def test_eta_unit_and_z3_values():
-    m = _load("z3_pointed")
-    for x in m.labels:
-        assert eta_scalar("0", x, m) == CycNum.one(3)
-    for a in range(3):
-        assert eta_scalar("1", str(a), m) == zeta_power(3, 2 * a)
-
-
-def test_eta_multiplicative_on_pointed():
-    for name, n in [("z3_pointed", 3), ("z5_pointed", 5)]:
-        m = _load(name)
-        for j in range(n):
-            for x in range(n):
-                for y in range(n):
-                    lhs = eta_scalar(str(j), str(x), m) * eta_scalar(str(j), str(y), m)
-                    rhs = eta_scalar(str(j), str((x + y) % n), m)
-                    assert lhs == rhs
-
-
-def test_deformed_dims_values():
-    m = _load("z3_pointed")
-    dd = deformed_dims("1", m)
-    assert isinstance(dd, DeformedDims)
-    assert not dd.is_spherical
-    assert dd.dim_r == tuple(zeta_power(3, 2 * a) for a in range(3))
-    unit = deformed_dims("0", m)
-    assert unit.is_spherical
-    assert unit.dim_r == m.dims
-    assert deformed_dims("s", _load("semion")).is_spherical
-
-
-def test_dim_l_is_dim_r_of_dual():
-    for name in SAMPLES:
-        m = _load(name)
-        for j in m.labels:
-            dd = deformed_dims(j, m)
-            for x in range(len(m.labels)):
-                assert dd.dim_l[x] == dd.dim_r[m.dual[x]]
 
 
 def test_charge_tables_on_pointed_data():
@@ -275,12 +227,20 @@ def test_unit_charge_only_at_unit():
 
 
 def test_spherical_iff_unit_charge():
-    for name in SAMPLES:
-        m = _load(name)
+    # deforming by J is spherical iff dim_r(X) = s_{J,X}/s_{J,1} equals
+    # dim_l(X) = s_{J*,X}/s_{J*,1} for every X, checked by cross-multiplying
+    for m in [_load(name) for name in SAMPLES] + [_ising()]:
         unit = m.labels[0]
-        for j in m.labels:
+        s = m.s_unnorm
+        for ji, j in enumerate(m.labels):
+            if m.dims[ji] * m.dims[ji] != 1:
+                continue  # sigma of Ising is not invertible
+            jd = m.dual[ji]
+            spherical = all(
+                s[ji][x] * s[jd][0] == s[jd][x] * s[ji][0] for x in range(len(m.labels))
+            )
             charged_at_unit = sphere_charge_dim(j, unit, unit, m) == 1
-            assert deformed_dims(j, m).is_spherical == charged_at_unit
+            assert spherical == charged_at_unit
 
 
 def test_json_round_trip():

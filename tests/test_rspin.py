@@ -54,6 +54,22 @@ def test_plcw_validation():
     # one vertex, one loop, one face: chi = 1, not a closed surface
     with pytest.raises(ValueError, match="Euler"):
         PLCW(1, [(0, 0, 0)], [([(0, 1), (0, -1)], 0)])
+    with pytest.raises(ValueError, match="at least one face"):
+        PLCW(0, [], [])
+    # the Klein bottle word a b a b^-1 has chi = 0 but traverses a twice the same way
+    with pytest.raises(ValueError, match=r"edges \[0\] are not traversed once with \+1"):
+        PLCW(1, [(0, 0, 0), (1, 0, 0)], [([(0, 1), (1, 1), (0, 1), (1, -1)], 0)])
+    # two tori side by side have chi = 0 but are not one surface
+    torus = [(0, 1), (1, 1), (0, -1), (1, -1)]
+    shifted = [(e + 2, sign) for e, sign in torus]
+    edges = [(0, 0, 0), (1, 0, 0), (2, 1, 1), (3, 1, 1)]
+    with pytest.raises(ValueError, match="one connected surface"):
+        PLCW(2, edges, [(torus, 0), (shifted, 0)])
+    # joined by a fifth loop c (torus c, torus c^-1 on one vertex) they are
+    # one genus-2 surface
+    loops = [(e, 0, 0) for e in range(5)]
+    faces = [(torus + [(4, 1)], 0), (shifted + [(4, -1)], 0)]
+    assert PLCW(1, loops, faces).genus == 2
 
 
 def test_marking_requires_all_edges():
