@@ -4,8 +4,12 @@ Objects are ordered direct sums of the invertible simples C_u, recorded as
 grade lists; morphisms are matrices with support only where the target and
 source grades agree.  The pivotal data assigns the simple C_u right dimension
 zeta^u and left dimension zeta^{-u}, where zeta is the chosen primitive r-th
-root of unity.  For r >= 3 the two traces differ: that failure of
-sphericality is the whole point of the constructions downstream.
+root of unity.  For r >= 3 the two traces (`diagrams.trace`) differ: that
+failure of sphericality is the whole point of the constructions downstream.
+
+`compose` and `tensor_morphisms` are the dense reference products: the
+library multiplies morphisms only by evaluating slice diagrams, and these
+two stay as the independent route the tests compare that evaluation with.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -163,9 +167,6 @@ class GradedMorphism:
     def r(self) -> int:
         return self.source.r
 
-    def is_endo(self) -> bool:
-        return self.source == self.target
-
     def __eq__(self, other):
         if not isinstance(other, GradedMorphism):
             return NotImplemented
@@ -209,7 +210,7 @@ class GradedMorphism:
 
 
 def compose(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
-    """f after g (matrix product f.matrix @ g.matrix)."""
+    """f after g (dense matrix product f.matrix @ g.matrix); reference only."""
     if g.target != f.source:
         raise ValueError(
             f"cannot compose: inner objects differ "
@@ -229,7 +230,7 @@ def compose(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
 
 
 def tensor_morphisms(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
-    """Kronecker product, row-major, matching tensor_objects."""
+    """Dense Kronecker product, row-major, matching tensor_objects; reference only."""
     src = tensor_objects(f.source, g.source)
     tgt = tensor_objects(f.target, g.target)
     zero = CycNum.zero(f.r)
@@ -300,32 +301,6 @@ def dimension(x: GradedObject, side: str, params: CategoryParams) -> CycNum:
     for g in x.grades:
         total = total + params.zeta(sign * g)
     return total
-
-
-def trace(f: GradedMorphism, side: str, params: CategoryParams) -> CycNum:
-    """Close an endomorphism to a scalar with the pivotal duality maps.
-
-    tr_left threads through cup_right then cap_left; tr_right through
-    cup_left then cap_right.  tr(id_X) recovers dimension(X, side).
-    """
-    if not f.is_endo():
-        raise ValueError("trace needs an endomorphism")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    x = f.source
-    if side == "left":
-        middle = tensor_morphisms(GradedMorphism.identity(dual_object(x)), f)
-        closed = compose(
-            duality_map(x, "cap_left", params),
-            compose(middle, duality_map(x, "cup_right", params)),
-        )
-    else:
-        middle = tensor_morphisms(f, GradedMorphism.identity(dual_object(x)))
-        closed = compose(
-            duality_map(x, "cap_right", params),
-            compose(middle, duality_map(x, "cup_left", params)),
-        )
-    return closed.matrix[0][0]
 
 
 def global_dimension(params: CategoryParams) -> CycNum:

@@ -21,7 +21,6 @@ from .category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
-    compose,
     dual_object,
     loop_weight,
     simple_object,
@@ -102,7 +101,7 @@ def _h_summand_diagram(z: CentreSimple, u: int, params: CategoryParams) -> Slice
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     """The genus-1 vector of a centre simple: the `loop_sum` of its summands."""
     coords = loop_sum(lambda u: _h_summand_diagram(z, u, params), "right", params)
-    return HomSpaceVector(params.r, 1, (), tuple(coords))
+    return HomSpaceVector(params.r, 1, tuple(coords))
 
 
 def _p_block_diagram(
@@ -135,7 +134,8 @@ def p_Y_projector(y: CentreSimple, params: CategoryParams) -> GradedMorphism:
             val = evaluate(_p_block_diagram(y, u, v, params), params)
             mat[u][v] = val.matrix[0][0] * weight
     proj = GradedMorphism(hull.object, hull.object, mat)
-    require(compose(proj, proj) == proj, "hull projector p_Y is idempotent")
+    square = evaluate(SliceDiagram(hull.object, [[box(proj)], [box(proj)]]), params)
+    require(square == proj, "hull projector p_Y is idempotent")
     return proj
 
 

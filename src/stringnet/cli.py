@@ -292,16 +292,17 @@ def _cmd_sigma_f(args) -> dict:
 
 def _cmd_frobenius_check(args) -> dict:
     from . import cyclotomic
-    from .category import CategoryParams, GradedMorphism, compose
+    from .category import CategoryParams, GradedMorphism
+    from .diagrams import SliceDiagram, box, evaluate
     from .frobenius import frobenius_zr
 
-    f_data = frobenius_zr(CategoryParams(args.r))
-    pair = f_data.nakayama_pair
-    ident = GradedMorphism.identity(f_data.object)
-    power = pair.forward
-    order = 1
+    params = CategoryParams(args.r)
+    pair = frobenius_zr(params).nakayama_pair
+    f = pair.forward.source
+    ident = GradedMorphism.identity(f)
+    power, order = pair.forward, 1
     while power != ident:
-        power = compose(pair.forward, power)
+        power = evaluate(SliceDiagram(f, [[box(power)], [box(pair.forward)]]), params)
         order += 1
     return {
         "inputs": {"r": args.r},

@@ -16,7 +16,7 @@ result does not depend on them.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import Record
 from .category import (
@@ -98,38 +98,16 @@ def hom_space_basis(genus: int, params: CategoryParams) -> BasisDescription:
     return BasisDescription(labels, len(labels))
 
 
-def unit_hom_dimension(factors: Sequence[GradedObject], r: int) -> int:
-    """dim C(1, tensor of the factors), counted without materializing it."""
-    hist = [0] * r
-    hist[0] = 1
-    for x in factors:
-        new = [0] * r
-        for tot, cnt in enumerate(hist):
-            if cnt:
-                for g in x.grades:
-                    new[(tot + g) % r] += cnt
-        hist = new
-    return hist[0]
-
-
 class HomSpaceVector(Record):
-    """Coordinates in C(1, A(V_1) (x) ... (x) A(V_b) (x) H^{(x)g})."""
+    """Coordinates in C(1, H^{(x)g}), one per basis label of `hom_space_basis`."""
 
-    __slots__ = _fields = ("r", "genus", "boundary_data", "coords")
+    __slots__ = _fields = ("r", "genus", "coords")
 
-    def __init__(
-        self,
-        r: int,
-        genus: int,
-        boundary_data: tuple[GradedObject, ...],
-        coords: tuple[CycNum, ...],
-    ) -> None:
-        factors = [central_hull(v).object for v in boundary_data]
-        factors.extend(CoendH(r).as_object() for _ in range(genus))
-        want = unit_hom_dimension(factors, r)
+    def __init__(self, r: int, genus: int, coords: tuple[CycNum, ...]) -> None:
+        want = r ** (2 * genus)
         if len(coords) != want:
             raise ValueError(f"expected {want} coordinates, got {len(coords)}")
         for a in coords:
             if not isinstance(a, CycNum) or a.order != r:
                 raise ValueError("coords must be CycNum of conductor r")
-        super().__init__(r, genus, boundary_data, coords)
+        super().__init__(r, genus, coords)

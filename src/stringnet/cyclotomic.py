@@ -215,10 +215,18 @@ def _from_reduced(order: int, coeffs: tuple) -> CycNum:
 
 @lru_cache(maxsize=None)
 def _zeta_table(n: int) -> tuple[CycNum, ...]:
-    """Shared constants zeta_n^0 .. zeta_n^{n-1}, then zero, for conductor n."""
-    rows = [tuple(_reduce([Fraction(0)] * k + [Fraction(1)], n)) for k in range(n)]
-    rows.append((Fraction(0),) * degree(n))
-    return tuple(_from_reduced(n, row) for row in rows)
+    """Shared constants zeta_n^0 .. zeta_n^{n-1}, then zero, for conductor n.
+
+    Row k is row k-1 times x: shift up one degree, then cancel the one
+    coefficient that reached degree phi(n) with a single multiple of Phi_n.
+    """
+    phi = cyclotomic_polynomial(n)
+    row, rows = [1] + [0] * (len(phi) - 2), []
+    for _ in range(n):
+        rows.append(_from_reduced(n, tuple(map(Fraction, row))))
+        top = row[-1]
+        row = [c - top * p for c, p in zip([0] + row[:-1], phi)]
+    return (*rows, _from_reduced(n, (Fraction(0),) * (len(phi) - 1)))
 
 
 def zeta_power(n: int, k: int) -> CycNum:

@@ -7,7 +7,8 @@ the grade words adjacent layers exchange, then pushes each bottom basis
 vector up as a sparse {flat index: coefficient} dict, split mixed-radix over
 each layer's generators; no layer's Kronecker product is ever built.
 `loop_sum` is the one place the projector's weighted sum over the loop
-grade u, with weight dim(C_u)/Dim, is written.
+grade u, with weight dim(C_u)/Dim, is written, and `trace` closes an
+endomorphism into the left or right pivotal trace with one cup and one cap.
 
 Diagrams arrive pre-sliced; there is no planar-graph compiler here.  Every
 construction downstream is drawn in sliceable normal form already, and an
@@ -26,6 +27,7 @@ from .category import (
     tensor_objects,
     unit_object,
 )
+from .cyclotomic import CycNum
 
 
 class DiagramTypeError(ValueError):
@@ -216,6 +218,24 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
         vectors = [_push(vec, action) for vec in vectors]
     entries = {(i, c): v for c, vec in enumerate(vectors) for i, v in vec.items()}
     return GradedMorphism.from_entries(bottom, current, entries)
+
+
+def trace(f: GradedMorphism, side: str, params: CategoryParams) -> CycNum:
+    """Close an endomorphism of X to a scalar with the pivotal duality maps.
+
+    tr_left threads f through cup_right then cap_left; tr_right through
+    cup_left then cap_right.  tr(id_X) recovers dimension(X, side).
+    """
+    if f.source != f.target:
+        raise ValueError("trace needs an endomorphism")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    x = f.source
+    if side == "left":
+        layers = [[cup_right(x)], [identity(dual_object(x)), box(f)], [cap_left(x)]]
+    else:
+        layers = [[cup_left(x)], [box(f), identity(dual_object(x))], [cap_right(x)]]
+    return evaluate(SliceDiagram(unit_object(x.r), layers), params).matrix[0][0]
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> list:

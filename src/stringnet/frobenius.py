@@ -6,6 +6,10 @@ comultiplication carries a 1/r and the counit an r so that mu o Delta = id
 Nakayama automorphism N(1_a) = zeta^{-a} 1_a, which the pivotal structure
 produces when F is rotated through a cup and a cap.
 
+The nine axioms and the Nakayama round trip are proved as equalities of
+slice diagrams built from boxes of mu, eta, Delta, epsilon and identity
+strands, so `diagrams.evaluate` is the only product of morphisms here.
+
 `chi` and `sigma_F` evaluate the face morphism of the standard one-face
 surface decomposition: one chi per handle threads the face strand through
 a coend box.  The state sum is one slice diagram (eta, the chis, eps) that
@@ -24,9 +28,7 @@ from .category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
-    compose,
     dual_object,
-    tensor_morphisms,
     tensor_objects,
     unit_object,
 )
@@ -70,21 +72,26 @@ class FrobeniusAlgebraData(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        """Prove the nine Frobenius-algebra axioms on the stored structure."""
+        """Prove the nine Frobenius-algebra axioms, each side one slice diagram."""
         f = self.object
+        ff, fff = tensor_objects(f, f), tensor_objects(f, f, f)
+        i = identity(f)
+        mu, eta, delta, eps = box(self.mu), box(self.eta), box(self.delta), box(self.eps)
+
+        def ev(top, *layers):
+            return evaluate(SliceDiagram(top, layers), self.params)
+
         idf = GradedMorphism.identity(f)
-        mu, eta, delta, eps = self.mu, self.eta, self.delta, self.eps
-        t = tensor_morphisms
-        require(compose(mu, t(mu, idf)) == compose(mu, t(idf, mu)), "associativity")
-        require(compose(mu, t(eta, idf)) == idf, "left unit")
-        require(compose(mu, t(idf, eta)) == idf, "right unit")
-        require(compose(t(delta, idf), delta) == compose(t(idf, delta), delta), "coassociativity")
-        require(compose(t(eps, idf), delta) == idf, "left counit")
-        require(compose(t(idf, eps), delta) == idf, "right counit")
-        frob = compose(delta, mu)
-        require(compose(t(idf, mu), t(delta, idf)) == frob, "left Frobenius relation")
-        require(compose(t(mu, idf), t(idf, delta)) == frob, "right Frobenius relation")
-        require(compose(mu, delta) == idf, "Delta-separability")
+        require(ev(f, [mu, i], [mu]) == ev(f, [i, mu], [mu]), "associativity")
+        require(ev(f, [eta, i], [mu]) == idf, "left unit")
+        require(ev(f, [i, eta], [mu]) == idf, "right unit")
+        require(ev(fff, [delta], [delta, i]) == ev(fff, [delta], [i, delta]), "coassociativity")
+        require(ev(f, [delta], [eps, i]) == idf, "left counit")
+        require(ev(f, [delta], [i, eps]) == idf, "right counit")
+        frob = ev(ff, [mu], [delta])
+        require(ev(ff, [delta, i], [i, mu]) == frob, "left Frobenius relation")
+        require(ev(ff, [i, delta], [mu, i]) == frob, "right Frobenius relation")
+        require(ev(f, [delta], [mu]) == idf, "Delta-separability")
 
     @cached_property
     def nakayama_pair(self) -> NakayamaPair:
@@ -166,7 +173,8 @@ def nakayama(f_data: FrobeniusAlgebraData) -> NakayamaPair:
         f, f, {(a, a): params.zeta(-a) for a in range(r)}
     )
     require(forward == closed, "Nakayama diagram equals the closed form")
-    require(compose(forward, inverse) == GradedMorphism.identity(f), "Nakayama inverse")
+    round_trip = evaluate(SliceDiagram(f, [[box(inverse)], [box(forward)]]), params)
+    require(round_trip == GradedMorphism.identity(f), "Nakayama inverse")
     return NakayamaPair(forward, inverse)
 
 
@@ -176,14 +184,12 @@ def chi(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
     params = f_data.params
     f = f_data.object
     fd = dual_object(f)
-    nak_inv = f_data.nakayama_pair.inverse
+    inv_layer = [box(f_data.nakayama_pair.inverse)]
     r = params.r
-    # N^{-a-1}: compose the inverse a+1 times (exponent taken mod r)
-    def inv_power(k: int) -> GradedMorphism:
-        acc = GradedMorphism.identity(f)
-        for _ in range(k % r):
-            acc = compose(nak_inv, acc)
-        return acc
+
+    def inv_power(k: int):
+        """N^{-k} on F alone, boxed: the exponent is taken mod r."""
+        return box(evaluate(SliceDiagram(f, [inv_layer] * (k % r)), params))
 
     layers = [
         [cup_right(f), identity(f)],
@@ -195,8 +201,8 @@ def chi(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
         [
             identity(fd),
             identity(fd),
-            box(inv_power(a + 1)),
-            box(inv_power(b + 1)),
+            inv_power(a + 1),
+            inv_power(b + 1),
             identity(f),
         ],
         [box(jmath(f, f)), identity(f)],
@@ -234,4 +240,4 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     layers.append([h] * genus + [box(f_data.eps)])
     top = tensor_objects(*[h.obj] * genus)
     state = evaluate(SliceDiagram(top, layers), params)
-    return HomSpaceVector(r, genus, (), tuple(row[0] for row in state.matrix))
+    return HomSpaceVector(r, genus, tuple(row[0] for row in state.matrix))

@@ -1,11 +1,13 @@
 """r-spin structures on closed surfaces as marked PLCW decompositions.
 
-A PLCW decomposition is a combinatorial closed surface: vertices, oriented
-edges, and faces with a cyclic boundary word in which every edge appears
-exactly twice, once each way, and the faces glued along their shared edges
-form one connected surface.  A marking assigns an index s_e in Z_r to each
-edge; the marking is admissible when a per-vertex congruence holds, and
-admissible markings on a fixed decomposition count r-spin structures.
+A PLCW decomposition is a combinatorial closed surface: vertices, each an
+endpoint of some oriented edge, and faces with a cyclic boundary word that
+walks a closed path (each entry ends where the next one starts) and in
+which every edge appears exactly twice, once each way; the faces glued
+along their shared edges form one connected surface.  A marking assigns an
+index s_e in Z_r to each edge; the marking is admissible when a per-vertex
+congruence holds, and admissible markings on a fixed decomposition count
+r-spin structures.
 
 Conventions pinned here (the source material leaves them to a drawing):
 the face orientation is the cyclic order of its boundary list, and the
@@ -64,6 +66,9 @@ class PLCW(Record):
         for e in self.edges:
             if not (0 <= e.src < self.num_vertices and 0 <= e.dst < self.num_vertices):
                 raise ValueError(f"edge {e.id} references a missing vertex")
+        bare = set(range(self.num_vertices)).difference(*((e.src, e.dst) for e in self.edges))
+        if bare:
+            raise ValueError(f"vertices {sorted(bare)} are not an endpoint of any edge")
         uses: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}  # (sign, face)
         for fi, f in enumerate(self.faces):
             if not f.boundary:
@@ -76,6 +81,11 @@ class PLCW(Record):
                 if sign not in (1, -1):
                     raise ValueError(f"face {fi} has boundary sign {sign}, want +-1")
                 uses[eid].append((sign, fi))
+        ends = {e.id: (e.src, e.dst) for e in self.edges}  # traversal (start, end) of a +1 entry
+        for fi, f in enumerate(self.faces):
+            walk = [ends[eid][::sign] for eid, sign in f.boundary]
+            if any(a[1] != b[0] for a, b in zip(walk, walk[1:] + walk[:1])):
+                raise ValueError(f"face {fi} boundary entries do not chain into a closed walk")
         bad = [eid for eid, u in uses.items() if len(u) != 2]
         if bad:
             raise ValueError(

@@ -8,9 +8,9 @@ otherwise, so the dimension is r^{2g} or 0.
 
 `tilde_bp_operator` assembles the operator one `loop_sum` per column from
 genuine slice diagrams (loop around all 2g handle legs, with pivotal
-corrections where an upward strand fills a double-dual slot) and checks
-idempotency; `bp_scalar` is the analytic value it must equal, computed
-separately.
+corrections where an upward strand fills a double-dual slot) and proves it
+on its columns: each must be `bp_scalar`, the analytic value computed
+separately, times its basis vector, and that scalar must be idempotent.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
-    compose,
     delta_pivot,
     dual_object,
     simple_object,
@@ -178,9 +177,10 @@ def tilde_bp_operator(
 ) -> ProjectorReport:
     """Build the projector on C(1, H^{(x)g}) and report its image rank.
 
-    Checks idempotency and agreement with the analytic scalar times the
-    identity (theorems: an InvariantError means the diagram calculus is
-    broken); given both, the image rank is n, or 0 when the scalar is.
+    Checks every column against the analytic scalar times the basis vector,
+    then the scalar against its square; given the first, the second is
+    op o op == op (theorems: an InvariantError means the diagram calculus
+    is broken).  The image rank is n, or 0 when the scalar is.
     """
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
@@ -196,16 +196,13 @@ def tilde_bp_operator(
         for chi in basis.labels
     ]
 
-    top = tensor_objects(*[CoendH(r).as_object()] * genus) if genus else unit_object(r)
-    mat = [[columns[j][i] for j in range(n)] for i in range(n)]
-    op = GradedMorphism(top, top, mat)
     scalar = bp_scalar(params, genus)
-    require(compose(op, op) == op, "plaquette operator is idempotent")
-    want = GradedMorphism.identity(top).scale(scalar)
-    require(op == want, "plaquette operator is the analytic scalar times the identity")
-    return ProjectorReport(
-        r, genus, scalar, tuple(tuple(row) for row in mat), n if scalar else 0
-    )
+    zero = params.zero()
+    for j, column in enumerate(columns):
+        want = [scalar if i == j else zero for i in range(n)]
+        require(column == want, "plaquette operator is the analytic scalar times the identity")
+    require(scalar * scalar == scalar, "plaquette operator is idempotent")
+    return ProjectorReport(r, genus, scalar, tuple(zip(*columns)), n if scalar else 0)
 
 
 def annulus_hom_dim(a: int, b: int, params: CategoryParams) -> int:

@@ -24,10 +24,10 @@ from stringnet.category import (
     simple_object,
     tensor_morphisms,
     tensor_objects,
-    trace,
     unit_object,
 )
 from stringnet.cyclotomic import CycNum, zeta_power
+from stringnet.diagrams import trace
 
 
 def _rand_morphism(draw, params: CategoryParams, source=None, target=None):

@@ -26,7 +26,6 @@ from stringnet.coends import (
     central_hull,
     hom_space_basis,
     jmath,
-    unit_hom_dimension,
 )
 from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.linalg import rank_cyc
@@ -39,7 +38,6 @@ def test_coend_summands_lex_and_grade_zero():
     )
     assert h.as_object().grades == (0,) * 9
     assert h.index(1, 2) == 5
-    assert unit_hom_dimension([h.as_object()], 3) == 9
 
 
 def test_central_hull_of_unit():
@@ -189,24 +187,10 @@ def test_hom_space_basis_dimension(genus, r, want):
 def test_hom_space_vector_coordinate_count():
     r = 2
     coords = tuple(zeta_power(r, k % 2) for k in range(4))
-    assert HomSpaceVector(r, 1, (), coords).coords == coords
+    assert HomSpaceVector(r, 1, coords).coords == coords
     with pytest.raises(ValueError, match="coordinates"):
-        HomSpaceVector(r, 1, (), coords[:3])
-
-
-def test_hom_space_vector_with_boundary():
-    r = 3
-    x = simple_object(r, 0)
-    # A(C_0) contributes three grade-0 coordinates
-    v = HomSpaceVector(r, 0, (x,), tuple(CycNum.one(r) for _ in range(3)))
-    assert len(v.coords) == 3
-    with pytest.raises(ValueError, match="coordinates"):
-        HomSpaceVector(r, 0, (simple_object(r, 1),), (CycNum.one(r),))
-
-
-def test_unit_hom_dimension_counts_zero_grades():
-    r = 4
-    x = GradedObject(r, (0, 1, 3))
-    # pairs summing to 0 mod 4 between two copies: (0,0),(1,3),(3,1)
-    assert unit_hom_dimension([x, x], r) == 3
-    assert unit_hom_dimension([], r) == 1
+        HomSpaceVector(r, 1, coords[:3])
+    # genus 0 is C(1, 1): one coordinate
+    assert HomSpaceVector(3, 0, (CycNum.one(3),)).coords == (CycNum.one(3),)
+    with pytest.raises(ValueError, match="expected 1 coordinates"):
+        HomSpaceVector(3, 0, ())

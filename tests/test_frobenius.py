@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from stringnet.category import (
     CategoryParams,
     GradedMorphism,
+    GradedObject,
     compose,
     unit_object,
 )
@@ -136,7 +138,7 @@ def _assert_sigma_closed_form(m, fd):
     """sigma_F(m) has coord r^{1-2g} prod_i zeta^{s_i a_i + t_i b_i} at (s_i, t_i)_i."""
     r, genus = m.r, m.complex.genus
     v = sigma_F(m, fd)
-    assert (v.r, v.genus, v.boundary_data) == (r, genus, ())
+    assert (v.r, v.genus) == (r, genus)
     dim = r ** (2 * genus)
     assert len(v.coords) == dim
     scale = Fraction(1, r ** (2 * genus - 1))
@@ -169,15 +171,34 @@ def test_sigma_closed_form_at_genus_6():
         _assert_sigma_closed_form(MarkedPLCW(complex_, 2, dict(enumerate(indices))), fd)
 
 
-def test_sigma_is_one_diagram_not_a_tensor_fold(monkeypatch):
-    fd = frobenius_zr(CategoryParams(2))
+def test_no_library_path_composes_by_hand(monkeypatch):
+    """Every library product of morphisms is a diagram evaluation: with the
+    dense `compose` and `tensor_morphisms` refusing in every loaded module,
+    each construction and CLI handler still runs."""
+    from stringnet import centre, cli, diagrams
 
     def refuse(*args):
-        raise AssertionError("sigma_F tensored morphisms by hand")
+        raise AssertionError("a library path multiplied morphisms by hand")
 
-    monkeypatch.setattr(frobenius, "tensor_morphisms", refuse)
-    m = MarkedPLCW(standard_decomposition(3), 2, {e: e % 2 for e in range(6)})
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stringnet.") or name == "stringnet":
+            for attr in ("compose", "tensor_morphisms"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    params = CategoryParams(3)
+    fd = frobenius_zr(params)
+    m = MarkedPLCW(standard_decomposition(1), 3, {0: 1, 1: 2})
     _assert_sigma_closed_form(m, fd)
+    for orientation in ("anticlockwise", "clockwise"):
+        assert tilde_bp_operator(params, 1, orientation=orientation).image_rank == 9
+    z = centre.CentreSimple(3, 1, 2)
+    centre.p_Y_projector(z, params)
+    st = centre.ahat_structure(z, params)
+    st.half_braiding(GradedObject(3, (1, 2)))
+    f = GradedMorphism.identity(fd.object)
+    assert diagrams.trace(f, "left", params) == diagrams.trace(f, "right", params) == 0
+    for argv in (["frobenius-check", "--r", "3"], ["bp-operator", "--r", "2", "--genus", "1"]):
+        assert cli.main(argv) == 0
 
 
 def test_sigma_zero_marking_is_constant_vector():

@@ -65,6 +65,12 @@ def test_plcw_validation():
     edges = [(0, 0, 0), (1, 0, 0), (2, 1, 1), (3, 1, 1)]
     with pytest.raises(ValueError, match="one connected surface"):
         PLCW(2, edges, [(torus, 0), (shifted, 0)])
+    # the torus word with two vertices no edge touches: chi would read genus 0
+    with pytest.raises(ValueError, match=r"vertices \[1, 2\] are not an endpoint"):
+        PLCW(3, [(0, 0, 0), (1, 0, 0)], [(torus, 0)])
+    # two bigons a b and a^-1 b^-1 on edges 0 -> 1: a ends at 1, b starts at 0
+    with pytest.raises(ValueError, match="face 0 boundary entries do not chain"):
+        PLCW(2, [(0, 0, 1), (1, 0, 1)], [([(0, 1), (1, 1)], 0), ([(0, -1), (1, -1)], 0)])
     # joined by a fifth loop c (torus c, torus c^-1 on one vertex) they are
     # one genus-2 surface
     loops = [(e, 0, 0) for e in range(5)]
