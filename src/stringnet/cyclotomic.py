@@ -1,15 +1,24 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_n).
 
-Every scalar in this package is a CycNum: a vector of rational coordinates
-in the power basis 1, zeta, ..., zeta^{d-1} of Q(zeta_n), d = phi(n),
-kept reduced modulo the n-th cyclotomic polynomial.  Equality is decidable
-coefficient-wise and there is no floating point anywhere in the arithmetic.
+Every scalar in this package is a CycNum: the coordinates of an element of
+Q(zeta_n) in the power basis 1, zeta, ..., zeta^{d-1}, d = phi(n), kept
+reduced modulo the n-th cyclotomic polynomial Phi_n.  They are stored as
+integer numerators `nums` over one common denominator `den`, in canonical
+form: den > 0, gcd(den, *nums) == 1, and zero is (0, ..., 0) over 1.
+Equality and hashing are therefore structural, and there is no floating
+point anywhere in the arithmetic.
 
 The public constructor `CycNum(order, coeffs)` checks and normalises its
-outside input.  `+`, `-`, negation, `*`, `rational_scale`, `from_rational`
-and the shared per-conductor constants (`zero`, `one`, `zeta_power`) skip
-that through `_from_reduced`, which trusts its tuple to hold exactly phi(order)
-Fractions already reduced modulo Phi_order.
+outside input, any rationals `Fraction` accepts; `.coeffs` returns them as
+Fractions.  `+`, `-`, negation, `*`, `rational_scale`, `from_rational` and
+the shared per-conductor constants (`zero`, `one`, `zeta_power`) skip those
+checks through `_from_reduced`, which trusts its numerators to be reduced
+modulo Phi_order and canonical over `den`.
+
+A product is an integer schoolbook convolution, folded back below degree d
+with a per-conductor table of the rows x^k mod Phi_n for d <= k <= 2d-2
+(integral, because Phi_n is monic), then divided once by the gcd of the
+numerators and the denominator.
 
 There is no division in the field: downstream computations only ever
 rescale by nonzero rationals and multiply by roots of unity, and the one
@@ -21,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add, neg, sub
 
 from . import require
@@ -73,24 +83,10 @@ def degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    """Reduce a coefficient list modulo Phi_n, returning exactly phi(n) entries."""
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    for j in range(len(coeffs) - 1, d - 1, -1):
-        c = coeffs[j]
-        if c:
-            for i in range(d + 1):
-                coeffs[j - d + i] -= c * phi[i]
-    del coeffs[d:]
-    coeffs.extend([Fraction(0)] * (d - len(coeffs)))
-    return coeffs
-
-
 class CycNum:
-    """An element of Q(zeta_n) with exact rational power-basis coordinates."""
+    """An element of Q(zeta_n): integer power-basis numerators over one denominator."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs) -> None:
         if order < 1:
@@ -101,11 +97,21 @@ class CycNum:
                 f"expected {degree(order)} coefficients for conductor {order}, "
                 f"got {len(cs)}"
             )
+        # canonical as built: the top power of each prime in the lcm divides
+        # some c.denominator, and that c's scaled numerator is prime to it
+        den = lcm(*(c.denominator for c in cs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
@@ -119,23 +125,19 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, order: int, q) -> "CycNum":
-        return _from_reduced(order, (Fraction(q),) + (Fraction(0),) * (degree(order) - 1))
+        q = Fraction(q)
+        return _from_reduced(order, (q.numerator,) + (0,) * (degree(order) - 1), q.denominator)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return not any(self.nums[1:])
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -154,7 +156,7 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _from_reduced(self.order, tuple(map(add, self.coeffs, o.coeffs)))
+        return _combine(self, o, add)
 
     __radd__ = __add__
 
@@ -162,7 +164,7 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _from_reduced(self.order, tuple(map(sub, self.coeffs, o.coeffs)))
+        return _combine(self, o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -171,20 +173,27 @@ class CycNum:
         return o - self
 
     def __neg__(self):
-        return _from_reduced(self.order, tuple(map(neg, self.coeffs)))
+        return _from_reduced(self.order, tuple(map(neg, self.nums)), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        conv = [Fraction(0)] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return _from_reduced(self.order, tuple(_reduce(conv, self.order)))
+        a = self.nums
+        b = [(j, y) for j, y in enumerate(o.nums) if y]
+        d = len(a)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b:
+                    conv[i + j] += x * y
+        for k, row in enumerate(_fold_rows(self.order), d):
+            c = conv[k]
+            if c:
+                for i, p in row:
+                    conv[i] += c * p
+        del conv[d:]
+        return _canonical(self.order, conv, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -192,25 +201,44 @@ class CycNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.nums[0] == other * self.den
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
         return f"CycNum({self.order}, [{body}])"
 
 
-def _from_reduced(order: int, coeffs: tuple) -> CycNum:
-    """Wrap a reduced tuple of exactly phi(order) Fractions, unchecked."""
+def _from_reduced(order: int, nums: tuple, den: int) -> CycNum:
+    """Wrap phi(order) canonical integer numerators over den, unchecked."""
     a = object.__new__(CycNum)
     object.__setattr__(a, "order", order)
-    object.__setattr__(a, "coeffs", coeffs)
+    object.__setattr__(a, "nums", nums)
+    object.__setattr__(a, "den", den)
     return a
+
+
+def _canonical(order: int, nums: list, den: int) -> CycNum:
+    """Wrap reduced numerators over den > 0 after dividing out their common factor."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return _from_reduced(order, tuple(nums), den)
+
+
+def _combine(a: CycNum, b: CycNum, op) -> CycNum:
+    """a + b or a - b (op is `add` or `sub`) over a common denominator."""
+    da, db = a.den, b.den
+    if da == db:
+        return _canonical(a.order, list(map(op, a.nums, b.nums)), da)
+    return _canonical(a.order, [op(x * db, y * da) for x, y in zip(a.nums, b.nums)], da * db)
 
 
 @lru_cache(maxsize=None)
@@ -223,10 +251,22 @@ def _zeta_table(n: int) -> tuple[CycNum, ...]:
     phi = cyclotomic_polynomial(n)
     row, rows = [1] + [0] * (len(phi) - 2), []
     for _ in range(n):
-        rows.append(_from_reduced(n, tuple(map(Fraction, row))))
+        rows.append(_from_reduced(n, tuple(row), 1))
         top = row[-1]
         row = [c - top * p for c, p in zip([0] + row[:-1], phi)]
-    return (*rows, _from_reduced(n, (Fraction(0),) * (len(phi) - 1)))
+    return (*rows, _from_reduced(n, (0,) * (len(phi) - 1), 1))
+
+
+@lru_cache(maxsize=None)
+def _fold_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_n for phi(n) <= k <= 2 phi(n) - 2, as sparse (index, coefficient) rows.
+
+    x^k and x^(k mod n) agree modulo Phi_n, which divides x^n - 1.
+    """
+    table, d = _zeta_table(n), degree(n)
+    return tuple(
+        tuple((i, c) for i, c in enumerate(table[k % n].nums) if c) for k in range(d, 2 * d - 1)
+    )
 
 
 def zeta_power(n: int, k: int) -> CycNum:
@@ -239,17 +279,21 @@ def zeta_power(n: int, k: int) -> CycNum:
 def rational_scale(a: CycNum, q) -> CycNum:
     """Multiply by an exact rational."""
     q = Fraction(q)
-    return _from_reduced(a.order, tuple([c * q for c in a.coeffs]))
+    p = q.numerator
+    return _canonical(a.order, [c * p for c in a.nums], a.den * q.denominator)
 
 
 # -- JSON ------------------------------------------------------------------
 
 
 def to_json(a: CycNum) -> dict:
-    return {
-        "order": a.order,
-        "coeffs": [f"{c.numerator}/{c.denominator}" for c in a.coeffs],
-    }
+    """Each coordinate as the reduced fraction "n/d", with d > 0 and 0 as "0/1"."""
+    den = a.den
+    coeffs = []
+    for c in a.nums:
+        g = gcd(c, den)
+        coeffs.append(f"{c // g}/{den // g}")
+    return {"order": a.order, "coeffs": coeffs}
 
 
 def from_json(obj: dict) -> CycNum:
@@ -269,4 +313,3 @@ def approx_complex(a: CycNum) -> complex:
 
     z = cmath.exp(2j * cmath.pi / a.order)
     return sum(complex(c) * z**j for j, c in enumerate(a.coeffs))
-

@@ -1,59 +1,54 @@
-"""Exact linear algebra over Q and over Q(zeta_n), without field division.
+"""Exact linear algebra over Q(zeta_n), in integer arithmetic only.
 
 Rank over the cyclotomic field is computed through the regular
-representation: each entry becomes its phi(n) x phi(n) rational
-multiplication matrix, and the rational rank of the blown-up matrix is
-phi(n) times the rank over Q(zeta_n).  This sidesteps cyclotomic division
-entirely; Gaussian elimination happens in Fraction arithmetic only.
+representation: each entry a becomes the phi(n) x phi(n) rational matrix of
+multiplication by a, whose column j holds the coordinates of a * zeta^j, and
+the rational rank of the blown-up matrix is phi(n) times the rank over
+Q(zeta_n).  Every scalar row of the blow-up is scaled to integers by the lcm
+of the denominators in its block row, and the integer matrix is eliminated
+fraction-free: a row with a nonzero in the pivot column becomes an integer
+combination of itself and the pivot row, divided by its content (the gcd of
+its entries), which keeps the entries small.  Rows with a zero there are left
+untouched.  There is no field division, no float and no modular step.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from . import require
-from .cyclotomic import CycNum, _reduce, degree
+from .cyclotomic import CycNum, degree, zeta_power
 
 
-def regular_representation(a: CycNum) -> list[list[Fraction]]:
-    """The d x d rational matrix of multiplication by a, columns a*zeta^j."""
-    d = degree(a.order)
-    cols = []
-    current = list(a.coeffs)
-    for _ in range(d):
-        cols.append(list(current))
-        current = _reduce([Fraction(0)] + current, a.order)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+def _integer_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by content-normalised elimination.
 
-
-def rank_rational(rows: list[list[Fraction]]) -> int:
-    """Rank of a rational matrix by in-place fraction-free-ish elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    Columns are eliminated from the last one down, so a combined row can
+    drop the columns after the pivot, which are zero in every active row.
+    """
+    rows = [r for r in rows if any(r)]
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
+    for col in range(len(rows[0]) - 1 if rows else -1, -1, -1):
+        hit = [r for r in rows if r[col]]
+        if not hit:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for i in range(row + 1, nrows):
-            c = m[i][col]
-            if c:
-                factor = c / pv
-                ri, rp = m[i], m[row]
-                for j in range(col, ncols):
-                    if rp[j]:
-                        ri[j] -= factor * rp[j]
-        row += 1
         rank += 1
-        if row == nrows:
+        pivot = min(hit, key=lambda r: abs(r[col]))
+        pv, head = pivot[col], pivot[:col]
+        rows = [r for r in rows if not r[col]]
+        for r in hit:
+            if r is pivot:
+                continue
+            c = r[col]
+            g = gcd(pv, c)
+            p, q = pv // g, c // g
+            new = [p * x - q * y for x, y in zip(r, head)]
+            content = gcd(*new)
+            if content > 1:
+                new = [x // content for x in new]
+            if content:
+                rows.append(new)
+        if not rows:
             break
     return rank
 
@@ -64,11 +59,19 @@ def rank_cyc(rows: list[list[CycNum]]) -> int:
         return 0
     order = rows[0][0].order
     d = degree(order)
-    big: list[list[Fraction]] = []
-    blocks = [[regular_representation(a) for a in r] for r in rows]
-    for block_row in blocks:
-        for i in range(d):
-            big.append([b[i][j] for b in block_row for j in range(d)])
-    r = rank_rational(big)
+    zetas = [zeta_power(order, j) for j in range(d)]
+    zero_column = [0] * d
+    big: list[list[int]] = []
+    for row in rows:
+        scale = lcm(*(a.den for a in row))
+        columns = []  # column j of each entry's block: the numerators of a * zeta^j
+        for a in row:
+            if a:
+                f = scale // a.den
+                columns.extend([f * c for c in (a * z).nums] for z in zetas)
+            else:
+                columns.extend([zero_column] * d)
+        big.extend(map(list, zip(*columns)))
+    r = _integer_rank(big)
     require(r % d == 0, "blow-up rank is divisible by the field degree")
     return r // d

@@ -4,10 +4,11 @@ A PLCW decomposition is a combinatorial closed surface: vertices, each an
 endpoint of some oriented edge, and faces with a cyclic boundary word that
 walks a closed path (each entry ends where the next one starts) and in
 which every edge appears exactly twice, once each way; the faces glued
-along their shared edges form one connected surface.  A marking assigns an
-index s_e in Z_r to each edge; the marking is admissible when a per-vertex
-congruence holds, and admissible markings on a fixed decomposition count
-r-spin structures.
+along their shared edges form one connected surface, and the corners at
+each vertex form a single cycle, so no vertex is pinched.  A marking
+assigns an index s_e in Z_r to each edge; the marking is admissible when a
+per-vertex congruence holds, and admissible markings on a fixed
+decomposition count r-spin structures.
 
 Conventions pinned here (the source material leaves them to a drawing):
 the face orientation is the cyclic order of its boundary list, and the
@@ -107,6 +108,35 @@ class PLCW(Record):
         chi = self.euler_characteristic
         if chi % 2 != 0 or chi > 2:
             raise ValueError(f"Euler characteristic {chi} is not 2-2g")
+        # Corner k of a face sits where its entry k ends.  Leaving that corner
+        # along entry k+1 and coming back along the other use of the same edge
+        # reaches the next corner around the vertex; on a surface the corners
+        # at each vertex form one such cycle, its link circle.
+        entry_at = {
+            (eid, sign): (fi, k)
+            for fi, f in enumerate(self.faces)
+            for k, (eid, sign) in enumerate(f.boundary)
+        }
+        cycles = [0] * self.num_vertices
+        seen: set[tuple[int, int]] = set()
+        for start in entry_at.values():
+            if start in seen:
+                continue
+            fi, k = start
+            eid, sign = self.faces[fi].boundary[k]
+            cycles[ends[eid][::sign][1]] += 1
+            corner = start
+            while corner not in seen:
+                seen.add(corner)
+                boundary = self.faces[corner[0]].boundary
+                eid, sign = boundary[(corner[1] + 1) % len(boundary)]
+                corner = entry_at[(eid, -sign)]
+        pinched = [v for v, n in enumerate(cycles) if n > 1]
+        if pinched:
+            raise ValueError(
+                f"the corners at vertices {pinched} do not form one cycle: "
+                "the surface is pinched there"
+            )
 
     @property
     def euler_characteristic(self) -> int:

@@ -1,32 +1,16 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
-from stringnet.cyclotomic import CycNum, rational_scale, zeta_power
-from stringnet.linalg import rank_cyc, rank_rational, regular_representation
-
-
-def test_regular_representation_is_multiplicative():
-    a = zeta_power(12, 5) + 2
-    b = zeta_power(12, 7) - rational_scale(zeta_power(12, 1), Fraction(1, 3))
-    ma = sympy.Matrix(regular_representation(a))
-    mb = sympy.Matrix(regular_representation(b))
-    mab = sympy.Matrix(regular_representation(a * b))
-    assert ma * mb == mab
-
-
-def test_rank_rational_simple():
-    rows = [
-        [Fraction(1), Fraction(2), Fraction(3)],
-        [Fraction(2), Fraction(4), Fraction(6)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-    ]
-    assert rank_rational(rows) == 2
-    assert rank_rational([[Fraction(0)] * 3] * 2) == 0
+from stringnet.cyclotomic import CycNum, degree, rational_scale, zeta_power
+from stringnet.linalg import rank_cyc
 
 
 def _sympy_rank(rows):
@@ -76,3 +60,63 @@ def test_rank_cyc_matches_sympy(n, data, shifts):
         for i in range(3)
     ]
     assert rank_cyc(rows) == _sympy_rank(rows)
+
+
+@lru_cache(maxsize=None)
+def _field(n: int):
+    """sympy's own Q(zeta_n) and its generator, an independent field arithmetic."""
+    if degree(n) == 1:
+        return QQ, QQ(1 if n == 1 else -1)
+    zeta = sympy.exp(2 * sympy.pi * sympy.I / n)
+    field = QQ.algebraic_field(zeta)
+    return field, field.from_sympy(zeta)
+
+
+def _domain_rank(rows: list[list[CycNum]], n: int) -> int:
+    field, zeta = _field(n)
+    def element(a: CycNum):
+        terms = (field.convert(QQ(c.numerator, c.denominator)) * zeta**j for j, c in enumerate(a.coeffs))
+        return sum(terms, field.zero)
+
+    entries = [[element(a) for a in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), field).rank()
+
+
+@given(
+    n=st.sampled_from([1, 2, 3, 4, 5, 8, 12]),
+    shape=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_rank_cyc_matches_sympy_when_deficient(n, shape, data):
+    """A product through t < min(m, k) inner columns, sparse factors (so some
+    rows miss a pivot), mixed denominators and an inserted zero column."""
+    m, k = shape
+    t = data.draw(st.integers(0, min(m, k) - 1))
+    entry = st.one_of(
+        st.just(None),
+        st.tuples(
+            st.fractions(min_value=-4, max_value=4, max_denominator=9),
+            st.integers(0, n - 1),
+        ),
+    )
+
+    def draw(rows: int, cols: int) -> list[list[CycNum]]:
+        return [
+            [
+                CycNum.zero(n) if e is None else rational_scale(zeta_power(n, e[1]), e[0]) + e[0]
+                for e in data.draw(st.lists(entry, min_size=cols, max_size=cols))
+            ]
+            for _ in range(rows)
+        ]
+
+    left, right = draw(m, t), draw(t, k)
+    matrix = [
+        [sum((left[i][s] * right[s][j] for s in range(t)), CycNum.zero(n)) for j in range(k)]
+        for i in range(m)
+    ]
+    at = data.draw(st.integers(0, k))
+    matrix = [row[:at] + [CycNum.zero(n)] + row[at:] for row in matrix]
+    want = _domain_rank(matrix, n)
+    assert want <= t
+    assert rank_cyc(matrix) == want

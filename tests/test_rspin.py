@@ -71,6 +71,12 @@ def test_plcw_validation():
     # two bigons a b and a^-1 b^-1 on edges 0 -> 1: a ends at 1, b starts at 0
     with pytest.raises(ValueError, match="face 0 boundary entries do not chain"):
         PLCW(2, [(0, 0, 1), (1, 0, 1)], [([(0, 1), (1, 1)], 0), ([(0, -1), (1, -1)], 0)])
+    # a square doubled into a sphere, with opposite corners pinched together:
+    # chi = 0 reads as a torus, but each vertex has two corner cycles
+    square = [(0, 1), (1, 1), (2, 1), (3, 1)]
+    back = [(3, -1), (2, -1), (1, -1), (0, -1)]
+    with pytest.raises(ValueError, match=r"corners at vertices \[0, 1\] do not form one cycle"):
+        PLCW(2, [(0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 1, 0)], [(square, 0), (back, 0)])
     # joined by a fifth loop c (torus c, torus c^-1 on one vertex) they are
     # one genus-2 surface
     loops = [(e, 0, 0) for e in range(5)]

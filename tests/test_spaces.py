@@ -68,6 +68,12 @@ def test_sphere_dim_small_r():
         assert sphere_sn_dim(CategoryParams(r)) == 0
 
 
+def test_sphere_dim_at_large_conductor():
+    # Q(zeta_840) has degree 192: every loop-sum product is folded by Phi_840
+    params = CategoryParams(840)
+    assert sphere_sn_dim(params) == sn_closed_dim(params, 0)
+
+
 def test_torus_operator_is_identity():
     # 2 - 2g = 0 for the torus, so the scalar is 1 for every r
     for r in (2, 3):
