@@ -13,16 +13,26 @@ from stringnet.cyclotomic import CycNum, degree, rational_scale, zeta_power
 from stringnet.linalg import rank_cyc
 
 
-def _sympy_rank(rows):
-    z = [[sympy.nsimplify(_to_sympy(a)) for a in r] for r in rows]
-    return sympy.Matrix(z).rank()
+@lru_cache(maxsize=None)
+def _field(n: int):
+    """sympy's own Q(zeta_n) and its generator, an independent field arithmetic."""
+    if degree(n) == 1:
+        return QQ, QQ(1 if n == 1 else -1)
+    zeta = sympy.exp(2 * sympy.pi * sympy.I / n)
+    field = QQ.algebraic_field(zeta)
+    return field, field.from_sympy(zeta)
 
 
-def _to_sympy(a: CycNum):
-    zeta = sympy.exp(2 * sympy.pi * sympy.I * sympy.Rational(1, a.order))
-    return sum(
-        sympy.Rational(c.numerator, c.denominator) * zeta**j for j, c in enumerate(a.coeffs)
-    )
+def _domain_rank(rows: list[list[CycNum]], n: int) -> int:
+    """Rank by sympy's `DomainMatrix` over its own Q(zeta_n)."""
+    field, zeta = _field(n)
+
+    def element(a: CycNum):
+        coeffs = (field.convert(QQ(c.numerator, c.denominator)) for c in a.coeffs)
+        return sum((c * zeta**j for j, c in enumerate(coeffs)), field.zero)
+
+    entries = [[element(a) for a in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), field).rank()
 
 
 def test_rank_cyc_dft_matrix_is_invertible():
@@ -59,27 +69,7 @@ def test_rank_cyc_matches_sympy(n, data, shifts):
         [rational_scale(zeta_power(n, shifts[i] * j), data[i][j]) for j in range(3)]
         for i in range(3)
     ]
-    assert rank_cyc(rows) == _sympy_rank(rows)
-
-
-@lru_cache(maxsize=None)
-def _field(n: int):
-    """sympy's own Q(zeta_n) and its generator, an independent field arithmetic."""
-    if degree(n) == 1:
-        return QQ, QQ(1 if n == 1 else -1)
-    zeta = sympy.exp(2 * sympy.pi * sympy.I / n)
-    field = QQ.algebraic_field(zeta)
-    return field, field.from_sympy(zeta)
-
-
-def _domain_rank(rows: list[list[CycNum]], n: int) -> int:
-    field, zeta = _field(n)
-    def element(a: CycNum):
-        terms = (field.convert(QQ(c.numerator, c.denominator)) * zeta**j for j, c in enumerate(a.coeffs))
-        return sum(terms, field.zero)
-
-    entries = [[element(a) for a in row] for row in rows]
-    return DomainMatrix(entries, (len(rows), len(rows[0])), field).rank()
+    assert rank_cyc(rows) == _domain_rank(rows, n)
 
 
 @given(
