@@ -1,15 +1,20 @@
 """The pivotal category of Z_r-graded vector spaces with a chosen root of unity.
 
 Objects are ordered direct sums of the invertible simples C_u, recorded as
-grade lists; morphisms are matrices with support only where the target and
-source grades agree.  The pivotal data assigns the simple C_u right dimension
-zeta^u and left dimension zeta^{-u}, where zeta is the chosen primitive r-th
-root of unity.  For r >= 3 the two traces (`diagrams.trace`) differ: that
-failure of sphericality is the whole point of the constructions downstream.
+grade lists; morphisms are sparse matrices, stored as the nonzero entries of
+each column, with support only where the target and source grades agree.
+The pivotal data assigns the simple C_u right dimension zeta^u and left
+dimension zeta^{-u}, where zeta is the chosen primitive r-th root of unity.
+For r >= 3 the two traces (`diagrams.trace`) differ: that failure of
+sphericality is the whole point of the constructions downstream.
 
 `compose` and `tensor_morphisms` are the dense reference products: the
 library multiplies morphisms only by evaluating slice diagrams, and these
 two stay as the independent route the tests compare that evaluation with.
+
+Objects and the duality maps are immutable values, so the functions that
+build them are memoised (`MEMO_SIZE` entries each): a diagram asks for the
+same few objects and caps thousands of times.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -18,17 +23,18 @@ Conventions fixed here and relied on everywhere else:
   matrices is the Kronecker product in the same order;
 - dual of a grade list reverses it and negates the grades (which keeps the
   duality caps and cups planar: matched pairs sit at mirrored positions);
-- dual of a morphism is the anti-transpose; with row-major flattening the
-  strict identities are dual(x (x) y) = dual(x) (x) dual(y) and likewise for
-  morphisms -- the reversed-order form dual(y) (x) dual(x) agrees only up to
-  the evident permutation of summands, which never matters here because
-  tensor words of invertible simples have a single summand;
+- with row-major flattening the strict identity is
+  dual(x (x) y) = dual(x) (x) dual(y); the reversed-order form
+  dual(y) (x) dual(x) agrees only up to the evident permutation of summands,
+  which never matters here because tensor words of invertible simples have
+  a single summand;
 - the unit object is [0]; the empty list is the zero object.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
@@ -75,14 +81,23 @@ class GradedObject(Record):
         return len(self.grades)
 
 
+# Bound of each memoised builder.  torus-basis at r=12 fills the largest
+# cache, tensor_objects, to 434 entries; a larger run evicts the least
+# recently used values, which changes only its speed.
+MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def unit_object(r: int) -> GradedObject:
     return GradedObject(r, (0,))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def simple_object(r: int, u: int) -> GradedObject:
     return GradedObject(r, (u,))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def tensor_objects(*objs: GradedObject) -> GradedObject:
     if not objs:
         raise ValueError("need at least one object")
@@ -95,6 +110,7 @@ def tensor_objects(*objs: GradedObject) -> GradedObject:
     return GradedObject(r, grades)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def dual_object(x: GradedObject) -> GradedObject:
     """Reverse the summand order and negate each grade."""
     return GradedObject(x.r, tuple(-g for g in reversed(x.grades)))
@@ -105,34 +121,55 @@ class GradeSupportError(ValueError):
 
 
 class GradedMorphism:
-    """A matrix of CycNum supported on matching target/source grades."""
+    """A sparse matrix of CycNum supported on matching target/source grades.
 
-    __slots__ = ("source", "target", "matrix")
+    `columns[j]` holds the nonzero (row, entry) pairs of source index j, in
+    row order, so equality and hashing are structural.  The constructor
+    takes dense rows or a {(row, column): entry} mapping; `matrix` is the
+    dense view, built on demand.
+    """
+
+    __slots__ = ("source", "target", "columns")
 
     def __init__(self, source: GradedObject, target: GradedObject, matrix) -> None:
         if source.r != target.r:
             raise ValueError("source and target have different r")
-        rows = tuple(tuple(row) for row in matrix)
-        if len(rows) != target.dim or any(len(row) != source.dim for row in rows):
-            raise ValueError(
-                f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not "
-                f"match {target.dim}x{source.dim}"
+        r, sg, tg = source.r, source.grades, target.grades
+        m, n = len(tg), len(sg)
+        if isinstance(matrix, dict):
+            items = matrix.items()
+        else:
+            rows = [tuple(row) for row in matrix]
+            if len(rows) != m or any(len(row) != n for row in rows):
+                raise ValueError(
+                    f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not "
+                    f"match {m}x{n}"
+                )
+            zero = CycNum.zero(r)  # shared, so most zero cells pass by identity
+            items = (
+                ((i, j), a)
+                for i, row in enumerate(rows)
+                for j, a in enumerate(row)
+                if a is not zero
             )
-        zero = CycNum.zero(source.r)  # shared, so most zero cells pass by identity
-        for i, row in enumerate(rows):
-            for j, a in enumerate(row):
-                if a is zero:
-                    continue
-                if not isinstance(a, CycNum) or a.order != source.r:
-                    raise ValueError("entries must be CycNum of conductor r")
-                if a and target.grades[i] != source.grades[j]:
+        columns = [[] for _ in range(n)]
+        for (i, j), a in items:
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"entry index ({i},{j}) outside the {m}x{n} shape")
+            if not isinstance(a, CycNum) or a.order != r:
+                raise ValueError("entries must be CycNum of conductor r")
+            if a:
+                if tg[i] != sg[j]:
                     raise GradeSupportError(
-                        f"entry ({i},{j}) nonzero but grades differ: "
-                        f"{target.grades[i]} vs {source.grades[j]}"
+                        f"entry ({i},{j}) nonzero but grades differ: {tg[i]} vs {sg[j]}"
                     )
+                columns[j].append((i, a))
+        for col in columns:
+            if len(col) > 1:
+                col.sort()  # rows are distinct, so entries are never compared
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMorphism is immutable")
@@ -143,23 +180,16 @@ class GradedMorphism:
     def from_entries(
         cls, source: GradedObject, target: GradedObject, entries: dict
     ) -> "GradedMorphism":
-        zero = CycNum.zero(source.r)
-        rows = [[zero] * source.dim for _ in range(target.dim)]
-        for (i, j), a in entries.items():
-            rows[i][j] = a
-        return cls(source, target, rows)
+        return cls(source, target, entries)
 
     @classmethod
     def identity(cls, x: GradedObject) -> "GradedMorphism":
         one = CycNum.one(x.r)
-        zero = CycNum.zero(x.r)
-        rows = [[one if i == j else zero for j in range(x.dim)] for i in range(x.dim)]
-        return cls(x, x, rows)
+        return cls(x, x, {(i, i): one for i in range(x.dim)})
 
     @classmethod
     def zero_map(cls, source: GradedObject, target: GradedObject) -> "GradedMorphism":
-        zero = CycNum.zero(source.r)
-        return cls(source, target, [[zero] * source.dim for _ in range(target.dim)])
+        return cls(source, target, {})
 
     # -- structure ---------------------------------------------------------
 
@@ -167,40 +197,52 @@ class GradedMorphism:
     def r(self) -> int:
         return self.source.r
 
+    @property
+    def matrix(self) -> tuple[tuple[CycNum, ...], ...]:
+        """The dense rows, zeros included."""
+        zero = CycNum.zero(self.r)
+        rows = [[zero] * self.source.dim for _ in range(self.target.dim)]
+        for j, col in enumerate(self.columns):
+            for i, a in col:
+                rows[i][j] = a
+        return tuple(map(tuple, rows))
+
+    def entry(self, i: int, j: int) -> CycNum:
+        """The entry in row i, column j."""
+        for row, a in self.columns[j]:
+            if row == i:
+                return a
+        return CycNum.zero(self.r)
+
+    def _entries(self) -> dict:
+        return {(i, j): a for j, col in enumerate(self.columns) for i, a in col}
+
     def __eq__(self, other):
         if not isinstance(other, GradedMorphism):
             return NotImplemented
         return (
             self.source == other.source
             and self.target == other.target
-            and self.matrix == other.matrix
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        return hash((self.source, self.target, self.columns))
 
     def __add__(self, other: "GradedMorphism") -> "GradedMorphism":
         if self.source != other.source or self.target != other.target:
             raise ValueError("mismatched shapes in morphism sum")
-        return GradedMorphism(
-            self.source,
-            self.target,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.matrix, other.matrix)
-            ],
-        )
+        entries = self._entries()
+        for key, b in other._entries().items():
+            entries[key] = entries[key] + b if key in entries else b
+        return GradedMorphism(self.source, self.target, entries)
 
     def scale(self, c) -> "GradedMorphism":
         if isinstance(c, (int, Fraction)):
-            return GradedMorphism(
-                self.source,
-                self.target,
-                [[rational_scale(a, c) for a in row] for row in self.matrix],
-            )
-        return GradedMorphism(
-            self.source, self.target, [[a * c for a in row] for row in self.matrix]
-        )
+            entries = {key: rational_scale(a, c) for key, a in self._entries().items()}
+        else:
+            entries = {key: a * c for key, a in self._entries().items()}
+        return GradedMorphism(self.source, self.target, entries)
 
     def __repr__(self):
         return (
@@ -218,10 +260,11 @@ def compose(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
         )
     zero = CycNum.zero(f.r)
     out = [[zero] * g.source.dim for _ in range(f.target.dim)]
+    g_rows = g.matrix
     for i, frow in enumerate(f.matrix):
         for j, a in enumerate(frow):
             if a:
-                grow = g.matrix[j]
+                grow = g_rows[j]
                 orow = out[i]
                 for k, b in enumerate(grow):
                     if b:
@@ -236,24 +279,15 @@ def tensor_morphisms(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
     zero = CycNum.zero(f.r)
     gm, gn = g.target.dim, g.source.dim
     out = [[zero] * src.dim for _ in range(tgt.dim)]
+    g_rows = g.matrix
     for i1, frow in enumerate(f.matrix):
         for j1, a in enumerate(frow):
             if a:
-                for i2, grow in enumerate(g.matrix):
+                for i2, grow in enumerate(g_rows):
                     for j2, b in enumerate(grow):
                         if b:
                             out[i1 * gm + i2][j1 * gn + j2] = a * b
     return GradedMorphism(src, tgt, out)
-
-
-def dual_morphism(f: GradedMorphism) -> GradedMorphism:
-    """Anti-transpose: f^dual[i][j] = f[m-1-j][n-1-i] on the reversed lists."""
-    src = dual_object(f.target)
-    tgt = dual_object(f.source)
-    m = f.target.dim
-    n = f.source.dim
-    rows = [[f.matrix[m - 1 - j][n - 1 - i] for j in range(m)] for i in range(n)]
-    return GradedMorphism(src, tgt, rows)
 
 
 def delta_pivot(x: GradedObject, params: CategoryParams) -> GradedMorphism:
@@ -265,6 +299,7 @@ def delta_pivot(x: GradedObject, params: CategoryParams) -> GradedMorphism:
 _DUALITY_KINDS = ("cap_left", "cap_right", "cup_left", "cup_right")
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def duality_map(x: GradedObject, kind: str, params: CategoryParams) -> GradedMorphism:
     """One (co)evaluation for X, named as its diagram generator is.
 

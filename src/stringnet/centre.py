@@ -126,14 +126,13 @@ def p_Y_projector(y: CentreSimple, params: CategoryParams) -> GradedMorphism:
     """The idempotent on A(C_a) with one-dimensional image labelled by Y."""
     r = params.r
     hull = central_hull(y.underlying())
-    zero = CycNum.zero(r)
-    mat = [[zero] * r for _ in range(r)]
+    entries = {}
     for u in range(r):
         weight = loop_weight(u, "right", params)
         for v in range(r):
             val = evaluate(_p_block_diagram(y, u, v, params), params)
-            mat[u][v] = val.matrix[0][0] * weight
-    proj = GradedMorphism(hull.object, hull.object, mat)
+            entries[(u, v)] = val.entry(0, 0) * weight
+    proj = GradedMorphism(hull.object, hull.object, entries)
     square = evaluate(SliceDiagram(hull.object, [[box(proj)], [box(proj)]]), params)
     require(square == proj, "hull projector p_Y is idempotent")
     return proj
@@ -195,8 +194,7 @@ def ahat_structure(m_or_z, params: CategoryParams) -> AhatStructure:
     def braiding(w: GradedObject) -> GradedMorphism:
         src = tensor_objects(hull.object, w)
         tgt = tensor_objects(w, hull.object)
-        zero = CycNum.zero(r)
-        rows = [[zero] * src.dim for _ in range(tgt.dim)]
+        entries: dict = {}
         dw = w.dim
         for i in range(r):
             for p in range(dw):
@@ -204,14 +202,14 @@ def ahat_structure(m_or_z, params: CategoryParams) -> AhatStructure:
                 # alpha pins the W position to p on both sides
                 block = _ahat_braiding_block(m, i, p, w, params)
                 j = (i + w.grades[p]) % r
-                for m_out in range(dm):
-                    for m_in in range(dm):
-                        e = block.matrix[p * dm + m_out][m_in * dw + p]
-                        if e:
-                            src_flat = (hull.offsets[i] + m_in) * dw + p
-                            tgt_flat = p * (r * dm) + hull.offsets[j] + m_out
-                            rows[tgt_flat][src_flat] = rows[tgt_flat][src_flat] + e
-        return GradedMorphism(src, tgt, rows)
+                for m_in in range(dm):
+                    src_flat = (hull.offsets[i] + m_in) * dw + p
+                    for row, e in block.columns[m_in * dw + p]:
+                        m_out = row - p * dm
+                        if 0 <= m_out < dm:
+                            key = (p * (r * dm) + hull.offsets[j] + m_out, src_flat)
+                            entries[key] = entries[key] + e if key in entries else e
+        return GradedMorphism(src, tgt, entries)
 
     unitlike = None
     counitlike = None
@@ -227,8 +225,7 @@ def _unitlike_map(
     """Ahat(Z) -> Z: per block a braiding with the U strand, then a cap."""
     r = params.r
     a_obj = z.underlying()
-    zero = CycNum.zero(r)
-    row = [zero] * hull.object.dim
+    entries = {}
     for u in range(r):
         u_obj = simple_object(r, u)
         layers = [
@@ -236,8 +233,8 @@ def _unitlike_map(
             [cap_left(u_obj), identity(a_obj)],
         ]
         val = evaluate(SliceDiagram(a_obj, layers), params)
-        row[hull.offsets[u]] = val.matrix[0][0]
-    return GradedMorphism(hull.object, a_obj, [row])
+        entries[(0, hull.offsets[u])] = val.entry(0, 0)
+    return GradedMorphism(hull.object, a_obj, entries)
 
 
 def _counitlike_map(
@@ -246,8 +243,7 @@ def _counitlike_map(
     """Z -> Ahat(Z): U-cup then braiding, weighted by dim_r(U)/Dim."""
     r = params.r
     a_obj = z.underlying()
-    zero = CycNum.zero(r)
-    col = [[zero] for _ in range(hull.object.dim)]
+    entries = {}
     for u in range(r):
         u_obj = simple_object(r, u)
         braid = half_braiding_box(z, dual_object(u_obj), params)
@@ -257,5 +253,5 @@ def _counitlike_map(
             [box(braid), identity(u_obj)],
         ]
         val = evaluate(SliceDiagram(top, layers), params)
-        col[hull.offsets[u]][0] = val.matrix[0][0] * loop_weight(u, "right", params)
-    return GradedMorphism(a_obj, hull.object, col)
+        entries[(hull.offsets[u], 0)] = val.entry(0, 0) * loop_weight(u, "right", params)
+    return GradedMorphism(a_obj, hull.object, entries)

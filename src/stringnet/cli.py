@@ -308,7 +308,7 @@ def _cmd_frobenius_check(args) -> dict:
         "inputs": {"r": args.r},
         "reference": "Frobenius axioms and the Nakayama automorphism of the group algebra",
         "nakayama_diagonal": [
-            _render(pair.forward.matrix[a][a], args.approx, cyclotomic) for a in range(args.r)
+            _render(pair.forward.entry(a, a), args.approx, cyclotomic) for a in range(args.r)
         ],
         "nakayama_order": order,
     }

@@ -7,19 +7,22 @@ which for graded X is just r shifted-and-unshifted copies of X stacked in
 order u = 0..r-1.
 
 jmath is written in closed form, one entry 1 per pair of positions of X and
-Y.  The scaled-basis reference lives in tests/test_coends.py: it assembles
-jmath from explicit dual-basis pairs (alpha, alpha-bar) with
-alpha o alpha-bar = id on the simple target, and its rescaled pairs show the
-result does not depend on them.
+Y, and memoised like the objects it is built from.  The scaled-basis
+reference lives in tests/test_coends.py: it assembles jmath from explicit
+dual-basis pairs (alpha, alpha-bar) with alpha o alpha-bar = id on the
+simple target, and its rescaled pairs show the result does not depend on
+them.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import Record
 from .category import (
+    MEMO_SIZE,
     CategoryParams,
     GradedMorphism,
     GradedObject,
@@ -71,6 +74,7 @@ def central_hull(x: GradedObject) -> CentralHull:
     return CentralHull(x, GradedObject(r, grades), tuple(offsets))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def jmath(x: GradedObject, y: GradedObject) -> GradedMorphism:
     """The coend map X^dual (x) Y^dual (x) X (x) Y -> H; x_i pairs with X^dual[dx-1-i]."""
     h, dx, dy, one = CoendH(x.r), x.dim, y.dim, CycNum.one(x.r)

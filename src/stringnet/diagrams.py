@@ -1,11 +1,13 @@
-"""Sliced planar string diagrams and their evaluation to matrices.
+"""Sliced planar string diagrams and their evaluation to sparse morphisms.
 
 A diagram is a stack of layers, read bottom to top; each layer juxtaposes
 generators left to right.  Generators are identity strands, the four duality
 caps and cups, and boxes holding arbitrary morphisms.  Evaluation checks
 the grade words adjacent layers exchange, then pushes each bottom basis
 vector up as a sparse {flat index: coefficient} dict, split mixed-radix over
-each layer's generators; no layer's Kronecker product is ever built.
+each layer's generators and read off each generator's stored columns; no
+layer's Kronecker product and no dense matrix is ever built.  The pushed
+vectors are the columns of the result.
 `loop_sum` is the one place the projector's weighted sum over the loop
 grade u, with weight dim(C_u)/Dim, is written, and `trace` closes an
 endomorphism into the left or right pivotal trace with one cup and one cap.
@@ -157,11 +159,11 @@ class SliceDiagram:
         return f"SliceDiagram({len(self.layers)} layers, r={self.r})"
 
 
-def _layer_action(layer, params: CategoryParams, one, zero, seen: dict):
-    """(source dim, target dim, columns) per generator, for `_push`.
+def _layer_action(layer, params: CategoryParams):
+    """(source dim, target dim, columns) per generator, right to left, for `_push`.
 
-    columns[j] lists the nonzero (row, coefficient) of source index j, with
-    None for the shared `one`; a run of identity strands gets columns None.
+    columns are the generator's `GradedMorphism.columns`; a run of identity
+    strands gets columns None.
     """
     action = []
     for g in layer:
@@ -170,28 +172,29 @@ def _layer_action(layer, params: CategoryParams, one, zero, seen: dict):
             if dim != 1:
                 action.append((dim, dim, None))
             continue
-        key = id(g.morphism if g.kind == "box" else g)
-        if key not in seen:
-            m = g.matrix(params)
-            columns = [[] for _ in range(m.source.dim)]
-            for i, row in enumerate(m.matrix):
-                for j, a in enumerate(row):
-                    if a is not zero and a:
-                        columns[j].append((i, None if a is one else a))
-            seen[key] = (m.source.dim, m.target.dim, columns)
-        action.append(seen[key])
+        m = g.matrix(params)
+        action.append((m.source.dim, m.target.dim, m.columns))
+    action.reverse()
     return action
 
 
-def _push(vec: dict, action) -> dict:
-    """Apply one layer to a sparse vector {flat index: CycNum}."""
+def _push(vec: dict, action, one) -> dict:
+    """Apply one layer to a sparse vector {flat index: CycNum}.
+
+    An entry that is the shared `one` leaves its coefficient as it is.
+    """
     out: dict = {}
     for idx, val in vec.items():
         terms, place = [(0, val)], 1  # target digits fill in from the right
-        for src_dim, tgt_dim, columns in reversed(action):
+        for src_dim, tgt_dim, columns in action:
             idx, j = divmod(idx, src_dim)
-            col = [(j, None)] if columns is None else columns[j]
-            terms = [(t + i * place, v if c is None else v * c) for t, v in terms for i, c in col]
+            if columns is None:
+                terms = [(t + j * place, v) for t, v in terms]
+            else:
+                col = columns[j]
+                terms = [
+                    (t + i * place, v if c is one else v * c) for t, v in terms for i, c in col
+                ]
             place *= tgt_dim
         for t, v in terms:
             out[t] = out[t] + v if t in out else v
@@ -210,14 +213,13 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
         current = tgt
     if current != d.boundary_top:
         raise DiagramTypeError(len(d.layers) - 1, d.boundary_top, current, "top boundary")
-    one, zero = params.one(), params.zero()
+    one = params.one()
     vectors = [{c: one} for c in range(bottom.dim)]
-    seen: dict = {}  # columns by id of generator or box; d keeps them all alive
     for layer in d.layers:
-        action = _layer_action(layer, params, one, zero, seen)
-        vectors = [_push(vec, action) for vec in vectors]
+        action = _layer_action(layer, params)
+        vectors = [_push(vec, action, one) for vec in vectors]
     entries = {(i, c): v for c, vec in enumerate(vectors) for i, v in vec.items()}
-    return GradedMorphism.from_entries(bottom, current, entries)
+    return GradedMorphism(bottom, current, entries)
 
 
 def trace(f: GradedMorphism, side: str, params: CategoryParams) -> CycNum:
@@ -235,7 +237,7 @@ def trace(f: GradedMorphism, side: str, params: CategoryParams) -> CycNum:
         layers = [[cup_right(x)], [identity(dual_object(x)), box(f)], [cap_left(x)]]
     else:
         layers = [[cup_left(x)], [box(f), identity(dual_object(x))], [cap_right(x)]]
-    return evaluate(SliceDiagram(unit_object(x.r), layers), params).matrix[0][0]
+    return evaluate(SliceDiagram(unit_object(x.r), layers), params).entry(0, 0)
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> list:
@@ -248,7 +250,7 @@ def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> list:
     column = [params.zero()] * diagrams[0].boundary_top.dim
     for u, d in enumerate(diagrams):
         weight = loop_weight(u, side, params)
-        for i, (e,) in enumerate(evaluate(d, params).matrix):
-            if e:
-                column[i] = column[i] + e * weight
+        (col,) = evaluate(d, params).columns
+        for i, e in col:
+            column[i] = column[i] + e * weight
     return column

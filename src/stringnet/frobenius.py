@@ -240,4 +240,7 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     layers.append([h] * genus + [box(f_data.eps)])
     top = tensor_objects(*[h.obj] * genus)
     state = evaluate(SliceDiagram(top, layers), params)
-    return HomSpaceVector(r, genus, tuple(row[0] for row in state.matrix))
+    coords = [params.zero()] * top.dim
+    for i, a in state.columns[0]:
+        coords[i] = a
+    return HomSpaceVector(r, genus, tuple(coords))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringnet.category import (
+    MEMO_SIZE,
     CategoryParams,
     GradeSupportError,
     GradedMorphism,
@@ -16,7 +18,6 @@ from stringnet.category import (
     compose,
     delta_pivot,
     dimension,
-    dual_morphism,
     dual_object,
     duality_map,
     global_dimension,
@@ -26,8 +27,11 @@ from stringnet.category import (
     tensor_objects,
     unit_object,
 )
+from stringnet.coends import jmath
 from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.diagrams import trace
+
+from morphism_reference import dual_morphism
 
 
 def _rand_morphism(draw, params: CategoryParams, source=None, target=None):
@@ -104,6 +108,135 @@ def test_grade_support_enforced():
     GradedMorphism.from_entries(src, tgt, {(0, 1): one})
     with pytest.raises(GradeSupportError):
         GradedMorphism.from_entries(src, tgt, {(0, 0): one})
+
+
+@pytest.mark.parametrize("index", [(-1, -1), (0, -1), (3, 0), (0, 3)])
+def test_from_entries_rejects_index_outside_shape(index):
+    x = GradedObject(3, (0, 0, 0))
+    i, j = index
+    with pytest.raises(ValueError, match=re.escape(f"({i},{j}) outside the 3x3")):
+        GradedMorphism.from_entries(x, x, {index: CycNum.one(3)})
+
+
+def _dense_entries(f: GradedMorphism) -> dict:
+    """Every cell of f, zeros included, keyed by (row, column)."""
+    return {(i, j): a for i, row in enumerate(f.matrix) for j, a in enumerate(row)}
+
+
+@given(two_morphisms())
+@settings(max_examples=60, deadline=None)
+def test_dense_and_mapping_construction_agree(data):
+    _, f, _ = data
+    rows = f.matrix
+    dense = GradedMorphism(f.source, f.target, rows)
+    nonzero = {key: a for key, a in _dense_entries(f).items() if a}
+    sparse = GradedMorphism(f.source, f.target, nonzero)
+    assert dense == sparse == f
+    assert hash(dense) == hash(sparse) == hash(f)
+    assert dense.matrix == rows
+    assert len(rows) == f.target.dim and all(len(row) == f.source.dim for row in rows)
+    for j, col in enumerate(f.columns):
+        assert [i for i, _ in col] == sorted(i for i, _ in col)
+        assert all(a and rows[i][j] is a for i, a in col)
+
+
+@given(two_morphisms())
+@settings(max_examples=60, deadline=None)
+def test_explicit_zeros_and_entry_order_do_not_matter(data):
+    _, f, _ = data
+    cells = list(_dense_entries(f).items())
+    shuffled = GradedMorphism(f.source, f.target, dict(reversed(cells)))
+    assert shuffled == f and hash(shuffled) == hash(f)
+    assert all(a for col in shuffled.columns for _, a in col)
+
+
+@st.composite
+def off_grade_cell(draw):
+    """Objects with a cell (i, j) whose target and source grades differ."""
+    r = draw(st.integers(2, 5))
+    grades = st.lists(st.integers(0, r - 1), min_size=1, max_size=3)
+    source = GradedObject(r, draw(grades))
+    target = GradedObject(r, draw(grades))
+    cells = [
+        (i, j)
+        for i, gt in enumerate(target.grades)
+        for j, gs in enumerate(source.grades)
+        if gt != gs
+    ]
+    if not cells:
+        target = GradedObject(r, [source.grades[0] + 1])
+        cells = [(0, 0)]
+    return CategoryParams(r), source, target, draw(st.sampled_from(cells))
+
+
+@given(off_grade_cell(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_off_grade_nonzero_rejected_by_both_constructors(case, k):
+    params, source, target, (i, j) = case
+    a = params.zeta(k)
+    with pytest.raises(GradeSupportError, match=re.escape(f"entry ({i},{j})")):
+        GradedMorphism.from_entries(source, target, {(i, j): a})
+    rows = [[params.zero()] * source.dim for _ in range(target.dim)]
+    rows[i][j] = a
+    with pytest.raises(GradeSupportError, match=re.escape(f"entry ({i},{j})")):
+        GradedMorphism(source, target, rows)
+    # a zero off the grade support is no entry at all
+    assert GradedMorphism.from_entries(source, target, {(i, j): params.zero()}) == (
+        GradedMorphism.zero_map(source, target)
+    )
+
+
+@given(two_morphisms(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_wrong_conductor_entry_rejected_by_both_constructors(data, zero):
+    params, f, _ = data
+    if not (f.source.dim and f.target.dim):
+        f = GradedMorphism.identity(unit_object(params.r))
+    other = CycNum.zero(params.r + 1) if zero else CycNum.one(params.r + 1)
+    entries = _dense_entries(f)
+    entries[(0, 0)] = other
+    with pytest.raises(ValueError, match="conductor"):
+        GradedMorphism.from_entries(f.source, f.target, entries)
+    rows = [list(row) for row in f.matrix]
+    rows[0][0] = other
+    with pytest.raises(ValueError, match="conductor"):
+        GradedMorphism(f.source, f.target, rows)
+
+
+@st.composite
+def memoised_call(draw):
+    """One memoised builder with inputs drawn for it."""
+    r = draw(st.integers(1, 5))
+    obj = st.builds(
+        GradedObject, st.just(r), st.lists(st.integers(0, r - 1), min_size=1, max_size=3)
+    )
+    name = draw(
+        st.sampled_from(
+            ["unit_object", "simple_object", "tensor_objects", "dual_object", "duality_map", "jmath"]
+        )
+    )
+    if name == "unit_object":
+        return unit_object, (r,)
+    if name == "simple_object":
+        return simple_object, (r, draw(st.integers(-r, 2 * r)))
+    if name == "tensor_objects":
+        return tensor_objects, tuple(draw(st.lists(obj, min_size=1, max_size=3)))
+    if name == "dual_object":
+        return dual_object, (draw(obj),)
+    if name == "duality_map":
+        kind = draw(st.sampled_from(["cap_left", "cap_right", "cup_left", "cup_right"]))
+        return duality_map, (draw(obj), kind, CategoryParams(r))
+    return jmath, (draw(obj), draw(obj))
+
+
+@given(memoised_call())
+@settings(max_examples=80, deadline=None)
+def test_memoised_builders_match_their_uncached_function(call):
+    fn, args = call
+    assert fn.cache_info().maxsize == MEMO_SIZE
+    cached = fn(*args)
+    assert fn(*args) is cached
+    assert fn.__wrapped__(*args) == cached
 
 
 def test_compose_shape_mismatch():

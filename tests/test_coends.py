@@ -14,7 +14,6 @@ from stringnet.category import (
     GradedMorphism,
     GradedObject,
     compose,
-    dual_morphism,
     dual_object,
     simple_object,
     tensor_morphisms,
@@ -29,6 +28,8 @@ from stringnet.coends import (
 )
 from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.linalg import rank_cyc
+
+from morphism_reference import dual_morphism
 
 
 def test_coend_summands_lex_and_grade_zero():
