@@ -1,12 +1,12 @@
-"""The pivotal category of Z_r-graded vector spaces with a chosen root of unity.
+"""The pivotal category of Z_r-graded vector spaces.
 
 Objects are ordered direct sums of the invertible simples C_u, recorded as
 grade lists; morphisms are sparse matrices, stored as the nonzero entries of
 each column, with support only where the target and source grades agree.
 The pivotal data assigns the simple C_u right dimension zeta^u and left
-dimension zeta^{-u}, where zeta is the chosen primitive r-th root of unity.
-For r >= 3 the two traces (`diagrams.trace`) differ: that failure of
-sphericality is the whole point of the constructions downstream.
+dimension zeta^{-u}, where zeta = zeta_r = exp(2 pi i / r).  For r >= 3 the
+left and right pivotal traces differ: that failure of sphericality is the
+whole point of the constructions downstream.
 
 `compose` and `tensor_morphisms` are the dense reference products: the
 library multiplies morphisms only by evaluating slice diagrams, and these
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable
 
 from . import Record
@@ -43,20 +42,18 @@ from .cyclotomic import CycNum, rational_scale, zeta_power
 
 
 class CategoryParams(Record):
-    """r and the exponent selecting zeta = zeta_r^zeta_exponent (primitive)."""
+    """The grading order r; zeta is zeta_r."""
 
-    __slots__ = _fields = ("r", "zeta_exponent")
+    __slots__ = _fields = ("r",)
 
-    def __init__(self, r: int, zeta_exponent: int = 1) -> None:
+    def __init__(self, r: int) -> None:
         if r < 1:
             raise ValueError(f"r must be positive, got {r}")
-        if gcd(zeta_exponent, r) != 1:
-            raise ValueError(f"zeta_exponent {zeta_exponent} must be coprime to r={r}")
-        super().__init__(r, zeta_exponent)
+        super().__init__(r)
 
     def zeta(self, k: int = 1) -> CycNum:
-        """zeta^k as an element of Q(zeta_r)."""
-        return zeta_power(self.r, k * self.zeta_exponent)
+        """zeta_r^k as an element of Q(zeta_r)."""
+        return zeta_power(self.r, k)
 
     def one(self) -> CycNum:
         return CycNum.one(self.r)
@@ -66,15 +63,24 @@ class CategoryParams(Record):
 
 
 class GradedObject(Record):
-    """An ordered direct sum of invertible simples, one grade per summand."""
+    """An ordered direct sum of invertible simples, one grade per summand.
 
-    __slots__ = _fields = ("r", "grades")
+    The hash is computed once, at construction: every memoised builder
+    hashes the objects it is called with.
+    """
+
+    __slots__ = ("r", "grades", "_hash")
+    _fields = ("r", "grades")
 
     def __init__(self, r: int, grades: Iterable[int]) -> None:
         if r < 1:
             raise ValueError(f"r must be positive, got {r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "grades", tuple(g % r for g in grades))
+        grades = tuple(g % r for g in grades)
+        super().__init__(r, grades)
+        object.__setattr__(self, "_hash", hash((r, grades)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -300,8 +306,8 @@ _DUALITY_KINDS = ("cap_left", "cap_right", "cup_left", "cup_right")
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def duality_map(x: GradedObject, kind: str, params: CategoryParams) -> GradedMorphism:
-    """One (co)evaluation for X, named as its diagram generator is.
+def duality_map(x: GradedObject, kind: str) -> GradedMorphism:
+    """One (co)evaluation for X, named as its diagram builder is.
 
     cap_left: X^dual (x) X -> 1 and cup_left: 1 -> X (x) X^dual pair mirrored
     positions with coefficient 1; cap_right: X (x) X^dual -> 1 carries zeta^g
@@ -312,13 +318,13 @@ def duality_map(x: GradedObject, kind: str, params: CategoryParams) -> GradedMor
     n = x.dim
     dual_first = kind in ("cap_left", "cup_right")
     cap = kind.startswith("cap")
-    one = params.one()
+    one = CycNum.one(x.r)
     entries = {}
     for i, g in enumerate(x.grades):
         # x_i meets its mirror n-1-i: flat index (n-1-i)*n + i in X^dual (x) X,
         # i*n + (n-1-i) in X (x) X^dual
         flat = (n - 1 - i) * n + i if dual_first else i * n + n - 1 - i
-        weight = one if kind.endswith("left") else params.zeta(g if cap else -g)
+        weight = one if kind.endswith("left") else zeta_power(x.r, g if cap else -g)
         entries[(0, flat) if cap else (flat, 0)] = weight
     xd = dual_object(x)
     pair = tensor_objects(xd, x) if dual_first else tensor_objects(x, xd)
@@ -338,19 +344,11 @@ def dimension(x: GradedObject, side: str, params: CategoryParams) -> CycNum:
     return total
 
 
-def global_dimension(params: CategoryParams) -> CycNum:
-    """Sum over simples of dim_left * dim_right; equals r exactly."""
-    total = params.zero()
-    for u in range(params.r):
-        total = total + params.zeta(-u) * params.zeta(u)
-    return total
-
-
 def loop_weight(u: int, side: str, params: CategoryParams) -> CycNum:
     """dim_side(C_u) / Dim, the weight of the grade-u loop in every projector.
 
-    Dim is global_dimension(params), which equals r exactly, so the quotient
-    is a rational rescale.
+    Dim, the sum over simples of dim_left * dim_right, equals r exactly, so
+    the quotient is a rational rescale.
     """
     dim_u = dimension(simple_object(params.r, u), side, params)
     return rational_scale(dim_u, Fraction(1, params.r))

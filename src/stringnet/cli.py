@@ -95,24 +95,19 @@ def _render(a, approx: bool, cyclotomic) -> dict:
     return obj
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -355,9 +350,10 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler)
         return p
 
-    r_flag = {"type": _positive_int, "required": True}
-    genus_flag = {"type": _nonnegative_int, "required": True}
-    cap_flag = {"type": _positive_int, "default": None}
+    positive, nonnegative = _int_at_least(1), _int_at_least(0)
+    r_flag = {"type": positive, "required": True}
+    genus_flag = {"type": nonnegative, "required": True}
+    cap_flag = {"type": positive, "default": None}
     approx_flag = {"action": "store_true"}
     indices_flag = {
         "type": _int_list,
@@ -384,8 +380,8 @@ def _build_parser() -> _Parser:
         "annulus",
         _cmd_annulus,
         r=r_flag,
-        a={"type": _nonnegative_int, "required": True},
-        b={"type": _nonnegative_int, "required": True},
+        a={"type": nonnegative, "required": True},
+        b={"type": nonnegative, "required": True},
     )
     command("rspin-count", _cmd_rspin_count, r=r_flag, genus=genus_flag)
     command(

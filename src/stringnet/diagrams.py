@@ -1,16 +1,17 @@
 """Sliced planar string diagrams and their evaluation to sparse morphisms.
 
-A diagram is a stack of layers, read bottom to top; each layer juxtaposes
-generators left to right.  Generators are identity strands, the four duality
-caps and cups, and boxes holding arbitrary morphisms.  Evaluation checks
-the grade words adjacent layers exchange, then pushes each bottom basis
-vector up as a sparse {flat index: coefficient} dict, split mixed-radix over
-each layer's generators and read off each generator's stored columns; no
-layer's Kronecker product and no dense matrix is ever built.  The pushed
-vectors are the columns of the result.
+A diagram is a stack of layers, read bottom to top; each layer is a sequence
+of `GradedMorphism`s juxtaposed left to right.  The builders name the cells a
+picture is drawn with: `identity` strands (one shared instance per object),
+the four duality caps and cups (`category.duality_map`), and `box`es holding
+arbitrary morphisms.  Evaluation checks the grade words adjacent layers
+exchange, then pushes each bottom basis vector up as a sparse {flat index:
+coefficient} dict, split mixed-radix over each layer's morphisms and read
+off their stored columns; runs of shared identity strands pass their digits
+through untouched.  No layer's Kronecker product and no dense matrix is
+ever built.  The pushed vectors are the columns of the result.
 `loop_sum` is the one place the projector's weighted sum over the loop
-grade u, with weight dim(C_u)/Dim, is written, and `trace` closes an
-endomorphism into the left or right pivotal trace with one cup and one cap.
+grade u, with weight dim(C_u)/Dim, is written.
 
 Diagrams arrive pre-sliced; there is no planar-graph compiler here.  Every
 construction downstream is drawn in sliceable normal form already, and an
@@ -19,17 +20,17 @@ isotopy engine would be out of proportion to the verification goal.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .category import (
+    MEMO_SIZE,
     CategoryParams,
     GradedMorphism,
     GradedObject,
-    dual_object,
     duality_map,
     loop_weight,
     tensor_objects,
-    unit_object,
 )
-from .cyclotomic import CycNum
 
 
 class DiagramTypeError(ValueError):
@@ -52,78 +53,45 @@ class DiagramTypeError(ValueError):
         self.found = found
 
 
-class Generator:
-    """One cell of a layer: an identity, a duality cap/cup, or a box."""
+@lru_cache(maxsize=MEMO_SIZE)
+def identity(x: GradedObject) -> GradedMorphism:
+    """The identity strand on X, one shared instance per object.
 
-    __slots__ = ("kind", "obj", "morphism", "source", "target")
-
-    def __init__(self, kind: str, obj: GradedObject | None, morphism=None) -> None:
-        if kind == "box":
-            source, target = morphism.source, morphism.target
-        elif kind == "identity":
-            source = target = obj
-        else:
-            unit = unit_object(obj.r)
-            if kind in ("cap_right", "cup_left"):
-                pair = tensor_objects(obj, dual_object(obj))
-            else:
-                pair = tensor_objects(dual_object(obj), obj)
-            source, target = (pair, unit) if kind.startswith("cap") else (unit, pair)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "morphism", morphism)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Generator is immutable")
-
-    def matrix(self, params: CategoryParams) -> GradedMorphism:
-        if self.kind == "box":
-            return self.morphism
-        if self.kind == "identity":
-            return GradedMorphism.identity(self.obj)
-        return duality_map(self.obj, self.kind, params)
-
-    def __repr__(self):
-        if self.kind == "box":
-            return f"box({self.morphism!r})"
-        return f"{self.kind}({list(self.obj.grades)})"
+    `evaluate` passes a run of these through without reading their columns.
+    """
+    return GradedMorphism.identity(x)
 
 
-def identity(x: GradedObject) -> Generator:
-    return Generator("identity", x)
-
-
-def cap_left(x: GradedObject) -> Generator:
+def cap_left(x: GradedObject) -> GradedMorphism:
     """Evaluation consuming X^dual (x) X."""
-    return Generator("cap_left", x)
+    return duality_map(x, "cap_left")
 
 
-def cap_right(x: GradedObject) -> Generator:
+def cap_right(x: GradedObject) -> GradedMorphism:
     """Evaluation consuming X (x) X^dual; carries the pivotal weight."""
-    return Generator("cap_right", x)
+    return duality_map(x, "cap_right")
 
 
-def cup_left(x: GradedObject) -> Generator:
+def cup_left(x: GradedObject) -> GradedMorphism:
     """Coevaluation producing X (x) X^dual."""
-    return Generator("cup_left", x)
+    return duality_map(x, "cup_left")
 
 
-def cup_right(x: GradedObject) -> Generator:
+def cup_right(x: GradedObject) -> GradedMorphism:
     """Coevaluation producing X^dual (x) X; carries the pivotal weight."""
-    return Generator("cup_right", x)
+    return duality_map(x, "cup_right")
 
 
-def box(f: GradedMorphism) -> Generator:
-    return Generator("box", None, f)
+def box(f: GradedMorphism) -> GradedMorphism:
+    """A cell holding f: a morphism is its own cell."""
+    return f
 
 
 def _layer_ends(layer) -> tuple[GradedObject, GradedObject]:
     if not layer:
-        raise ValueError("empty layer; use an identity generator instead")
-    src = tensor_objects(*[g.source for g in layer])
-    tgt = tensor_objects(*[g.target for g in layer])
+        raise ValueError("empty layer; use an identity strand instead")
+    src = tensor_objects(*[m.source for m in layer])
+    tgt = tensor_objects(*[m.target for m in layer])
     return src, tgt
 
 
@@ -136,9 +104,9 @@ class SliceDiagram:
         layers = tuple(tuple(layer) for layer in layers)
         r = boundary_top.r
         for i, layer in enumerate(layers):
-            for g in layer:
-                if g.source.r != r:
-                    raise ValueError(f"layer {i} mixes r={g.source.r} into an r={r} diagram")
+            for m in layer:
+                if m.source.r != r:
+                    raise ValueError(f"layer {i} mixes r={m.source.r} into an r={r} diagram")
         object.__setattr__(self, "boundary_top", boundary_top)
         object.__setattr__(self, "layers", layers)
 
@@ -159,21 +127,21 @@ class SliceDiagram:
         return f"SliceDiagram({len(self.layers)} layers, r={self.r})"
 
 
-def _layer_action(layer, params: CategoryParams):
-    """(source dim, target dim, columns) per generator, right to left, for `_push`.
+def _layer_action(layer):
+    """(source dim, target dim, columns) per morphism, right to left, for `_push`.
 
-    columns are the generator's `GradedMorphism.columns`; a run of identity
-    strands gets columns None.
+    A run of shared identity strands gets columns None; any other morphism,
+    an identity built elsewhere included, is pushed through its columns.
     """
     action = []
-    for g in layer:
-        if g.kind == "identity":  # merged into the run before it; a 1-dim run is a no-op
-            dim = g.obj.dim * (action.pop()[0] if action and action[-1][2] is None else 1)
-            if dim != 1:
+    for m in layer:
+        x = m.source
+        if x is m.target and m is identity(x):  # merged into the run before it
+            dim = x.dim * (action.pop()[0] if action and action[-1][2] is None else 1)
+            if dim != 1:  # a 1-dim run is a no-op
                 action.append((dim, dim, None))
             continue
-        m = g.matrix(params)
-        action.append((m.source.dim, m.target.dim, m.columns))
+        action.append((x.dim, m.target.dim, m.columns))
     action.reverse()
     return action
 
@@ -216,28 +184,10 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     one = params.one()
     vectors = [{c: one} for c in range(bottom.dim)]
     for layer in d.layers:
-        action = _layer_action(layer, params)
+        action = _layer_action(layer)
         vectors = [_push(vec, action, one) for vec in vectors]
     entries = {(i, c): v for c, vec in enumerate(vectors) for i, v in vec.items()}
     return GradedMorphism(bottom, current, entries)
-
-
-def trace(f: GradedMorphism, side: str, params: CategoryParams) -> CycNum:
-    """Close an endomorphism of X to a scalar with the pivotal duality maps.
-
-    tr_left threads f through cup_right then cap_left; tr_right through
-    cup_left then cap_right.  tr(id_X) recovers dimension(X, side).
-    """
-    if f.source != f.target:
-        raise ValueError("trace needs an endomorphism")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    x = f.source
-    if side == "left":
-        layers = [[cup_right(x)], [identity(dual_object(x)), box(f)], [cap_left(x)]]
-    else:
-        layers = [[cup_left(x)], [box(f), identity(dual_object(x))], [cap_right(x)]]
-    return evaluate(SliceDiagram(unit_object(x.r), layers), params).entry(0, 0)
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> list:

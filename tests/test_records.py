@@ -19,9 +19,9 @@ class _Pair(Record):
 
 
 def test_equal_arguments_give_equal_records():
-    assert CategoryParams(5, 2) == CategoryParams(5, 2)
-    assert hash(CategoryParams(5, 2)) == hash(CategoryParams(5, 2))
-    assert CategoryParams(5, 2) != CategoryParams(5, 3)
+    assert CategoryParams(5) == CategoryParams(5)
+    assert hash(CategoryParams(5)) == hash(CategoryParams(5))
+    assert CategoryParams(5) != CategoryParams(3)
     # the constructor normalises grades before they are compared
     assert GradedObject(3, (4, -1)) == GradedObject(3, (1, 2))
     assert hash(GradedObject(3, (4, -1))) == hash(GradedObject(3, (1, 2)))
@@ -54,7 +54,7 @@ def test_field_count_is_checked():
 
 
 def test_repr_names_every_field():
-    assert repr(CategoryParams(3)) == "CategoryParams(r=3, zeta_exponent=1)"
+    assert repr(CategoryParams(3)) == "CategoryParams(r=3)"
     assert repr(AdmissibilityReport(False, {0: 1})) == "AdmissibilityReport(ok=False, residues={0: 1})"
 
 

@@ -208,6 +208,58 @@ def test_admissibility_invariant_under_edge_relabeling(genus, r, data):
     assert m1.residues == m2.residues
 
 
+def _split_edge(c: PLCW, draw) -> PLCW:
+    """Subdivide one edge u -> v into u -> w -> v at a new vertex w."""
+    e = c.edges[draw(st.integers(0, len(c.edges) - 1))]
+    w, n = c.num_vertices, len(c.edges)
+    edges = [(x.id, x.src, w if x.id == e.id else x.dst) for x in c.edges] + [(n, w, e.dst)]
+    pieces = {(e.id, 1): [(e.id, 1), (n, 1)], (e.id, -1): [(n, -1), (e.id, -1)]}
+    faces = []
+    for f in c.faces:
+        boundary = [p for entry in f.boundary for p in pieces.get(entry, [entry])]
+        faces.append((boundary, draw(st.integers(0, len(boundary) - 1))))
+    return PLCW(w + 1, edges, faces)
+
+
+def _split_face(c: PLCW, draw) -> PLCW:
+    """Cut one face in two along a new edge between two of its corners.
+
+    Corner k is where boundary entry k ends; the new edge runs from corner i
+    to corner j, and each half closes its walk along it.
+    """
+    fi = draw(st.integers(0, len(c.faces) - 1))
+    boundary = list(c.faces[fi].boundary)
+    i, j = sorted(draw(st.lists(st.integers(0, len(boundary) - 1), min_size=2, max_size=2, unique=True)))
+    ends = {e.id: (e.src, e.dst) for e in c.edges}
+
+    def end(entry):
+        eid, sign = entry
+        return ends[eid][::sign][1]
+
+    n = len(c.edges)
+    edges = [tuple(e) for e in c.edges] + [(n, end(boundary[i]), end(boundary[j]))]
+    inner = boundary[i + 1 : j + 1] + [(n, -1)]
+    outer = boundary[j + 1 :] + boundary[: i + 1] + [(n, 1)]
+    faces = [(f.boundary, f.preferred) for k, f in enumerate(c.faces) if k != fi]
+    for half in (inner, outer):
+        faces.append((half, draw(st.integers(0, len(half) - 1))))
+    return PLCW(c.num_vertices, edges, faces)
+
+
+@given(start=st.sampled_from([0, 1]), r=st.integers(1, 4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_census_after_edge_and_face_splits(start, r, data):
+    """Subdividing a decomposition keeps it a valid surface of the same genus,
+    and its census is r^(2g+F-1) when r divides 2-2g, else 0."""
+    c = sphere_decomposition() if start == 0 else standard_decomposition(start)
+    for _ in range(data.draw(st.integers(0, 4), label="moves")):
+        c = data.draw(st.sampled_from([_split_edge, _split_face]))(c, data.draw)
+    assert c.genus == start
+    faces = len(c.faces)
+    want = r ** (2 * start + faces - 1) if (2 - 2 * start) % r == 0 else 0
+    assert len(enumerate_admissible(c, r, cap=5000)) == want
+
+
 def test_marking_json_lists_indices_by_edge():
     c = standard_decomposition(2)
     m = MarkedPLCW(c, 5, {0: 1, 1: 2, 2: 3, 3: 9})

@@ -147,7 +147,7 @@ def _resliced_variant(params, labels, u):
     delta = delta_pivot(u_obj, params)
     u_dual = dual_object(u_obj)
     # pivot on the outer strand before any cup exists
-    early = [box(delta), box(l2[1].morphism), identity(u_dual)]
+    early = [box(delta), box(l2[1]), identity(u_dual)]
     word = [u_obj] + leg_objs + [u_dual]
     layers = [list(l1), early]
     # one cup per layer, inserted left to right; each insertion shifts the
@@ -170,11 +170,9 @@ def _folded_variant(params, labels, u):
     """Pivot coefficients folded into the basis box instead of drawn."""
     ref = _bp_column_diagram(params, 1, labels, u, "anticlockwise")
     l1, l2, legs_layer, delta_layer, close_layer = ref.layers
-    phi = l2[1].morphism.scale(params.zeta(2 * u))
+    phi = l2[1].scale(params.zeta(2 * u))
     u_obj = simple_object(params.r, u)
-    slot_ids = [
-        g if g.kind != "box" else identity(u_obj) for g in delta_layer
-    ]
+    slot_ids = [g if g is identity(g.source) else identity(u_obj) for g in delta_layer]
     layers = [
         list(l1),
         [l2[0], box(phi), l2[2]],
