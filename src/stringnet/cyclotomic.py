@@ -18,7 +18,16 @@ modulo Phi_order and canonical over `den`.
 A product is an integer schoolbook convolution, folded back below degree d
 with a per-conductor table of the rows x^k mod Phi_n for d <= k <= 2d-2
 (integral, because Phi_n is monic), then divided once by the gcd of the
-numerators and the denominator.
+numerators and the denominator.  Products are memoised on their canonical
+operands (conductor, numerators and denominator of each side), with at
+most `PRODUCT_MEMO_SIZE` entries, least recently used evicted first: the
+diagram pushes multiply the same few roots of unity and rationals over and
+over.  A memo hit returns the canonical value a miss computes, so equality,
+hashing and every result are as without the memo.
+
+Equality with an int or a Fraction holds exactly when the element is that
+rational, and such an element hashes as the Fraction does, so CycNums and
+rationals can share a set or a dict.
 
 There is no division in the field: downstream computations only ever
 rescale by nonzero rationals and multiply by roots of unity, and the one
@@ -176,24 +185,11 @@ class CycNum:
         return _from_reduced(self.order, tuple(map(neg, self.nums)), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a = self.nums
-        b = [(j, y) for j, y in enumerate(o.nums) if y]
-        d = len(a)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in b:
-                    conv[i + j] += x * y
-        for k, row in enumerate(_fold_rows(self.order), d):
-            c = conv[k]
-            if c:
-                for i, p in row:
-                    conv[i] += c * p
-        del conv[d:]
-        return _canonical(self.order, conv, self.den * o.den)
+        if type(other) is not CycNum or other.order != self.order:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _product(self.order, self.nums, self.den, other.nums, other.den)
 
     __rmul__ = __mul__
 
@@ -207,7 +203,10 @@ class CycNum:
         return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.order, self.nums, self.den))
+        nums = self.nums
+        if any(nums[1:]):
+            return hash((self.order, nums, self.den))
+        return hash(Fraction(nums[0], self.den))  # the hash of the rational it equals
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
@@ -231,6 +230,31 @@ def _canonical(order: int, nums: list, den: int) -> CycNum:
             nums = [c // g for c in nums]
             den //= g
     return _from_reduced(order, tuple(nums), den)
+
+
+# Bound of the product memo.  At r=8 one sigma_F marking makes about 10^5
+# products that take some 150 distinct values; a larger run evicts the
+# least recently used products, which changes only its speed.
+PRODUCT_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=PRODUCT_MEMO_SIZE)
+def _product(order: int, a: tuple, da: int, b: tuple, db: int) -> CycNum:
+    """(a / da) * (b / db) in Q(zeta_order), from canonical operands."""
+    b = [(j, y) for j, y in enumerate(b) if y]
+    d = len(a)
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b:
+                conv[i + j] += x * y
+    for k, row in enumerate(_fold_rows(order), d):
+        c = conv[k]
+        if c:
+            for i, p in row:
+                conv[i] += c * p
+    del conv[d:]
+    return _canonical(order, conv, da * db)
 
 
 def _combine(a: CycNum, b: CycNum, op) -> CycNum:

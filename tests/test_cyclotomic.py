@@ -9,7 +9,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringnet import cyclotomic
 from stringnet.cyclotomic import (
+    PRODUCT_MEMO_SIZE,
     ConductorMismatchError,
     CycNum,
     approx_complex,
@@ -239,3 +241,54 @@ def test_arithmetic_matches_fraction_reference(n, data):
         assert u == v and hash(u) == hash(v), (u, v)
         assert _is_canonical(u, n), u
     assert (a * b == q) == (poly(a * b) - sympy.Rational(q)).is_zero
+
+
+def test_rational_values_hash_as_their_fractions():
+    for n in (1, 3, 8, 840):
+        for q in (0, 1, -2, Fraction(3, 7), Fraction(-5, 12)):
+            a = CycNum.from_rational(n, q)
+            assert a == q and hash(a) == hash(Fraction(q)), (n, q)
+    assert len({CycNum.one(3), 1}) == 1
+    assert len({Fraction(-1, 2), rational_scale(zeta_power(4, 2), Fraction(1, 2))}) == 1
+    assert {CycNum.zero(5): "zero"}[0] == "zero"
+
+
+@given(
+    n=st.sampled_from(list(range(1, 13)) + [840]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_product_memo_matches_sympy(n, data):
+    """A first product, a repeated one and one made under a forced-small memo bound
+    all equal the sympy product, are canonical and hash-equal, and the memo
+    never holds more than its bound."""
+    d = degree(n)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    support = st.dictionaries(st.integers(0, d - 1), coeff, max_size=min(d, 10))
+
+    def draw() -> CycNum:
+        coeffs = [Fraction(0)] * d
+        for i, c in data.draw(support).items():
+            coeffs[i] = c
+        return CycNum(n, coeffs)
+
+    a, b = draw(), draw()
+    x, phi = _sympy_phi_poly(n)
+    want = (_as_sympy_poly(a.coeffs, x) * _as_sympy_poly(b.coeffs, x)).rem(phi)
+    first = a * b
+    repeated = CycNum(n, a.coeffs) * CycNum(n, b.coeffs)  # equal operands, new objects
+    assert repeated is first
+    bound = data.draw(st.integers(1, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        small = lru_cache(maxsize=bound)(cyclotomic._product.__wrapped__)
+        mp.setattr(cyclotomic, "_product", small)
+        for k in range(bound + 2):  # evict whatever the bound can hold
+            zeta_power(n, k) * b
+            assert small.cache_info().currsize <= bound
+        under_small_bound = a * b
+    assert (_as_sympy_poly(first.coeffs, x) - want).is_zero, (first, want)
+    for got in (first, repeated, under_small_bound):  # so each equals the sympy product
+        assert _is_canonical(got, n), got
+        assert got == first and hash(got) == hash(first)
+    info = cyclotomic._product.cache_info()
+    assert info.maxsize == PRODUCT_MEMO_SIZE and info.currsize <= PRODUCT_MEMO_SIZE

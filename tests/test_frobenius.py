@@ -105,23 +105,51 @@ def test_nakayama_evaluated_once_per_algebra(monkeypatch):
 
 
 def test_chi_closed_form():
-    for r in (2, 3):
+    for r in (2, 3, 4, 6):
         fd = frobenius_zr(CategoryParams(r))
         for a in range(r):
             for b in range(r):
                 mat = chi(a, b, fd).matrix
                 for s in range(r):
                     for t in range(r):
+                        value = zeta_power(r, s * a + t * b) * Fraction(1, r * r)
                         for c_in in range(r):
                             for c_out in range(r):
                                 got = mat[(s * r + t) * r + c_out][c_in]
-                                if c_in == c_out:
-                                    want = zeta_power(r, s * a + t * b) * Fraction(
-                                        1, r * r
-                                    )
-                                else:
-                                    want = CycNum.zero(r)
+                                want = value if c_in == c_out else CycNum.zero(r)
                                 assert got == want
+
+
+def test_chi_labels_count_mod_r():
+    for r in (1, 2, 3, 4):
+        fd = frobenius_zr(CategoryParams(r))
+        for a in range(r):
+            for b in range(r):
+                assert chi(a, b, fd) is chi(a + r, b - r, fd)
+
+
+def test_chi_evaluated_once_per_key_per_algebra(monkeypatch):
+    # every handle of every marking asks chi for its label pair; each pair's
+    # diagram is evaluated once per algebra, and the Nakayama-inverse powers
+    # it boxes are kept by k mod r
+    calls = []
+    real = frobenius._chi_diagram
+
+    def counting(a, b, f_data):
+        calls.append((a, b))
+        return real(a, b, f_data)
+
+    monkeypatch.setattr(frobenius, "_chi_diagram", counting)
+    fd = frobenius_zr(CategoryParams(2))
+    for genus in (2, 3):
+        c = standard_decomposition(genus)
+        sigma_F(MarkedPLCW(c, 2, {e.id: e.id % 2 for e in c.edges}), fd)
+    chi(3, -1, fd)
+    chi(1, 1, fd)
+    assert calls == [(0, 1), (1, 1)]
+    assert sorted(fd.inverse_power_memo) == [0, 1]
+    chi(0, 1, frobenius_zr(CategoryParams(2)))
+    assert calls == [(0, 1), (1, 1), (0, 1)]
 
 
 def test_chi_coefficient_vectors_have_full_rank():
