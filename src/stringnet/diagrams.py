@@ -4,14 +4,14 @@ A diagram is a stack of layers, read bottom to top; each layer is a sequence
 of `GradedMorphism`s juxtaposed left to right.  The builders name the cells a
 picture is drawn with: `identity` strands (one shared instance per object),
 the four duality caps and cups (`category.duality_map`), and `box`es holding
-arbitrary morphisms.  A diagram computes each layer's source and target
-objects once, when it is built.  Evaluation checks the grade words adjacent
-layers exchange, then pushes each bottom basis vector up as a sparse {flat
-index: coefficient} dict, split mixed-radix over each layer's morphisms and
-read off their stored columns; runs of shared identity strands pass their
-digits through untouched, and a product with the shared `one` is never
-made.  No layer's Kronecker product and no dense matrix is ever built.  The
-pushed vectors are the columns of the result.
+arbitrary morphisms.  Evaluation computes each layer's source and target
+objects once, checks the grade words adjacent layers exchange, then pushes
+each bottom basis vector up as a sparse {flat index: coefficient} dict,
+split mixed-radix over each layer's morphisms and read off their stored
+columns; runs of shared identity strands pass their digits through
+untouched, and a product with the shared `one` is never made.  No layer's
+Kronecker product and no dense matrix is ever built.  The pushed vectors
+are the columns of the result.
 `loop_sum` is the one place the projector's weighted sum over the loop
 grade u, with weight dim(C_u)/Dim, is written.
 
@@ -89,28 +89,18 @@ def box(f: GradedMorphism) -> GradedMorphism:
     return f
 
 
-def _layer_ends(layer) -> tuple[GradedObject, GradedObject] | None:
-    """(source, target) of a layer; None for an empty one, which `evaluate` rejects."""
+def _layer_ends(layer) -> tuple[GradedObject, GradedObject]:
     if not layer:
-        return None
+        raise ValueError("empty layer; use an identity strand instead")
     src = tensor_objects(*[m.source for m in layer])
     tgt = tensor_objects(*[m.target for m in layer])
     return src, tgt
 
 
-def _ends(ends) -> tuple[GradedObject, GradedObject]:
-    if ends is None:
-        raise ValueError("empty layer; use an identity strand instead")
-    return ends
-
-
 class SliceDiagram:
-    """Layers bottom to top with a declared top boundary.
+    """Layers bottom to top with a declared top boundary."""
 
-    `ends[i]` is layer i's (source, target), or None if the layer is empty.
-    """
-
-    __slots__ = ("boundary_top", "layers", "ends")
+    __slots__ = ("boundary_top", "layers")
 
     def __init__(self, boundary_top: GradedObject, layers) -> None:
         layers = tuple(tuple(layer) for layer in layers)
@@ -121,7 +111,6 @@ class SliceDiagram:
                     raise ValueError(f"layer {i} mixes r={m.source.r} into an r={r} diagram")
         object.__setattr__(self, "boundary_top", boundary_top)
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "ends", tuple(map(_layer_ends, layers)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SliceDiagram is immutable")
@@ -134,7 +123,7 @@ class SliceDiagram:
     def boundary_bottom(self) -> GradedObject:
         if not self.layers:
             return self.boundary_top
-        return _ends(self.ends[0])[0]
+        return _layer_ends(self.layers[0])[0]
 
     def __repr__(self):
         return f"SliceDiagram({len(self.layers)} layers, r={self.r})"
@@ -188,9 +177,9 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     """The morphism a diagram denotes, from its bottom to its top boundary."""
     if params.r != d.r:
         raise ValueError(f"params r={params.r} but diagram r={d.r}")
-    bottom = current = d.boundary_bottom
-    for i, ends in enumerate(d.ends):
-        src, tgt = _ends(ends)
+    ends = [_layer_ends(layer) for layer in d.layers]
+    bottom = current = ends[0][0] if ends else d.boundary_top
+    for i, (src, tgt) in enumerate(ends):
         if src != current:
             raise DiagramTypeError(i, expected=current, found=src)
         current = tgt

@@ -15,9 +15,9 @@ surface decomposition: one chi per handle threads the face strand through
 a coend box.  The state sum is one slice diagram (eta, the chis, eps) that
 `diagrams.evaluate` pushes as a sparse vector, and the resulting vectors,
 one per admissible r-spin marking, give a basis of the string-net space.
-Each algebra evaluates a handle's chi diagram, and each power of the
-Nakayama inverse it boxes, once per label mod r; `frobenius_zr` itself is
-not memoised, so every algebra it builds proves its axioms again.
+Each algebra evaluates a handle's chi diagram once per pair of labels mod
+r; `frobenius_zr` itself is not memoised, so every algebra it builds proves
+its axioms again.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class UnsupportedComplexError(ValueError):
 class FrobeniusAlgebraData(Record):
     """Algebra and coalgebra structure on F; axioms are checked on construction.
 
-    No __slots__: `nakayama_pair` and the memos of `chi` and of the powers of
-    the Nakayama inverse live in the instance dict, filled on first use.
+    No __slots__: `nakayama_pair` and the memo of `chi` live in the instance
+    dict, filled on first use.
     """
 
     _fields = ("params", "object", "mu", "eta", "delta", "eps")
@@ -104,11 +104,6 @@ class FrobeniusAlgebraData(Record):
     @cached_property
     def handle_memo(self) -> dict[tuple[int, int], GradedMorphism]:
         """chi(a, b) by (a mod r, b mod r); see `chi`."""
-        return {}
-
-    @cached_property
-    def inverse_power_memo(self) -> dict[int, GradedMorphism]:
-        """N^{-k} on F by k mod r; see `_inverse_power`."""
         return {}
 
 
@@ -205,22 +200,18 @@ def chi(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
     return memo[key]
 
 
-def _inverse_power(k: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
-    """N^{-k} on F alone, evaluated once per algebra and k mod r."""
-    f = f_data.object
-    k %= f_data.params.r
-    memo = f_data.inverse_power_memo
-    if k not in memo:
-        inv_layer = [box(f_data.nakayama_pair.inverse)]
-        memo[k] = evaluate(SliceDiagram(f, [inv_layer] * k), f_data.params)
-    return memo[k]
-
-
 def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
     """Evaluate the handle diagram behind `chi(a, b)`."""
     params = f_data.params
     f = f_data.object
     fd = dual_object(f)
+    inv_layer = [box(f_data.nakayama_pair.inverse)]
+    r = params.r
+
+    def inv_power(k: int):
+        """N^{-k} on F alone, boxed: the exponent is taken mod r."""
+        return box(evaluate(SliceDiagram(f, [inv_layer] * (k % r)), params))
+
     layers = [
         [cup_right(f), identity(f)],
         [identity(fd), box(f_data.mu)],
@@ -231,13 +222,13 @@ def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism
         [
             identity(fd),
             identity(fd),
-            box(_inverse_power(a + 1, f_data)),
-            box(_inverse_power(b + 1, f_data)),
+            inv_power(a + 1),
+            inv_power(b + 1),
             identity(f),
         ],
         [box(jmath(f, f)), identity(f)],
     ]
-    top = tensor_objects(CoendH(params.r).as_object(), f)
+    top = tensor_objects(CoendH(r).as_object(), f)
     return evaluate(SliceDiagram(top, layers), params)
 
 
