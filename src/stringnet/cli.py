@@ -14,7 +14,9 @@ library functions it calls, and the errors `main` reports live in the
 package itself.  Loading this module and parsing the command line import
 none of the arithmetic, so `--json-schema`, usage errors, the r-spin
 commands and the modular-data commands never load the category, diagram,
-coend, centre, spaces or Frobenius layers.
+coend, centre, spaces or Frobenius layers.  Parsing builds only the named
+subcommand's parser; help, an unknown command and other top-level errors
+get the full parser, which lists every subcommand.
 """
 
 from __future__ import annotations
@@ -338,17 +340,20 @@ def _cmd_validate_modular(args) -> dict:
     return {"inputs": inputs, "reference": reference, "valid": True, "violations": []}
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str] | None = None) -> _Parser:
+    """The parser for `argv`: only its subcommand's when argv starts with one."""
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     parser = _Parser(prog="stringnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, handler, **arguments):
+        if only not in (None, name):
+            return
         p = sub.add_parser(name)
         for flag, options in arguments.items():
             p.add_argument(f"--{flag}", **options)
         p.add_argument("--json-schema", action=_SchemaAction, command=name)
         p.set_defaults(handler=handler)
-        return p
 
     positive, nonnegative = _int_at_least(1), _int_at_least(0)
     r_flag = {"type": positive, "required": True}
@@ -423,7 +428,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         payload = args.handler(args)
     except _FlagError as exc:

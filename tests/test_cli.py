@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,11 +14,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stringnet import cli
 from stringnet.caps import ENV_VAR
 from stringnet.category import CategoryParams
 from stringnet.centre import h_vector, list_centre_simples
-from stringnet.cli import COMMANDS, main, schema_text
+from stringnet.cli import COMMANDS, _build_parser, main, schema_text
 from stringnet.cyclotomic import CycNum, to_json
 from stringnet.modular import sample_path
 
@@ -254,6 +260,112 @@ def _example_argv(name):
         "charge": ["--data", Z3, "--j", "2", "--u", "1", "--v", "2"],
         "validate-modular": ["--data", SEMION],
     }[name]
+
+
+def _subcommands(parser) -> dict:
+    """The subcommand parsers a top-level parser holds, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parse_outcome(capsys, parser, argv):
+    """What parsing `argv` shows a user: the namespace or exit code, stdout, stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_the_one_subcommand_parser_parses_as_the_full_one(capsys, name):
+    example = _example_argv(name)
+    shapes = [
+        ["--help"],
+        ["--json-schema"],
+        [],  # every required flag missing
+        [*example, "--r", "x"],
+        [*example, "--r", "0"],
+        [*example, "--bogus"],
+        [*example, "extra"],
+        example,
+    ]
+    for tail in shapes:
+        argv = [name, *tail]
+        assert len(_subcommands(_build_parser(argv))) == 1
+        assert _parse_outcome(capsys, _build_parser(argv), argv) == _parse_outcome(
+            capsys, _build_parser(), argv
+        ), argv
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--help"], ["no-such-command"], ["--r", "2", "sn-dim"]], ids=str
+)
+def test_top_level_help_and_errors_get_the_full_parser(capsys, argv):
+    assert tuple(_subcommands(_build_parser(argv))) == COMMANDS
+    assert _parse_outcome(capsys, _build_parser(argv), argv) == _parse_outcome(
+        capsys, _build_parser(), argv
+    )
+
+
+def test_a_subcommand_run_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", recording_init)
+    _payload(capsys, "sn-dim", "--r", "2", "--genus", "1")
+    assert built == ["stringnet", "stringnet sn-dim"]
+    assert tuple(_subcommands(_build_parser())) == COMMANDS
+
+
+# Flag values the fuzz draws from: cheap valid sizes (r <= 3, genus <= 1)
+# beside malformed and out-of-range ones.
+_FUZZ_VALUES = {
+    "r": ["1", "2", "3", "0", "-1", "x", ""],
+    "genus": ["0", "1", "-1", "1.5"],
+    "a": ["0", "1", "5", "x"],
+    "b": ["0", "2", "-1"],
+    "indices": ["0", "0,1", "1,2", "1,1,1", "x", "0,,1"],
+    "cap": ["1", "9", "1000", "0", "x"],
+    "orientation": ["anticlockwise", "clockwise", "sideways"],
+    "data": [Z3, SEMION, "/no/such.json"],
+    "j": ["0", "1", "s", "x"],
+    "u": ["1", "2", "s"],
+    "v": ["1", "2", "x"],
+}
+
+
+@st.composite
+def _invocations(draw):
+    name = draw(st.sampled_from(COMMANDS))
+    pieces = []
+    for action in _subcommands(_build_parser())[name]._actions:
+        if action.dest in ("help", "json_schema") or not draw(st.integers(0, 7)):
+            continue  # each flag is missing one time in eight
+        flag = action.option_strings[0]
+        values = _FUZZ_VALUES.get(action.dest)
+        pieces.append([flag] if values is None else [flag, draw(st.sampled_from(values))])
+    extras = [["extra"], ["--bogus"], ["--r"], ["--json-schema"]]
+    pieces += draw(st.lists(st.sampled_from(extras), max_size=1))
+    return [name] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invocations())
+def test_any_invocation_prints_one_json_document_and_no_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    json.loads(out.getvalue())  # exactly one document: trailing text fails to parse
+    assert err.getvalue() == ""
 
 
 def test_every_payload_validates_against_its_schema(capsys):
