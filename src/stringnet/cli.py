@@ -244,10 +244,8 @@ def _cmd_rspin_count(args) -> dict:
 def _cmd_rspin_enumerate(args) -> dict:
     from .rspin import enumerate_admissible
 
-    complex_ = _decomposition(args.genus)
-    edge_ids = [e.id for e in complex_.edges]
-    markings = enumerate_admissible(complex_, args.r, cap=args.cap)
-    rows = [[m.edge_index[i] for i in edge_ids] for m in markings]
+    markings = enumerate_admissible(_decomposition(args.genus), args.r, cap=args.cap)
+    rows = [m.indices for m in markings]
     return {
         "inputs": {"r": args.r, "genus": args.genus},
         "reference": "admissible edge-index assignments on the standard decomposition",

@@ -256,7 +256,7 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     h = identity(CoendH(r).as_object())
     layers = [[box(f_data.eta)]]
     for i in range(genus):
-        step = chi(m.edge_index[2 * i], m.edge_index[2 * i + 1], f_data)
+        step = chi(m.indices[2 * i], m.indices[2 * i + 1], f_data)
         layers.append([h] * i + [box(step)])
     layers.append([h] * genus + [box(f_data.eps)])
     top = tensor_objects(*[h.source] * genus)

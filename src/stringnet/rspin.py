@@ -6,9 +6,9 @@ walks a closed path (each entry ends where the next one starts) and in
 which every edge appears exactly twice, once each way; the faces glued
 along their shared edges form one connected surface, and the corners at
 each vertex form a single cycle, so no vertex is pinched.  A marking
-assigns an index s_e in Z_r to each edge; the marking is admissible when a
-per-vertex congruence holds, and admissible markings on a fixed
-decomposition count r-spin structures.
+assigns an index s_e in Z_r to each edge, stored as the tuple `indices` in
+edge order; the marking is admissible when a per-vertex congruence holds,
+and admissible markings on a fixed decomposition count r-spin structures.
 
 Conventions pinned here (the source material leaves them to a drawing):
 the face orientation is the cyclic order of its boundary list, and the
@@ -19,6 +19,7 @@ traversal starts (src for a +1 entry, dst for a -1 entry).
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 from . import Record
@@ -156,26 +157,43 @@ class PLCW(Record):
 class MarkedPLCW(Record):
     """An edge-index assignment in Z_r on a fixed decomposition.
 
-    Not hashable: `edge_index` is a dict.
+    `indices` holds one index in range(r) per edge, in `complex.edges` order;
+    `edge_index` is the same marking as a dict keyed by edge id.
     """
 
-    __slots__ = _fields = ("complex", "r", "edge_index")
+    __slots__ = _fields = ("complex", "r", "indices")
 
     def __init__(self, complex: PLCW, r: int, edge_index: dict[int, int]):
+        r = _integer(r, "r")
         if r < 1:
             raise ValueError(f"r must be positive, got {r}")
         missing = [e.id for e in complex.edges if e.id not in edge_index]
         if missing:
             raise ValueError(f"edges {missing} have no index")
-        super().__init__(complex, r, {e.id: edge_index[e.id] % r for e in complex.edges})
+        indices = tuple(
+            _integer(edge_index[e.id], f"the index of edge {e.id}") % r for e in complex.edges
+        )
+        super().__init__(complex, r, indices)
+
+    @property
+    def edge_index(self) -> dict[int, int]:
+        return {e.id: s for e, s in zip(self.complex.edges, self.indices)}
 
     def to_json(self) -> dict:
         return {"r": self.r, "indices": {str(k): v for k, v in self.edge_index.items()}}
 
 
+def _integer(value, name: str) -> int:
+    """`value` through `operator.index`; a ValueError naming `name` if it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _vertex_profiles(complex: PLCW) -> list[tuple[list[int], list[int], int]]:
-    """Per vertex: outgoing non-loop ids, incoming non-loop ids, and the
-    index-independent part of the residue.
+    """Per vertex: the positions in `complex.edges` of its outgoing and its
+    incoming non-loop edges, and the index-independent part of the residue.
 
     The hat index of an edge at a vertex is s_e when the edge leaves it,
     -1-s_e when it arrives and -1 on a loop; the -1s land in the constant."""
@@ -183,13 +201,13 @@ def _vertex_profiles(complex: PLCW) -> list[tuple[list[int], list[int], int]]:
     ends = [0] * complex.num_vertices
     outs: list[list[int]] = [[] for _ in range(complex.num_vertices)]
     ins: list[list[int]] = [[] for _ in range(complex.num_vertices)]
-    for e in complex.edges:
+    for i, e in enumerate(complex.edges):
         if e.is_loop():
             loops[e.src] += 1
             ends[e.src] += 2
         else:
-            outs[e.src].append(e.id)
-            ins[e.dst].append(e.id)
+            outs[e.src].append(i)
+            ins[e.dst].append(i)
             ends[e.src] += 1
             ends[e.dst] += 1
     d = [0] * complex.num_vertices
@@ -220,15 +238,11 @@ def is_admissible(m: MarkedPLCW) -> AdmissibilityReport:
     Returns the report with one residue per vertex; admissible iff all
     residues vanish.
     """
-    r = m.r
-    residues = {}
-    for v, (outs, ins, const) in enumerate(_vertex_profiles(m.complex)):
-        acc = const
-        for eid in outs:
-            acc += m.edge_index[eid]
-        for eid in ins:
-            acc -= m.edge_index[eid]
-        residues[v] = acc % r
+    r, s = m.r, m.indices
+    residues = {
+        v: (const + sum(s[i] for i in outs) - sum(s[i] for i in ins)) % r
+        for v, (outs, ins, const) in enumerate(_vertex_profiles(m.complex))
+    }
     return AdmissibilityReport(all(x == 0 for x in residues.values()), residues)
 
 
@@ -236,17 +250,17 @@ def enumerate_admissible(
     complex: PLCW, r: int, *, cap: int | None = None
 ) -> list[MarkedPLCW]:
     """All admissible markings, orientations and preferred edges held fixed."""
+    r = _integer(r, "r")
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     n_edges = len(complex.edges)
     check_cap("edge-index assignments", r**n_edges, cap)
-    profiles = _vertex_profiles(complex)
-    order = [e.id for e in complex.edges]
-    position = {eid: i for i, eid in enumerate(order)}
-    compiled = [
-        ([position[eid] for eid in outs], [position[eid] for eid in ins], const)
-        for outs, ins, const in profiles
-    ]
+    compiled = []
+    for outs, ins, const in _vertex_profiles(complex):
+        if outs or ins:
+            compiled.append((outs, ins, const))
+        elif const % r:  # a vertex with only loops fails whatever the indices
+            return []
     found = []
     for assignment in itertools.product(range(r), repeat=n_edges):
         for outs, ins, const in compiled:
@@ -258,14 +272,16 @@ def enumerate_admissible(
             if acc % r != 0:
                 break
         else:
-            found.append(
-                MarkedPLCW(complex, r, dict(zip(order, assignment)))
-            )
+            # what MarkedPLCW.__init__ checks holds: one index in range(r) per edge, in order
+            m = object.__new__(MarkedPLCW)
+            Record.__init__(m, complex, r, assignment)
+            found.append(m)
     return found
 
 
 def count_rspin(genus: int, r: int) -> int:
     """Closed-form count of r-spin structures: r^{2g} when r | 2-2g, else 0."""
+    genus, r = _integer(genus, "genus"), _integer(r, "r")
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
     if r < 1:

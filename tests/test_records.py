@@ -65,9 +65,9 @@ def test_admissibility_report_compares_ok_only():
     assert a != AdmissibilityReport(True, {0: 0})
 
 
-def test_marked_plcw_is_unhashable():
+def test_equal_markings_are_equal_and_hash_equal():
     complex_ = standard_decomposition(1)
     m = MarkedPLCW(complex_, 2, {0: 0, 1: 3})
-    assert m == MarkedPLCW(complex_, 2, {0: 2, 1: 1})
-    with pytest.raises(TypeError):
-        hash(m)
+    same = MarkedPLCW(complex_, 2, {0: 2, 1: 1})
+    assert m == same and hash(m) == hash(same)
+    assert "indices=(0, 1)" in repr(m)

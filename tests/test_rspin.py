@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringnet import rspin
 from stringnet.caps import SizeCapError
 from stringnet.rspin import (
     MarkedPLCW,
@@ -90,6 +93,25 @@ def test_marking_requires_all_edges():
         MarkedPLCW(c, 3, {0: 1})
     m = MarkedPLCW(c, 3, {0: 4, 1: -1})
     assert m.edge_index == {0: 1, 1: 2}
+    assert m.indices == (1, 2)
+
+
+def test_non_integer_indices_and_sizes_are_rejected():
+    c = standard_decomposition(1)
+    with pytest.raises(ValueError, match="index of edge 0 must be an integer, got 1.5"):
+        MarkedPLCW(c, 3, {0: 1.5, 1: 0})
+    with pytest.raises(ValueError, match="index of edge 0 must be an integer, got 1.0"):
+        MarkedPLCW(c, 3, {0: 1.0, 1: 0})
+    with pytest.raises(ValueError, match="index of edge 1 must be an integer"):
+        MarkedPLCW(c, 3, {0: 1, 1: "2"})
+    with pytest.raises(ValueError, match="r must be an integer, got 2.0"):
+        MarkedPLCW(c, 2.0, {0: 1, 1: 0})
+    with pytest.raises(ValueError, match="r must be an integer"):
+        enumerate_admissible(c, 2.0)
+    with pytest.raises(ValueError, match="r must be an integer"):
+        count_rspin(1, 2.0)
+    with pytest.raises(ValueError, match="genus must be an integer"):
+        count_rspin(1.0, 2)
 
 
 def test_count_closed_form():
@@ -146,11 +168,24 @@ def test_census_larger_cases():
     assert len(enumerate_admissible(c, 3, cap=7000)) == count_rspin(4, 3)
 
 
-def test_enumeration_cap():
+def _refuse(*args, **kwargs):
+    raise AssertionError("the census enumerated")
+
+
+def test_enumeration_cap(monkeypatch):
+    # priced before anything else, although the one vertex already rules out r=3
+    monkeypatch.setattr(rspin.itertools, "product", _refuse)
+    monkeypatch.setattr(rspin, "_vertex_profiles", _refuse)
     c = standard_decomposition(2)
     with pytest.raises(SizeCapError) as exc:
         enumerate_admissible(c, 3, cap=80)
     assert exc.value.size == 81
+
+
+def test_a_vertex_with_only_loops_decides_the_census_without_enumerating(monkeypatch):
+    # at the one vertex of genus 2 the congruence reads -4 = -6 mod r
+    monkeypatch.setattr(rspin.itertools, "product", _refuse)
+    assert enumerate_admissible(standard_decomposition(2), 3, cap=10_000) == []
 
 
 def test_sphere_census():
@@ -184,28 +219,6 @@ def test_residue_sum_invariant(genus, r, data):
     }
     rep = is_admissible(MarkedPLCW(c, r, idx))
     assert sum(rep.residues.values()) % r == (2 * genus - 2) % r
-
-
-@given(genus=st.integers(1, 3), r=st.integers(2, 4), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_admissibility_invariant_under_edge_relabeling(genus, r, data):
-    c = standard_decomposition(genus)
-    idx = {e.id: data.draw(st.integers(0, r - 1)) for e in c.edges}
-    perm = data.draw(st.permutations(range(len(c.edges))))
-    relabeled = PLCW(
-        c.num_vertices,
-        [(perm[e.id], e.src, e.dst) for e in c.edges],
-        [
-            ([(perm[eid], s) for eid, s in f.boundary], f.preferred)
-            for f in c.faces
-        ],
-    )
-    m1 = is_admissible(MarkedPLCW(c, r, idx))
-    m2 = is_admissible(
-        MarkedPLCW(relabeled, r, {perm[k]: v for k, v in idx.items()})
-    )
-    assert m1.ok == m2.ok
-    assert m1.residues == m2.residues
 
 
 def _split_edge(c: PLCW, draw) -> PLCW:
@@ -246,18 +259,69 @@ def _split_face(c: PLCW, draw) -> PLCW:
     return PLCW(c.num_vertices, edges, faces)
 
 
+def _subdivided(start: int, data) -> PLCW:
+    """The sphere (start 0) or the standard decomposition of genus `start`,
+    after up to four drawn edge or face splits."""
+    c = sphere_decomposition() if start == 0 else standard_decomposition(start)
+    for _ in range(data.draw(st.integers(0, 4), label="moves")):
+        c = data.draw(st.sampled_from([_split_edge, _split_face]))(c, data.draw)
+    return c
+
+
+def _relabeled(c: PLCW, perm) -> PLCW:
+    """`c` with edge id i renamed perm[i]; the edges keep their order."""
+    return PLCW(
+        c.num_vertices,
+        [(perm[e.id], e.src, e.dst) for e in c.edges],
+        [([(perm[eid], s) for eid, s in f.boundary], f.preferred) for f in c.faces],
+    )
+
+
+@given(start=st.integers(0, 3), r=st.integers(2, 4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_admissibility_invariant_under_edge_relabeling(start, r, data):
+    c = _subdivided(start, data)
+    idx = {e.id: data.draw(st.integers(0, r - 1)) for e in c.edges}
+    perm = data.draw(st.permutations(range(len(c.edges))))
+    m1 = is_admissible(MarkedPLCW(c, r, idx))
+    m2 = is_admissible(
+        MarkedPLCW(_relabeled(c, perm), r, {perm[k]: v for k, v in idx.items()})
+    )
+    assert m1.ok == m2.ok
+    assert m1.residues == m2.residues
+
+
 @given(start=st.sampled_from([0, 1]), r=st.integers(1, 4), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_census_after_edge_and_face_splits(start, r, data):
     """Subdividing a decomposition keeps it a valid surface of the same genus,
     and its census is r^(2g+F-1) when r divides 2-2g, else 0."""
-    c = sphere_decomposition() if start == 0 else standard_decomposition(start)
-    for _ in range(data.draw(st.integers(0, 4), label="moves")):
-        c = data.draw(st.sampled_from([_split_edge, _split_face]))(c, data.draw)
+    c = _subdivided(start, data)
     assert c.genus == start
     faces = len(c.faces)
     want = r ** (2 * start + faces - 1) if (2 - 2 * start) % r == 0 else 0
     assert len(enumerate_admissible(c, r, cap=5000)) == want
+
+
+@given(start=st.sampled_from([0, 1]), r=st.integers(1, 4), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_census_is_the_brute_force_list_of_validated_markings(start, r, data):
+    c = _subdivided(start, data)
+    # edge ids that are not positions in c.edges
+    c = _relabeled(c, data.draw(st.permutations(range(len(c.edges))), label="edge ids"))
+    ids = [e.id for e in c.edges]
+    brute = []
+    for a in product(range(r), repeat=len(ids)):
+        m = MarkedPLCW(c, r, dict(zip(ids, a)))
+        if is_admissible(m):
+            brute.append(m)
+    found = enumerate_admissible(c, r, cap=5000)
+    assert found == brute
+    for m in found:
+        validated = MarkedPLCW(c, r, m.edge_index)
+        assert validated == m and hash(validated) == hash(m)
+        assert validated.indices == m.indices == tuple(m.edge_index[i] for i in ids)
+        assert validated.edge_index == m.edge_index and list(m.edge_index) == ids
 
 
 def test_marking_json_lists_indices_by_edge():
