@@ -51,10 +51,9 @@ class ModularDataError(ValueError):
 class Record:
     """An immutable value object whose fields are named by `_fields`.
 
-    `Record(*values)` sets the fields in order.  Equality and hashing use the
-    fields named by the class keyword `compare` (all of `_fields` by
-    default) and hold only between instances of one class; repr shows every
-    field.  Assignment and deletion raise AttributeError, so an `__init__`
+    `Record(*values)` sets the fields in order.  Equality and hashing use
+    every field and hold only between instances of one class; repr shows
+    every field.  Assignment and deletion raise AttributeError, so an `__init__`
     that normalises its arguments sets them with `object.__setattr__` or
     `Record.__init__`.
     """
@@ -62,9 +61,9 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, compare: tuple[str, ...] | None = None, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*(cls._fields if compare is None else compare))
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *values) -> None:
         if len(values) != len(self._fields):

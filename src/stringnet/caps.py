@@ -1,24 +1,43 @@
-"""Size caps for brute-force enumerations and operator assembly."""
+"""Size caps for brute-force enumerations and operator assembly, each size a power r^n."""
 
 from __future__ import annotations
 
 import os
+import sys
 
 DEFAULT_CAP = 10_000
 ENV_VAR = "STRINGNET_CAP"
+EXACT_DIGITS = 4300  # the longest int Python prints by default
 
 
 class SizeCapError(RuntimeError):
-    """A requested brute-force computation exceeds the configured cap."""
+    """A requested brute-force computation exceeds the configured cap.
 
-    def __init__(self, what: str, size: int, cap: int) -> None:
+    `size` is the exact power while Python prints it (EXACT_DIGITS at most), else None.
+    """
+
+    def __init__(self, what: str, base: int, exponent: int, cap: int) -> None:
+        printable = min(EXACT_DIGITS, sys.get_int_max_str_digits() or EXACT_DIGITS)
+        size = base**exponent if power_digits(base, exponent) <= printable else None
+        shown = f"{base}^{exponent}" if size is None else size
         super().__init__(
-            f"{what} needs {size} > cap {cap}; raise the cap explicitly "
+            f"{what} needs {shown} > cap {cap}; raise the cap explicitly "
             f"(argument or {ENV_VAR}) to proceed"
         )
         self.what = what
         self.size = size
         self.cap = cap
+
+
+def power_digits(base: int, exponent: int) -> int:
+    """Decimal digits of base**exponent, base >= 1, from its logarithm."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        # exact for a power of ten; any other log10 is irrational, and 30 spare
+        # places misplace the floor only within 1e-29 of an integer
+        ctx.prec = len(str(exponent)) + 30
+        return int(Decimal(base).log10() * exponent) + 1
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -39,8 +58,12 @@ def resolve_cap(cap: int | None = None) -> int:
     return DEFAULT_CAP
 
 
-def check_cap(what: str, size: int, cap: int | None = None) -> int:
+def check_cap(what: str, base: int, exponent: int, cap: int | None = None) -> int:
+    """The active cap; SizeCapError when base**exponent, base >= 1, exceeds it.
+
+    Past the cap's bit length 2**exponent alone exceeds it, so no long power is built.
+    """
     limit = resolve_cap(cap)
-    if size > limit:
-        raise SizeCapError(what, size, limit)
+    if base > 1 and (exponent > limit.bit_length() or base**exponent > limit):
+        raise SizeCapError(what, base, exponent, limit)
     return limit

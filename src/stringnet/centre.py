@@ -9,7 +9,9 @@ h_Z they produce are linearly independent.
 The half-braiding on the lifted hull Ahat(M) is assembled from dual-basis
 pairs in C(i (x) W, j) by diagram evaluation, block by block; the closed
 form (blocks shift by the grade of W with coefficient 1) is what the tests
-check it against.
+check it against.  For a centre simple Z the unit-like map Ahat(Z) -> Z and
+the counit-like map Z -> Ahat(Z) are each built once, r small diagrams
+apiece; the hull projector p_Y is the second after the first.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .category import (
     simple_object,
     tensor_objects,
 )
-from .coends import CentralHull, HomSpaceVector, central_hull, jmath
+from .coends import CentralHull, HomSpaceVector, central_hull, coend_object, jmath
 from .cyclotomic import CycNum
 from .diagrams import (
     SliceDiagram,
@@ -88,14 +90,13 @@ def _h_summand_diagram(z: CentreSimple, u: int, params: CategoryParams) -> Slice
     a_obj = z.underlying()
     u_obj = simple_object(r, u)
     braid = half_braiding_box(z, dual_object(u_obj), params)
-    h_obj = GradedObject(r, (0,) * (r * r))
     layers = [
         [cup_right(a_obj)],
         [identity(dual_object(a_obj)), identity(a_obj), cup_right(u_obj)],
         [identity(dual_object(a_obj)), box(braid), identity(u_obj)],
         [box(jmath(a_obj, u_obj))],
     ]
-    return SliceDiagram(h_obj, layers)
+    return SliceDiagram(coend_object(r), layers)
 
 
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
@@ -104,35 +105,15 @@ def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     return HomSpaceVector(params.r, 1, tuple(coords))
 
 
-def _p_block_diagram(
-    y: CentreSimple, u: int, v: int, params: CategoryParams
-) -> SliceDiagram:
-    """The (u,v) block of the hull projector: braid, cap, cup, braid."""
-    r = params.r
-    a_obj = y.underlying()
-    v_obj = simple_object(r, v)
-    u_obj = simple_object(r, u)
-    top = tensor_objects(dual_object(u_obj), a_obj, u_obj)
-    layers = [
-        [identity(dual_object(v_obj)), box(half_braiding_box(y, v_obj, params))],
-        [cap_left(v_obj), identity(a_obj)],
-        [identity(a_obj), cup_right(u_obj)],
-        [box(half_braiding_box(y, dual_object(u_obj), params)), identity(u_obj)],
-    ]
-    return SliceDiagram(top, layers)
-
-
 def p_Y_projector(y: CentreSimple, params: CategoryParams) -> GradedMorphism:
-    """The idempotent on A(C_a) with one-dimensional image labelled by Y."""
-    r = params.r
+    """The idempotent on A(C_a) with one-dimensional image labelled by Y:
+    the counit-like map after the unit-like one."""
     hull = central_hull(y.underlying())
-    entries = {}
-    for u in range(r):
-        weight = loop_weight(u, "right", params)
-        for v in range(r):
-            val = evaluate(_p_block_diagram(y, u, v, params), params)
-            entries[(u, v)] = val.entry(0, 0) * weight
-    proj = GradedMorphism(hull.object, hull.object, entries)
+    layers = [
+        [box(_unitlike_map(y, hull, params))],
+        [box(_counitlike_map(y, hull, params))],
+    ]
+    proj = evaluate(SliceDiagram(hull.object, layers), params)
     square = evaluate(SliceDiagram(hull.object, [[box(proj)], [box(proj)]]), params)
     require(square == proj, "hull projector p_Y is idempotent")
     return proj
@@ -181,12 +162,8 @@ def ahat_structure(m_or_z, params: CategoryParams) -> AhatStructure:
     """Half-braiding on Ahat(M); for a centre simple also the two maps
     relating Z and Ahat(Z), the second carrying the dim_r(U)/Dim prefactor.
     """
-    if isinstance(m_or_z, CentreSimple):
-        z = m_or_z
-        m = z.underlying()
-    else:
-        z = None
-        m = m_or_z
+    z = m_or_z if isinstance(m_or_z, CentreSimple) else None
+    m = m_or_z if z is None else z.underlying()
     r = params.r
     hull = central_hull(m)
     dm = m.dim
@@ -211,12 +188,11 @@ def ahat_structure(m_or_z, params: CategoryParams) -> AhatStructure:
                             entries[key] = entries[key] + e if key in entries else e
         return GradedMorphism(src, tgt, entries)
 
-    unitlike = None
-    counitlike = None
-    if z is not None:
-        unitlike = _unitlike_map(z, hull, params)
-        counitlike = _counitlike_map(z, hull, params)
-    return AhatStructure(hull, braiding, unitlike, counitlike)
+    if z is None:
+        return AhatStructure(hull, braiding, None, None)
+    return AhatStructure(
+        hull, braiding, _unitlike_map(z, hull, params), _counitlike_map(z, hull, params)
+    )
 
 
 def _unitlike_map(

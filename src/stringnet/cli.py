@@ -1,11 +1,12 @@
 """Deterministic JSON command line: one subcommand per computation.
 
-Every subcommand echoes its inputs, names the quantity it computes in a
-"reference" field, and emits sorted-key JSON so identical invocations are
-byte-identical.  Exit codes: 0 success, 1 a domain error raised by the
-computation, 2 a bad invocation (including missing files), 3 a failed
-theorem check (an InvariantError, named in the payload).  A reader that
-closes stdout early ends the run with exit 1 and nothing on stderr.
+Every subcommand echoes its inputs (each flag it declares except `--approx`
+and `--cap`), names the quantity it computes in a "reference" field, and
+emits sorted-key JSON so identical invocations are byte-identical.  Exit
+codes: 0 success, 1 a domain error raised by the computation, 2 a bad
+invocation (including missing files), 3 a failed theorem check (an
+InvariantError, named in the payload).  A reader that closes stdout early
+ends the run with exit 1 and nothing on stderr.
 `--json-schema` on any subcommand prints the shipped schema for its output
 and exits.
 
@@ -153,7 +154,6 @@ def _cmd_sn_dim(args) -> dict:
     from .spaces import sn_closed_dim
 
     return {
-        "inputs": {"r": args.r, "genus": args.genus},
         "reference": "closed-surface string-net dimension r^2g when r divides 2-2g",
         "dim": sn_closed_dim(CategoryParams(args.r), args.genus),
     }
@@ -164,7 +164,6 @@ def _cmd_sphere(args) -> dict:
     from .spaces import sphere_sn_dim
 
     return {
-        "inputs": {"r": args.r},
         "reference": "sphere string-net dimension via sum of dim_r(U)^2 over Dim",
         "dim": sphere_sn_dim(CategoryParams(args.r)),
     }
@@ -187,7 +186,6 @@ def _cmd_torus_basis(args) -> dict:
         coords_matrix.append(list(v.coords))
     rank = rank_cyc([list(col) for col in zip(*coords_matrix)]) if vectors else 0
     return {
-        "inputs": {"r": args.r},
         "reference": "torus vectors h_Z, one per simple of the centre",
         "vectors": vectors,
         "rank": rank,
@@ -206,7 +204,6 @@ def _cmd_bp_operator(args) -> dict:
         orientation=args.orientation,
     )
     return {
-        "inputs": {"r": args.r, "genus": args.genus, "orientation": args.orientation},
         "reference": "plaquette projector on the genus-g handle space",
         "dim": args.r ** (2 * args.genus),
         "scalar": _render(report.analytic_scalar, args.approx, cyclotomic),
@@ -225,7 +222,6 @@ def _cmd_annulus(args) -> dict:
     if not (0 <= args.a < args.r and 0 <= args.b < args.r):
         raise _FlagError(f"boundary grades must lie in 0..{args.r - 1}")
     return {
-        "inputs": {"r": args.r, "a": args.a, "b": args.b},
         "reference": "annulus space dimension r when the boundary grades agree",
         "dim": annulus_hom_dim(args.a, args.b, CategoryParams(args.r)),
     }
@@ -235,19 +231,20 @@ def _cmd_rspin_count(args) -> dict:
     from .rspin import count_rspin
 
     return {
-        "inputs": {"r": args.r, "genus": args.genus},
         "reference": "closed-form r-spin count r^2g when r divides 2-2g",
         "count": count_rspin(args.genus, args.r),
     }
 
 
 def _cmd_rspin_enumerate(args) -> dict:
+    from .caps import check_cap
     from .rspin import enumerate_admissible
 
+    # priced before building the 2g edges (1 on the sphere) of the decomposition
+    check_cap("edge-index assignments", args.r, 2 * args.genus or 1, args.cap)
     markings = enumerate_admissible(_decomposition(args.genus), args.r, cap=args.cap)
     rows = [m.indices for m in markings]
     return {
-        "inputs": {"r": args.r, "genus": args.genus},
         "reference": "admissible edge-index assignments on the standard decomposition",
         "count": len(rows),
         "markings": rows,
@@ -259,7 +256,6 @@ def _cmd_rspin_check(args) -> dict:
 
     report = is_admissible(_marking(args))
     return {
-        "inputs": {"r": args.r, "genus": args.genus, "indices": list(args.indices)},
         "reference": "per-vertex residues of one edge-index assignment",
         "admissible": report.ok,
         "residues": {str(v): res for v, res in sorted(report.residues.items())},
@@ -274,7 +270,6 @@ def _cmd_sigma_f(args) -> dict:
     marking = _marking(args)
     vector = sigma_F(marking, frobenius_zr(CategoryParams(args.r)))
     return {
-        "inputs": {"r": args.r, "genus": args.genus, "indices": list(args.indices)},
         "reference": "state-sum vector of an admissible marking in the handle space",
         "marking": marking.to_json(),
         "vector": {
@@ -300,7 +295,6 @@ def _cmd_frobenius_check(args) -> dict:
         power = evaluate(SliceDiagram(f, [[box(power)], [box(pair.forward)]]), params)
         order += 1
     return {
-        "inputs": {"r": args.r},
         "reference": "Frobenius axioms and the Nakayama automorphism of the group algebra",
         "nakayama_diagonal": [
             _render(pair.forward.entry(a, a), args.approx, cyclotomic) for a in range(args.r)
@@ -314,7 +308,6 @@ def _cmd_charge(args) -> dict:
 
     data = load_modular_data(_existing_file(args.data))
     return {
-        "inputs": {"data": args.data, "j": args.j, "u": args.u, "v": args.v},
         "reference": "dimension of the one-marked-point sphere space at background J",
         "dim": sphere_charge_dim(args.j, args.u, args.v, data),
     }
@@ -324,18 +317,12 @@ def _cmd_validate_modular(args) -> dict:
     from .modular import load_modular_data
 
     path = _existing_file(args.data)
-    inputs = {"data": args.data}
     reference = "defining identities of an unnormalized s-matrix"
     try:
         load_modular_data(path)
     except ModularDataError as exc:
-        return {
-            "inputs": inputs,
-            "reference": reference,
-            "valid": False,
-            "violations": list(exc.violations),
-        }
-    return {"inputs": inputs, "reference": reference, "valid": True, "violations": []}
+        return {"reference": reference, "valid": False, "violations": list(exc.violations)}
+    return {"reference": reference, "valid": True, "violations": []}
 
 
 def _build_parser(argv: list[str] | None = None) -> _Parser:
@@ -351,7 +338,7 @@ def _build_parser(argv: list[str] | None = None) -> _Parser:
         for flag, options in arguments.items():
             p.add_argument(f"--{flag}", **options)
         p.add_argument("--json-schema", action=_SchemaAction, command=name)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, inputs=[f for f in arguments if f not in ("approx", "cap")])
 
     positive, nonnegative = _int_at_least(1), _int_at_least(0)
     r_flag = {"type": positive, "required": True}
@@ -453,6 +440,7 @@ def _run(argv: list[str] | None) -> int:
     except InvariantError as exc:
         _emit({"error": str(exc), "invariant": exc.invariant})
         return 3
+    payload["inputs"] = {flag: getattr(args, flag) for flag in args.inputs}
     _emit(payload)
     return 0
 

@@ -321,11 +321,16 @@ def to_json(a: CycNum) -> dict:
 
 
 def from_json(obj: dict) -> CycNum:
+    """The inverse of `to_json`; also takes integer coefficients, never a float or bool."""
+    order, coeffs = obj["order"], obj["coeffs"]
+    if type(order) is not int:
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if type(coeffs) is not list or any(type(c) not in (str, int) for c in coeffs):
+        raise ValueError(f"coeffs must be a list of strings or integers, got {coeffs!r}")
     try:
-        coeffs = [Fraction(s) for s in obj["coeffs"]]
+        return CycNum(order, [Fraction(c) for c in coeffs])
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in coefficients {obj['coeffs']}") from None
-    return CycNum(int(obj["order"]), coeffs)
+        raise ValueError(f"zero denominator in coefficients {coeffs}") from None
 
 
 def approx_complex(a: CycNum) -> complex:

@@ -119,12 +119,6 @@ class SliceDiagram:
     def r(self) -> int:
         return self.boundary_top.r
 
-    @property
-    def boundary_bottom(self) -> GradedObject:
-        if not self.layers:
-            return self.boundary_top
-        return _layer_ends(self.layers[0])[0]
-
     def __repr__(self):
         return f"SliceDiagram({len(self.layers)} layers, r={self.r})"
 

@@ -35,7 +35,7 @@ from .category import (
     tensor_objects,
     unit_object,
 )
-from .coends import CoendH, HomSpaceVector, jmath
+from .coends import HomSpaceVector, coend_object, jmath
 from .cyclotomic import CycNum
 from .diagrams import (
     SliceDiagram,
@@ -228,7 +228,7 @@ def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism
         ],
         [box(jmath(f, f)), identity(f)],
     ]
-    top = tensor_objects(CoendH(r).as_object(), f)
+    top = tensor_objects(coend_object(r), f)
     return evaluate(SliceDiagram(top, layers), params)
 
 
@@ -253,7 +253,7 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
         raise InadmissibleMarkingError(
             f"marking is not admissible; residues {report.residues}", report
         )
-    h = identity(CoendH(r).as_object())
+    h = identity(coend_object(r))
     layers = [[box(f_data.eta)]]
     for i in range(genus):
         step = chi(m.indices[2 * i], m.indices[2 * i + 1], f_data)

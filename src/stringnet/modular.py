@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import ModularDataError, Record
-from .cyclotomic import CycNum, from_json, to_json
+from .cyclotomic import CycNum, from_json
 from .linalg import rank_cyc
 
 
@@ -132,14 +132,6 @@ class ModularData(Record):
             raise ValueError(
                 f"unknown label {label!r}; have {', '.join(self.labels)}"
             ) from None
-
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "dual": list(self.dual),
-            "dims": [to_json(d) for d in self.dims],
-            "s": [[to_json(e) for e in row] for row in self.s_unnorm],
-        }
 
 
 def modular_data_from_json(obj: dict) -> ModularData:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from typing import NamedTuple
 
 from . import Record
-from .caps import check_cap
+from .caps import check_cap, power_digits
 
 
 class Edge(NamedTuple):
@@ -46,15 +47,21 @@ class PLCW(Record):
     __slots__ = _fields = ("num_vertices", "edges", "faces")
 
     def __init__(self, num_vertices, edges, faces):
-        norm_faces = []
-        for f in faces:
-            boundary = tuple((int(e), int(s)) for e, s in f[0])
-            norm_faces.append(Face(boundary, int(f[1])))
-        super().__init__(
-            int(num_vertices),
-            tuple(Edge(int(e[0]), int(e[1]), int(e[2])) for e in edges),
-            tuple(norm_faces),
+        norm_edges = tuple(
+            Edge(*(_integer(v, f"the {part} of edge {k}") for part, v in zip(Edge._fields, e)))
+            for k, e in enumerate(edges)
         )
+        norm_faces = tuple(
+            Face(
+                tuple(
+                    (_integer(e, f"an edge id on face {k}"), _integer(s, f"a sign on face {k}"))
+                    for e, s in f[0]
+                ),
+                _integer(f[1], f"the preferred index of face {k}"),
+            )
+            for k, f in enumerate(faces)
+        )
+        super().__init__(_integer(num_vertices, "the vertex count"), norm_edges, norm_faces)
         self._validate()
 
     def _validate(self) -> None:
@@ -222,7 +229,7 @@ def _vertex_profiles(complex: PLCW) -> list[tuple[list[int], list[int], int]]:
     return profiles
 
 
-class AdmissibilityReport(Record, compare=("ok",)):
+class AdmissibilityReport(Record):
     """Whether a marking is admissible, with its residue at each vertex."""
 
     __slots__ = _fields = ("ok", "residues")
@@ -254,7 +261,7 @@ def enumerate_admissible(
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     n_edges = len(complex.edges)
-    check_cap("edge-index assignments", r**n_edges, cap)
+    check_cap("edge-index assignments", r, n_edges, cap)
     compiled = []
     for outs, ins, const in _vertex_profiles(complex):
         if outs or ins:
@@ -280,7 +287,10 @@ def enumerate_admissible(
 
 
 def count_rspin(genus: int, r: int) -> int:
-    """Closed-form count of r-spin structures: r^{2g} when r | 2-2g, else 0."""
+    """Closed-form count of r-spin structures: r^{2g} when r | 2-2g, else 0.
+
+    A count longer than `sys.get_int_max_str_digits()` is refused unbuilt.
+    """
     genus, r = _integer(genus, "genus"), _integer(r, "r")
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
@@ -288,6 +298,13 @@ def count_rspin(genus: int, r: int) -> int:
         raise ValueError(f"r must be positive, got {r}")
     if (2 - 2 * genus) % r != 0:
         return 0
+    limit = sys.get_int_max_str_digits()
+    digits = power_digits(r, 2 * genus)
+    if limit and digits > limit:
+        raise ValueError(
+            f"the count r^2g for r={r}, genus={genus} has {digits} digits, "
+            f"more than the {limit} Python prints"
+        )
     return r ** (2 * genus)
 
 

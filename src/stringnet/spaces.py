@@ -4,7 +4,8 @@ The space for a closed genus-g surface is the image of an idempotent on
 C(1, H^{(x)g}) obtained by summing a loop diagram over the simple objects,
 weighted by dim_r(U)/Dim.  For the pointed category the operator is a
 scalar times the identity; the scalar is 1 when r divides 2-2g and 0
-otherwise, so the dimension is r^{2g} or 0.
+otherwise, so the dimension is r^{2g} or 0.  The sphere is genus 0: its
+dimension is the image rank of the same operator on C(1, 1).
 
 `tilde_bp_operator` assembles the operator one `loop_sum` per column from
 genuine slice diagrams (loop around all 2g handle legs, with pivotal
@@ -15,6 +16,7 @@ separately, times its basis vector, and that scalar must be idempotent.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import Record, require
@@ -29,7 +31,7 @@ from .category import (
     tensor_objects,
     unit_object,
 )
-from .coends import CoendH, central_hull, hom_space_basis, jmath
+from .coends import central_hull, coend_object, jmath
 from .cyclotomic import CycNum
 from .diagrams import (
     SliceDiagram,
@@ -79,10 +81,8 @@ def _loop_diagram(u: int, orientation: str, params: CategoryParams) -> SliceDiag
 
 
 def sphere_sn_dim(params: CategoryParams) -> int:
-    """Sphere space dimension, summing the projector loop diagrammatically."""
-    (acc,) = loop_sum(lambda u: _loop_diagram(u, "anticlockwise", params), "right", params)
-    require(acc == acc * acc, "sphere projector scalar is idempotent")
-    return 1 if acc == 1 else 0
+    """Sphere space dimension: the image rank of the genus-0 projector."""
+    return tilde_bp_operator(params, 0).image_rank
 
 
 def _bp_column_diagram(
@@ -157,7 +157,7 @@ def _bp_column_diagram(
         y = tensor_objects(left_end, simple_object(r, t), right_end)
         layer_close.append(box(jmath(x, y)))
 
-    top = tensor_objects(*([CoendH(r).as_object()] * genus))
+    top = tensor_objects(*([coend_object(r)] * genus))
     layers = [
         [outer],
         [identity(left_end), box(phi), identity(right_end)],
@@ -187,13 +187,12 @@ def tilde_bp_operator(
     if orientation not in _ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
     r = params.r
+    check_cap("string-net basis", r, 2 * genus, cap)
     n = r ** (2 * genus)
-    check_cap("string-net basis", n, cap)
-    basis = hom_space_basis(genus, params)
     side = "right" if orientation == "anticlockwise" else "left"
     columns = [
         loop_sum(lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params)
-        for chi in basis.labels
+        for chi in itertools.product(range(r), repeat=2 * genus)
     ]
 
     scalar = bp_scalar(params, genus)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,6 +126,36 @@ def test_bp_operator_cap_exits_1(capsys):
     assert payload["size"] == 81 and payload["cap"] == 80
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["sn-dim", "--r", "2", "--genus", "10000"], "r=2, genus=10000 has 6021 digits"),
+        (["rspin-count", "--r", "2", "--genus", "10000"], "r=2, genus=10000 has 6021 digits"),
+        (["bp-operator", "--r", "2", "--genus", "10000", "--cap", "100"], "needs 2^20000 > cap 100"),
+        (["rspin-enumerate", "--r", "2", "--genus", "100000"], "needs 2^200000 > cap 10000"),
+    ],
+    ids=["sn-dim", "rspin-count", "bp-operator", "rspin-enumerate"],
+)
+def test_huge_powers_are_priced_without_being_built(argv, error):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(ENV_VAR, None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringnet.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (1, "")
+    payload = json.loads(proc.stdout)
+    assert error in payload["error"]
+    assert payload.get("size", "absent") in (None, "absent")
+    assert elapsed < 1
+
+
 def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv(ENV_VAR, "3")
     code, out = _run(capsys, "bp-operator", "--r", "2", "--genus", "1")
@@ -196,6 +227,7 @@ def test_validate_modular(capsys, tmp_path):
     bad.write_text(json.dumps(broken))
     payload = _payload(capsys, "validate-modular", "--data", str(bad))
     assert payload["valid"] is False
+    assert payload["inputs"] == {"data": str(bad)}
     assert any("symmetric" in v for v in payload["violations"])
     garbage = tmp_path / "garbage.json"
     garbage.write_text("[not json")
@@ -224,6 +256,10 @@ def test_malformed_modular_files_give_json_errors(capsys, tmp_path):
     assert code == 1 and "zero denominator" in json.loads(out)["error"]
     code, out = _run(capsys, "charge", "--data", str(zero_denominator), *charge)
     assert code == 1 and "zero denominator" in json.loads(out)["error"]
+    float_order = tmp_path / "float_order.json"
+    float_order.write_text(zero_denominator.read_text().replace('"order": 1', '"order": 1.5'))
+    code, out = _run(capsys, "validate-modular", "--data", str(float_order))
+    assert code == 1 and "order must be an integer" in json.loads(out)["error"]
     payload = _payload(capsys, "validate-modular", "--data", str(empty))
     assert payload["valid"] is False
     assert payload["violations"] == ["the label list is empty"]

@@ -1,7 +1,8 @@
-"""Coend object, central hull, structure maps, Hom-space bookkeeping."""
+"""Coend object, central hull, the coend map, Hom-space bookkeeping."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,27 +19,25 @@ from stringnet.category import (
     simple_object,
     tensor_morphisms,
     tensor_objects,
+    unit_object,
 )
-from stringnet.coends import (
-    CoendH,
-    HomSpaceVector,
-    central_hull,
-    hom_space_basis,
-    jmath,
-)
+from stringnet.coends import HomSpaceVector, central_hull, coend_object, jmath
 from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.linalg import rank_cyc
+from stringnet.spaces import tilde_bp_operator
 
 from morphism_reference import dual_morphism
 
 
 def test_coend_summands_lex_and_grade_zero():
-    h = CoendH(3)
-    assert h.summands == tuple(
-        (s, t) for s in range(3) for t in range(3)
-    )
-    assert h.as_object().grades == (0,) * 9
-    assert h.index(1, 2) == 5
+    h = coend_object(3)
+    assert h.grades == (0,) * 9
+    assert coend_object(3) is h
+    # the summand of the pair (s, t) is the k-th in lexicographic order
+    for k, (s, t) in enumerate(itertools.product(range(3), repeat=2)):
+        m = jmath(simple_object(3, s), simple_object(3, t))
+        assert m.target is h
+        assert [i for i in range(9) if m.matrix[i][0]] == [k]
 
 
 def test_central_hull_of_unit():
@@ -76,14 +75,13 @@ def test_jmath_unit_case():
 
 @pytest.mark.parametrize("r", range(1, 5))
 def test_jmath_simple_lands_in_one_summand(r):
-    h = CoendH(r)
     for a in range(r):
         for b in range(r):
             m = jmath(simple_object(r, a), simple_object(r, b))
             assert m.source.dim == 1
             hits = [i for i in range(r * r) if m.matrix[i][0]]
-            assert hits == [h.index(a, b)]
-            assert m.matrix[h.index(a, b)][0] == 1
+            assert hits == [a * r + b]
+            assert m.matrix[a * r + b][0] == 1
 
 
 @pytest.mark.parametrize("r", range(1, 5))
@@ -123,13 +121,12 @@ def _simple_basis(x: GradedObject, s: int, scales: Sequence[Fraction] | None = N
 def _jmath_with_scales(x, y, x_scales, y_scales) -> GradedMorphism:
     """jmath assembled from the dual-basis pairs of `_simple_basis`."""
     r = x.r
-    h = CoendH(r)
-    h_obj = h.as_object()
+    h_obj = coend_object(r)
     source = tensor_objects(dual_object(x), dual_object(y), x, y)
     total = GradedMorphism.zero_map(source, h_obj)
-    for s, t in h.summands:
+    for s, t in itertools.product(range(r), repeat=2):
         row = GradedMorphism.from_entries(
-            simple_object(r, 0), h_obj, {(h.index(s, t), 0): CycNum.one(r)}
+            simple_object(r, 0), h_obj, {(s * r + t, 0): CycNum.one(r)}
         )
         for alpha, abar in _simple_basis(x, s, x_scales):
             for beta, bbar in _simple_basis(y, t, y_scales):
@@ -165,24 +162,21 @@ def test_jmath_entry_pattern():
     y = simple_object(r, 1)
     m = jmath(x, y)
     # source word: dual(x) (x) dual(y) (x) x (x) y , dims 2,1,2,1
-    h = CoendH(r)
     for i in range(2):
         s = x.grades[i]
         flat = ((1 - i) * 1 + 0) * 2 * 1 + i * 1 + 0
-        assert m.matrix[h.index(s, 1)][flat] == 1
+        assert m.matrix[s * r + 1][flat] == 1
 
 
 @pytest.mark.parametrize(
     "genus,r,want", [(1, 3, 9), (0, 5, 1), (2, 2, 16), (1, 1, 1)]
 )
 def test_hom_space_basis_dimension(genus, r, want):
-    basis = hom_space_basis(genus, CategoryParams(r))
-    assert basis.dimension == want
-    assert len(basis.labels) == want
-    assert basis.labels == sorted(basis.labels)
-    if want > 1:
-        assert basis.labels[0] == (0,) * (2 * genus)
-        assert basis.labels[-1] == (r - 1,) * (2 * genus)
+    # every summand of H^{(x)g} has grade zero, so each is one basis vector
+    # of C(1, H^{(x)g}); the projector acts on exactly that many coordinates
+    handles = tensor_objects(*[coend_object(r)] * genus) if genus else unit_object(r)
+    assert sum(1 for g in handles.grades if g == 0) == handles.dim == want
+    assert len(tilde_bp_operator(CategoryParams(r), genus).operator_matrix) == want
 
 
 def test_hom_space_vector_coordinate_count():

@@ -126,6 +126,24 @@ def test_json_round_trip():
     assert from_json(obj) == a
 
 
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"order": 3.9, "coeffs": ["1/1", "0/1"]}, "order"),
+        ({"order": True, "coeffs": ["1/1"]}, "order"),
+        ({"order": 3, "coeffs": [0.1, "0/1"]}, "coeffs"),
+        ({"order": 3, "coeffs": [True, "0/1"]}, "coeffs"),
+    ],
+)
+def test_from_json_rejects_floats_and_bools(obj, field):
+    with pytest.raises(ValueError, match=field):
+        from_json(obj)
+
+
+def test_from_json_takes_integer_coefficients():
+    assert from_json({"order": 3, "coeffs": [2, "-1/2"]}) == 2 - zeta_power(3, 1) * Fraction(1, 2)
+
+
 def test_zero_is_canonical():
     z = zeta_power(6, 1) - zeta_power(6, 1)
     assert z == CycNum.zero(6)

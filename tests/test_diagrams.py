@@ -166,9 +166,9 @@ def test_resliced_boxes_evaluate_equal(data):
     assert evaluate(g_first, params) == val
 
 
-def _layer_fold(d: SliceDiagram) -> GradedMorphism:
-    """Reference evaluation: Kronecker product of each layer, composed up."""
-    acc = GradedMorphism.identity(d.boundary_bottom)
+def _layer_fold(d: SliceDiagram, bottom: GradedObject) -> GradedMorphism:
+    """Reference evaluation: Kronecker product of each layer, composed up from `bottom`."""
+    acc = GradedMorphism.identity(bottom)
     for layer in d.layers:
         acc = compose(reduce(tensor_morphisms, layer), acc)
     return acc
@@ -255,8 +255,9 @@ def test_evaluate_matches_layer_fold(data):
     """The sparse vector push equals the tensor-and-compose fold of the layers."""
     params = CategoryParams(data.draw(st.integers(1, 4)))
     d = _random_diagram(data.draw, params)
-    assert d.boundary_bottom.dim > 0
-    assert evaluate(d, params) == _layer_fold(d)
+    got = evaluate(d, params)
+    assert got.source.dim > 0
+    assert got == _layer_fold(d, got.source)
 
 
 @pytest.mark.parametrize("r", range(1, 5))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from stringnet.cyclotomic import CycNum, zeta_power
+from stringnet.cyclotomic import CycNum, to_json, zeta_power
 from stringnet.modular import (
     ModularData,
     ModularDataError,
@@ -21,6 +21,11 @@ SAMPLES = ("trivial", "semion", "z3_pointed", "z5_pointed")
 
 def _load(name):
     return load_modular_data(sample_path(name))
+
+
+def _sample_json(name):
+    """A shipped sample file, read as a plain dict."""
+    return json.loads(sample_path(name).read_text())
 
 
 def test_sample_files_load():
@@ -70,8 +75,7 @@ def test_degenerate_s_rejected():
 
 
 def test_violations_name_the_identity():
-    m = _load("z3_pointed")
-    base = m.to_json()
+    base = _sample_json("z3_pointed")
 
     def broken(mutate):
         obj = json.loads(json.dumps(base))
@@ -125,15 +129,15 @@ def test_malformed_files(tmp_path):
     with pytest.raises(ModularDataError, match="label list is empty"):
         load_modular_data(empty)
     number_labels = tmp_path / "number_labels.json"
-    number_labels.write_text(json.dumps({**_load("semion").to_json(), "labels": 5}))
+    number_labels.write_text(json.dumps({**_sample_json("semion"), "labels": 5}))
     with pytest.raises(ValueError, match="not a modular-data object"):
         load_modular_data(number_labels)
     fractional_dual = tmp_path / "fractional_dual.json"
-    fractional_dual.write_text(json.dumps({**_load("trivial").to_json(), "dual": [0.5]}))
+    fractional_dual.write_text(json.dumps({**_sample_json("trivial"), "dual": [0.5]}))
     with pytest.raises(ModularDataError, match="dual entries must be integers"):
         load_modular_data(fractional_dual)
     string_labels = tmp_path / "string_labels.json"
-    string_labels.write_text(json.dumps({**_load("semion").to_json(), "labels": "1s"}))
+    string_labels.write_text(json.dumps({**_sample_json("semion"), "labels": "1s"}))
     with pytest.raises(ValueError, match="labels must be a list of strings"):
         load_modular_data(string_labels)
     # every other identity holds for this file
@@ -244,6 +248,10 @@ def test_spherical_iff_unit_charge():
 
 
 def test_json_round_trip():
+    # the shipped files store every number in the canonical form to_json writes
     for name in SAMPLES:
-        m = _load(name)
-        assert modular_data_from_json(m.to_json()) == m
+        obj = _sample_json(name)
+        m = modular_data_from_json(obj)
+        assert list(m.labels) == obj["labels"] and list(m.dual) == obj["dual"]
+        assert [to_json(d) for d in m.dims] == obj["dims"]
+        assert [[to_json(e) for e in row] for row in m.s_unnorm] == obj["s"]

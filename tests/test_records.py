@@ -58,11 +58,11 @@ def test_repr_names_every_field():
     assert repr(AdmissibilityReport(False, {0: 1})) == "AdmissibilityReport(ok=False, residues={0: 1})"
 
 
-def test_admissibility_report_compares_ok_only():
+def test_admissibility_report_compares_every_field():
     a = AdmissibilityReport(False, {0: 1})
-    b = AdmissibilityReport(False, {0: 2})
-    assert a == b and hash(a) == hash(b)
-    assert a != AdmissibilityReport(True, {0: 0})
+    assert a == AdmissibilityReport(False, {0: 1})
+    assert a != AdmissibilityReport(False, {0: 2})
+    assert a != AdmissibilityReport(True, {0: 1})
 
 
 def test_equal_markings_are_equal_and_hash_equal():

@@ -114,6 +114,28 @@ def test_non_integer_indices_and_sizes_are_rejected():
         count_rspin(1.0, 2)
 
 
+_TORUS_WORD = [(0, 1), (1, 1), (0, -1), (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((1.9, [(0, 0, 0), (1, 0, 0)], [(_TORUS_WORD, 0)]), "the vertex count"),
+        ((1, [(0, 0, 0), (1.7, 0, 0)], [(_TORUS_WORD, 0)]), "the id of edge 1"),
+        ((1, [(0, 0, 0), (1, 0.0, 0)], [(_TORUS_WORD, 0)]), "the src of edge 1"),
+        ((1, [(0, 0, 0), (1, 0, 0.2)], [(_TORUS_WORD, 0)]), "the dst of edge 1"),
+        ((1, [(0, 0, 0), (1, 0, 0)], [([(0.0, 1), *_TORUS_WORD[1:]], 0)]), "an edge id on face 0"),
+        ((1, [(0, 0, 0), (1, 0, 0)], [([(0, 1.0), *_TORUS_WORD[1:]], 0)]), "a sign on face 0"),
+        ((1, [(0, 0, 0), (1, 0, 0)], [(_TORUS_WORD, "0")]), "the preferred index of face 0"),
+    ],
+)
+def test_plcw_rejects_non_integer_counts_ids_and_signs(args, name):
+    # each would otherwise truncate to standard_decomposition(1)
+    assert PLCW(1, [(0, 0, 0), (1, 0, 0)], [(_TORUS_WORD, 0)]) == standard_decomposition(1)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        PLCW(*args)
+
+
 def test_count_closed_form():
     assert count_rspin(1, 7) == 49
     assert count_rspin(0, 2) == 1

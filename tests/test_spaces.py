@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from stringnet.category import (
     tensor_objects,
 )
 from stringnet.centre import CentreSimple, p_Y_projector
-from stringnet.coends import CoendH, hom_space_basis
+from stringnet.coends import coend_object
 from stringnet.diagrams import SliceDiagram, box, cup_right, evaluate, identity
 from stringnet.linalg import rank_cyc
 from stringnet.spaces import (
@@ -81,9 +82,7 @@ def test_torus_operator_is_identity():
         rep = tilde_bp_operator(params, 1)
         assert rep.analytic_scalar == 1
         assert rep.image_rank == r * r
-        ident = GradedMorphism.identity(
-            tensor_objects(CoendH(r).as_object())
-        )
+        ident = GradedMorphism.identity(coend_object(r))
         assert rep.operator_matrix == tuple(tuple(row) for row in ident.matrix)
 
 
@@ -96,7 +95,7 @@ def test_genus_two_operator_vanishes_at_r3():
 
 def test_operator_idempotent_by_recomposition():
     rep = tilde_bp_operator(CategoryParams(2), 2)
-    top = tensor_objects(*([CoendH(2).as_object()] * 2))
+    top = tensor_objects(coend_object(2), coend_object(2))
     op = GradedMorphism(top, top, [list(row) for row in rep.operator_matrix])
     assert compose(op, op) == op
     assert rep.image_rank == 16
@@ -187,7 +186,7 @@ def test_column_diagram_reslicing_invariance():
     # sliding the loop edge and the pivots through the picture leaves the
     # evaluation unchanged; this is the diagram-level well-definedness check
     params = CategoryParams(3)
-    for labels in hom_space_basis(1, params).labels:
+    for labels in itertools.product(range(3), repeat=2):
         for u in range(3):
             ref = evaluate(
                 _bp_column_diagram(params, 1, labels, u, "anticlockwise"),
