@@ -1,4 +1,8 @@
-"""Size caps for brute-force enumerations and operator assembly, each size a power r^n."""
+"""Size caps for brute-force enumerations and operator assembly, each size a power r^n.
+
+At r = 1 the power is 1 whatever n is, but the work still grows with n (a
+diagram of n strands, n edges to mark), so there the price is n itself.
+"""
 
 from __future__ import annotations
 
@@ -13,13 +17,17 @@ EXACT_DIGITS = 4300  # the longest int Python prints by default
 class SizeCapError(RuntimeError):
     """A requested brute-force computation exceeds the configured cap.
 
-    `size` is the exact power while Python prints it (EXACT_DIGITS at most), else None.
+    `size` is the exact power while Python prints it (EXACT_DIGITS at most), else
+    None; at base 1 it is the exponent n, the price there.
     """
 
     def __init__(self, what: str, base: int, exponent: int, cap: int) -> None:
         printable = min(EXACT_DIGITS, sys.get_int_max_str_digits() or EXACT_DIGITS)
-        size = base**exponent if power_digits(base, exponent) <= printable else None
-        shown = f"{base}^{exponent}" if size is None else size
+        if base == 1:
+            size, shown = exponent, f"n = {exponent} at r = 1"
+        else:
+            size = base**exponent if power_digits(base, exponent) <= printable else None
+            shown = f"{base}^{exponent}" if size is None else size
         super().__init__(
             f"{what} needs {shown} > cap {cap}; raise the cap explicitly "
             f"(argument or {ENV_VAR}) to proceed"
@@ -61,9 +69,14 @@ def resolve_cap(cap: int | None = None) -> int:
 def check_cap(what: str, base: int, exponent: int, cap: int | None = None) -> int:
     """The active cap; SizeCapError when base**exponent, base >= 1, exceeds it.
 
-    Past the cap's bit length 2**exponent alone exceeds it, so no long power is built.
+    At base 1 the exponent itself is priced.  Past the cap's bit length
+    2**exponent alone exceeds it, so no long power is built.
     """
     limit = resolve_cap(cap)
-    if base > 1 and (exponent > limit.bit_length() or base**exponent > limit):
+    if base == 1:
+        over = exponent > limit
+    else:
+        over = exponent > limit.bit_length() or base**exponent > limit
+    if over:
         raise SizeCapError(what, base, exponent, limit)
     return limit

@@ -344,11 +344,13 @@ def dimension(x: GradedObject, side: str, params: CategoryParams) -> CycNum:
     return total
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def loop_weight(u: int, side: str, params: CategoryParams) -> CycNum:
     """dim_side(C_u) / Dim, the weight of the grade-u loop in every projector.
 
     Dim, the sum over simples of dim_left * dim_right, equals r exactly, so
-    the quotient is a rational rescale.
+    the quotient is a rational rescale.  Memoised: every projector column
+    weighs the same r loops.
     """
     dim_u = dimension(simple_object(params.r, u), side, params)
     return rational_scale(dim_u, Fraction(1, params.r))

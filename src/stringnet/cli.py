@@ -140,13 +140,13 @@ def _decomposition(genus: int):
 def _marking(args):
     from .rspin import MarkedPLCW
 
-    complex_ = _decomposition(args.genus)
-    n_edges = len(complex_.edges)
+    # the decomposition has 2g edges (1 on the sphere): count before building it
+    n_edges = 2 * args.genus or 1
     if len(args.indices) != n_edges:
         raise _FlagError(
             f"genus {args.genus} needs {n_edges} indices, got {len(args.indices)}"
         )
-    return MarkedPLCW(complex_, args.r, dict(enumerate(args.indices)))
+    return MarkedPLCW(_decomposition(args.genus), args.r, dict(enumerate(args.indices)))
 
 
 def _cmd_sn_dim(args) -> dict:

@@ -6,12 +6,15 @@ picture is drawn with: `identity` strands (one shared instance per object),
 the four duality caps and cups (`category.duality_map`), and `box`es holding
 arbitrary morphisms.  Evaluation computes each layer's source and target
 objects once, checks the grade words adjacent layers exchange, then pushes
-each bottom basis vector up as a sparse {flat index: coefficient} dict,
-split mixed-radix over each layer's morphisms and read off their stored
-columns; runs of shared identity strands pass their digits through
-untouched, and a product with the shared `one` is never made.  No layer's
-Kronecker product and no dense matrix is ever built.  The pushed vectors
-are the columns of the result.
+the bottom's basis vectors up as sparse {flat index: coefficient} dicts,
+all of them through a layer in one call.  Each term is split mixed-radix
+over the layer's morphisms and read off their stored columns: a
+single-entry column moves it, a longer one branches it, an empty one drops
+it; runs of shared identity strands pass their digits through untouched,
+and a product with the shared `one` is never made.  Only an index that
+received a sum is tested for zero.  No layer's Kronecker product and no
+dense matrix is ever built.  The pushed vectors are the columns of the
+result.
 `loop_sum` is the one place the projector's weighted sum over the loop
 grade u, with weight dim(C_u)/Dim, is written.
 
@@ -124,10 +127,12 @@ class SliceDiagram:
 
 
 def _layer_action(layer):
-    """(source dim, target dim, columns) per morphism, right to left, for `_push`.
+    """(source dim, target dim, columns, next step) per morphism, right to left.
 
     A run of shared identity strands gets columns None; any other morphism,
     an identity built elsewhere included, is pushed through its columns.
+    `next step` is the position after the entry, where `_push` resumes a
+    term that split there.
     """
     action = []
     for m in layer:
@@ -139,32 +144,60 @@ def _layer_action(layer):
             continue
         action.append((x.dim, m.target.dim, m.columns))
     action.reverse()
-    return action
+    return [(*step, k) for k, step in enumerate(action, 1)]
 
 
-def _push(vec: dict, action, one) -> dict:
-    """Apply one layer to a sparse vector {flat index: CycNum}.
+def _push(vectors: list, action, one) -> list:
+    """Apply one layer to every sparse vector {flat index: CycNum} of `vectors`.
 
-    A factor that is the shared `one` leaves the other as it is.
+    Each term walks the layer right to left, its source digits split off
+    mixed-radix and its target digits filled in from the right.  A
+    single-entry column moves the term's flat index and multiplies into its
+    coefficient; a column with more entries splits the term into one branch
+    per entry, each resumed from the next step; an empty column drops it.
+    Stored entries and pushed values are nonzero and Q(zeta_r) is a field,
+    so only an index that received a sum can end at zero.  A factor that is
+    the shared `one` leaves the other as it is.
     """
-    out: dict = {}
-    for idx, val in vec.items():
-        terms, place = [(0, val)], 1  # target digits fill in from the right
-        for src_dim, tgt_dim, columns in action:
-            idx, j = divmod(idx, src_dim)
-            if columns is None:
-                terms = [(t + j * place, v) for t, v in terms]
-            else:
-                col = columns[j]
-                terms = [
-                    (t + i * place, v if c is one else c if v is one else v * c)
-                    for t, v in terms
-                    for i, c in col
-                ]
-            place *= tgt_dim
-        for t, v in terms:
-            out[t] = out[t] + v if t in out else v
-    return {t: v for t, v in out.items() if v}
+    pushed, branches = [], []
+    for vec in vectors:
+        out: dict = {}
+        summed = set()
+        for idx, v in vec.items():
+            steps, t, place = action, 0, 1
+            while True:
+                for src_dim, tgt_dim, columns, resume in steps:
+                    idx, j = divmod(idx, src_dim)
+                    if columns is None:
+                        t += j * place
+                    else:
+                        col = columns[j]
+                        if len(col) != 1:
+                            if not col:
+                                break  # the term drops
+                            for i, c in col[1:]:
+                                w = v if c is one else c if v is one else v * c
+                                branches.append((resume, idx, t + i * place, w, place * tgt_dim))
+                        i, c = col[0]
+                        t += i * place
+                        if c is not one:
+                            v = c if v is one else v * c
+                    place *= tgt_dim
+                else:
+                    if t in out:
+                        out[t] = out[t] + v
+                        summed.add(t)
+                    else:
+                        out[t] = v
+                if not branches:
+                    break
+                resume, idx, t, v, place = branches.pop()
+                steps = action[resume:]
+        for t in summed:
+            if not out[t]:
+                del out[t]
+        pushed.append(out)
+    return pushed
 
 
 def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
@@ -174,16 +207,16 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     ends = [_layer_ends(layer) for layer in d.layers]
     bottom = current = ends[0][0] if ends else d.boundary_top
     for i, (src, tgt) in enumerate(ends):
-        if src != current:
+        if src is not current and src != current:
             raise DiagramTypeError(i, expected=current, found=src)
         current = tgt
-    if current != d.boundary_top:
-        raise DiagramTypeError(len(d.layers) - 1, d.boundary_top, current, "top boundary")
+    top = d.boundary_top
+    if current is not top and current != top:
+        raise DiagramTypeError(len(d.layers) - 1, top, current, "top boundary")
     one = params.one()
     vectors = [{c: one} for c in range(bottom.dim)]
     for layer in d.layers:
-        action = _layer_action(layer)
-        vectors = [_push(vec, action, one) for vec in vectors]
+        vectors = _push(vectors, _layer_action(layer), one)
     entries = {(i, c): v for c, vec in enumerate(vectors) for i, v in vec.items()}
     return GradedMorphism(bottom, current, entries)
 

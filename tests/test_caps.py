@@ -34,7 +34,18 @@ def test_cap_compares_the_exact_power():
     with pytest.raises(SizeCapError) as exc:
         check_cap("x", 3, 4, 80)
     assert (exc.value.size, exc.value.cap) == (81, 80)
-    assert check_cap("x", 1, 10**30, 1) == 1
+
+
+def test_cap_prices_the_exponent_at_base_one():
+    # 1^n is 1, but the work grows with n: n itself is priced
+    assert check_cap("x", 1, 5, 5) == 5
+    assert check_cap("x", 1, 0, 1) == 1
+    with pytest.raises(SizeCapError, match=r"x needs n = 6 at r = 1 > cap 5") as exc:
+        check_cap("x", 1, 6, 5)
+    assert (exc.value.size, exc.value.cap) == (6, 5)
+    with pytest.raises(SizeCapError) as exc:
+        check_cap("x", 1, 10**30, 1)
+    assert exc.value.size == 10**30
 
 
 def test_size_stays_exact_up_to_the_printable_length():

@@ -427,6 +427,8 @@ def test_loop_weight_is_dimension_over_global_dimension(r):
                 simple_object(r, u), side, params
             )
     assert loop_weight(1 % r, "right", params) == params.zeta(1) * Fraction(1, r)
+    # memoised: an equal params object gets the weight already computed
+    assert loop_weight(0, "left", CategoryParams(r)) is loop_weight(0, "left", params)
 
 
 def test_morphism_tensor_matches_kronecker():

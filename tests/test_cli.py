@@ -156,6 +156,49 @@ def test_huge_powers_are_priced_without_being_built(argv, error):
     assert elapsed < 1
 
 
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["rspin-check", "--r", "2", "--genus", "100000", "--indices", "0"], 2,
+         "genus 100000 needs 200000 indices, got 1"),
+        (["sigma-f", "--r", "2", "--genus", "100000", "--indices", "0"], 2,
+         "genus 100000 needs 200000 indices, got 1"),
+        (["bp-operator", "--r", "1", "--genus", "20000"], 1, "needs n = 40000 at r = 1 > cap 10000"),
+        (["rspin-enumerate", "--r", "1", "--genus", "100000"], 1,
+         "needs n = 200000 at r = 1 > cap 10000"),
+    ],
+    ids=["rspin-check", "sigma-f", "bp-operator-r1", "rspin-enumerate-r1"],
+)
+def test_genus_linear_work_is_priced_before_it_is_built(argv, code, error):
+    # a wrong --indices count is refused before the 2g-edge decomposition is
+    # built, and at r = 1, where r^n is 1, the cap prices n itself
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(ENV_VAR, None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringnet.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (code, "")
+    payload = json.loads(proc.stdout)
+    assert error in payload["error"]
+    if code == 1:
+        assert (payload["size"], payload["cap"]) == (2 * int(argv[4]), 10000)
+    assert elapsed < 1
+
+
+def test_small_r1_requests_pass_the_cap(capsys):
+    payload = _payload(capsys, "bp-operator", "--r", "1", "--genus", "3")
+    assert (payload["dim"], payload["rank"]) == (1, 1)
+    assert _payload(capsys, "sphere", "--r", "1")["dim"] == 1
+    assert _payload(capsys, "rspin-enumerate", "--r", "1", "--genus", "2")["count"] == 1
+
+
 def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv(ENV_VAR, "3")
     code, out = _run(capsys, "bp-operator", "--r", "2", "--genus", "1")

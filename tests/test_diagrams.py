@@ -25,6 +25,8 @@ from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.diagrams import (
     DiagramTypeError,
     SliceDiagram,
+    _layer_action,
+    _push,
     box,
     cap_left,
     cap_right,
@@ -258,6 +260,76 @@ def test_evaluate_matches_layer_fold(data):
     got = evaluate(d, params)
     assert got.source.dim > 0
     assert got == _layer_fold(d, got.source)
+
+
+def _pushed_layers(d: SliceDiagram, params: CategoryParams) -> list:
+    """The vectors `evaluate` pushes, after each layer, from the bottom's basis."""
+    one = params.one()
+    vectors = [{c: one} for c in range(evaluate(d, params).source.dim)]
+    pushed = []
+    for layer in d.layers:
+        vectors = _push(vectors, _layer_action(layer), one)
+        pushed.append(vectors)
+    return pushed
+
+
+def _check_push(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
+    """Evaluate d, check it against the layer fold and that no pushed entry is zero."""
+    got = evaluate(d, params)
+    assert got == _layer_fold(d, got.source)
+    for vectors in _pushed_layers(d, params):
+        assert all(v for vec in vectors for v in vec.values())
+    return got
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_push_drops_a_sum_that_cancels(r):
+    """Two paths into one index cancel to exactly zero; the other index keeps 2."""
+    params = CategoryParams(r)
+    x, z = simple_object(r, 0), simple_object(r, 1)
+    xx = GradedObject(r, (0, 0))
+    one = params.one()
+    split = GradedMorphism.from_entries(x, xx, {(0, 0): one, (1, 0): one})
+    merge = GradedMorphism.from_entries(
+        xx, xx, {(0, 0): one, (0, 1): -one, (1, 0): one, (1, 1): one}
+    )
+    d = SliceDiagram(
+        tensor_objects(xx, z), [[box(split), identity(z)], [box(merge), identity(z)]]
+    )
+    got = _check_push(d, params)
+    assert got.columns == (((1, one + one),),)
+    assert _pushed_layers(d, params)[-1] == [{1: one + one}]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_push_drops_terms_at_empty_columns(r):
+    """A zero-morphism box empties every column; a partly zero one drops some terms."""
+    params = CategoryParams(r)
+    f = frobenius_zr(params).object
+    y = simple_object(r, 0)
+    zero = GradedMorphism.zero_map(f, f)
+    d = SliceDiagram(tensor_objects(y, f), [[identity(y), box(zero)]])
+    assert _check_push(d, params) == GradedMorphism.zero_map(tensor_objects(y, f), d.boundary_top)
+    assert _pushed_layers(d, params) == [[{}] * r]
+    # only the grade-0 summand survives the projection
+    proj = GradedMorphism.from_entries(f, f, {(0, 0): params.one()})
+    d = SliceDiagram(tensor_objects(f, y), [[box(proj), identity(y)], [box(proj), identity(y)]])
+    got = _check_push(d, params)
+    assert [len(col) for col in got.columns] == [1] + [0] * (r - 1)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_push_through_delta_then_mu_sums_every_split(r):
+    """Delta splits each basis vector r ways and mu sums them back: mu o Delta = id."""
+    params = CategoryParams(r)
+    fd = frobenius_zr(params)
+    f, x = fd.object, simple_object(r, 1)
+    d = SliceDiagram(
+        tensor_objects(f, x), [[box(fd.delta), identity(x)], [box(fd.mu), identity(x)]]
+    )
+    assert _check_push(d, params) == GradedMorphism.identity(tensor_objects(f, x))
+    after_delta = _pushed_layers(d, params)[0]
+    assert [len(vec) for vec in after_delta] == [r] * r
 
 
 @pytest.mark.parametrize("r", range(1, 5))
