@@ -18,12 +18,17 @@ class SizeCapError(RuntimeError):
     """A requested brute-force computation exceeds the configured cap.
 
     `size` is the exact power while Python prints it (EXACT_DIGITS at most), else
-    None; at base 1 it is the exponent n, the price there.
+    None; at base 1 it is the exponent n, the price there.  An exponent too long
+    to print is named by its digit count.
     """
 
     def __init__(self, what: str, base: int, exponent: int, cap: int) -> None:
         printable = min(EXACT_DIGITS, sys.get_int_max_str_digits() or EXACT_DIGITS)
-        if base == 1:
+        digits = int_digits(exponent)
+        if digits > printable:
+            size, n = None, f"n of {digits} digits"
+            shown = f"{n} at r = 1" if base == 1 else f"{base}^n, {n},"
+        elif base == 1:
             size, shown = exponent, f"n = {exponent} at r = 1"
         else:
             size = base**exponent if power_digits(base, exponent) <= printable else None
@@ -37,6 +42,13 @@ class SizeCapError(RuntimeError):
         self.cap = cap
 
 
+def int_digits(n: int) -> int:
+    """Decimal digits of n >= 0, counted without printing n."""
+    from decimal import Decimal
+
+    return Decimal(n).adjusted() + 1
+
+
 def power_digits(base: int, exponent: int) -> int:
     """Decimal digits of base**exponent, base >= 1, from its logarithm."""
     from decimal import Decimal, localcontext
@@ -44,7 +56,7 @@ def power_digits(base: int, exponent: int) -> int:
     with localcontext() as ctx:
         # exact for a power of ten; any other log10 is irrational, and 30 spare
         # places misplace the floor only within 1e-29 of an integer
-        ctx.prec = len(str(exponent)) + 30
+        ctx.prec = int_digits(exponent) + 30
         return int(Decimal(base).log10() * exponent) + 1
 
 

@@ -6,6 +6,11 @@ swap.  The construction is validated by its testable consequences: there are
 r^2 simples, matching the torus string-net dimension, and the torus vectors
 h_Z they produce are linearly independent.
 
+`h_vector` is one loop sum of diagrams on the underlying object C_a;
+`torus_vectors` runs the same diagrams on L, the sum of all simples, so one
+loop sum per character k gives the r vectors h_(a,k) as its grade blocks:
+r^2 diagrams for the whole basis.
+
 The half-braiding on the lifted hull Ahat(M) is assembled from dual-basis
 pairs in C(i (x) W, j) by diagram evaluation, block by block; the closed
 form (blocks shift by the grade of W with coefficient 1) is what the tests
@@ -28,7 +33,7 @@ from .category import (
     simple_object,
     tensor_objects,
 )
-from .coends import CentralHull, HomSpaceVector, central_hull, coend_object, jmath
+from .coends import CentralHull, HomSpaceVector, central_hull, coend_object, jmath, simples_object
 from .cyclotomic import CycNum
 from .diagrams import (
     SliceDiagram,
@@ -70,39 +75,64 @@ def half_braiding_box(
     """c_{Z,W}: C_a (x) W -> W (x) C_a, zeta^{k b} on the grade-b part of W."""
     if z.r != params.r or w.r != params.r:
         raise ValueError("mismatched r")
-    src = tensor_objects(z.underlying(), w)
-    tgt = tensor_objects(w, z.underlying())
+    return _braiding(z.underlying(), z.k, w, params)
+
+
+def _braiding(x: GradedObject, k: int, w: GradedObject, params: CategoryParams) -> GradedMorphism:
+    """X (x) W -> W (x) X with character k: zeta^{k b} on the grade-b part of W."""
+    dx, dw = x.dim, w.dim
     entries = {
-        (j, j): params.zeta(z.k * g) for j, g in enumerate(w.grades)
+        (j * dx + i, i * dw + j): params.zeta(k * g)
+        for i in range(dx)
+        for j, g in enumerate(w.grades)
     }
-    return GradedMorphism.from_entries(src, tgt, entries)
+    return GradedMorphism.from_entries(tensor_objects(x, w), tensor_objects(w, x), entries)
 
 
-def _h_summand_diagram(z: CentreSimple, u: int, params: CategoryParams) -> SliceDiagram:
-    """One term of the torus vector: X-turn, U-cup, half-braiding, coend box.
+def _h_summand_diagram(x: GradedObject, k: int, u: int, params: CategoryParams) -> SliceDiagram:
+    """One term of the torus vector on X with character k.
 
     Bottom to top: the X strand turns around (its two ends feed the box's
     X-dual and X slots), the U strand is created to the right and its dual
-    half crosses the X strand through the half-braiding before everything
+    half crosses the X strand through the braiding before everything
     enters the coend box for the pair (X, U).
     """
     r = params.r
-    a_obj = z.underlying()
     u_obj = simple_object(r, u)
-    braid = half_braiding_box(z, dual_object(u_obj), params)
+    braid = _braiding(x, k, dual_object(u_obj), params)
     layers = [
-        [cup_right(a_obj)],
-        [identity(dual_object(a_obj)), identity(a_obj), cup_right(u_obj)],
-        [identity(dual_object(a_obj)), box(braid), identity(u_obj)],
-        [box(jmath(a_obj, u_obj))],
+        [cup_right(x)],
+        [identity(dual_object(x)), identity(x), cup_right(u_obj)],
+        [identity(dual_object(x)), box(braid), identity(u_obj)],
+        [box(jmath(x, u_obj))],
     ]
     return SliceDiagram(coend_object(r), layers)
 
 
+def _h_coords(x: GradedObject, k: int, params: CategoryParams) -> list:
+    (coords,) = loop_sum(lambda u: _h_summand_diagram(x, k, u, params), "right", params)
+    return coords
+
+
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     """The genus-1 vector of a centre simple: the `loop_sum` of its summands."""
-    coords = loop_sum(lambda u: _h_summand_diagram(z, u, params), "right", params)
-    return HomSpaceVector(params.r, 1, tuple(coords))
+    return HomSpaceVector(params.r, 1, tuple(_h_coords(z.underlying(), z.k, params)))
+
+
+def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:
+    """h_Z for every centre simple, in `list_centre_simples` order.
+
+    One loop sum per character k, over X = L the sum of all simples:
+    jmath(C_a, U) lands only at position a*r+u, so the grade-a block of that
+    sum is h_(a,k) and every other block is zero in h_(a,k).
+    """
+    r, zero = params.r, params.zero()
+    sums = [_h_coords(simples_object(r), k, params) for k in range(r)]
+    return [
+        HomSpaceVector(r, 1, tuple(c if p // r == a else zero for p, c in enumerate(sums[k])))
+        for a in range(r)
+        for k in range(r)
+    ]
 
 
 def p_Y_projector(y: CentreSimple, params: CategoryParams) -> GradedMorphism:

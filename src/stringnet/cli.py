@@ -172,14 +172,13 @@ def _cmd_sphere(args) -> dict:
 def _cmd_torus_basis(args) -> dict:
     from . import cyclotomic
     from .category import CategoryParams
-    from .centre import h_vector, list_centre_simples
+    from .centre import list_centre_simples, torus_vectors
     from .linalg import rank_cyc
 
     params = CategoryParams(args.r)
     vectors = []
     coords_matrix = []
-    for z in list_centre_simples(params):
-        v = h_vector(z, params)
+    for z, v in zip(list_centre_simples(params), torus_vectors(params)):
         vectors.append(
             {"z": z.to_json(), "coords": [_render(c, args.approx, cyclotomic) for c in v.coords]}
         )

@@ -14,6 +14,11 @@ reference lives in tests/test_coends.py: it assembles jmath from explicit
 dual-basis pairs (alpha, alpha-bar) with alpha o alpha-bar = id on the
 simple target, and its rescaled pairs show the result does not depend on
 them.
+
+`coend_split` is jmath(L, L) read backwards, for L the sum of all r
+simples: it splits H into the handle legs of every pair (s,t) at once, so
+a projector diagram that starts from H carries a whole handle's r^2 basis
+vectors.
 """
 
 from __future__ import annotations
@@ -35,6 +40,23 @@ from .cyclotomic import CycNum
 def coend_object(r: int) -> GradedObject:
     """H for conductor r: r^2 summands of grade zero, (s,t) at s*r + t."""
     return GradedObject(r, (0,) * (r * r))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def simples_object(r: int) -> GradedObject:
+    """L, the sum of the r simples: C_s at position s."""
+    return GradedObject(r, range(r))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def coend_split(r: int) -> GradedMorphism:
+    """H -> L^dual (x) L^dual (x) L (x) L: the pair (s,t) to its own summand, coefficient 1.
+
+    jmath(L, L) read backwards, so jmath(L, L) after it is the identity on H.
+    """
+    forward = jmath(simples_object(r), simples_object(r))
+    entries = {(i, j): c for i, col in enumerate(forward.columns) for j, c in col}
+    return GradedMorphism.from_entries(coend_object(r), forward.source, entries)
 
 
 class CentralHull(Record):

@@ -16,7 +16,9 @@ received a sum is tested for zero.  No layer's Kronecker product and no
 dense matrix is ever built.  The pushed vectors are the columns of the
 result.
 `loop_sum` is the one place the projector's weighted sum over the loop
-grade u, with weight dim(C_u)/Dim, is written.
+grade u, with weight dim(C_u)/Dim, is written; it returns every column, so
+a diagram whose bottom is wider than the unit carries a whole block of
+basis vectors through one evaluation.
 
 Diagrams arrive pre-sliced; there is no planar-graph compiler here.  Every
 construction downstream is drawn in sliceable normal form already, and an
@@ -222,16 +224,22 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> list:
-    """The column sum_u loop_weight(u, side) * evaluate(diagram_of_u(u)).
+    """Every column of sum_u loop_weight(u, side) * evaluate(diagram_of_u(u)).
 
-    Each diagram must have the unit object at its bottom.  Only nonzero
-    terms are added, so an entry no term touches stays the shared zero.
+    The diagrams must share a bottom object; each column comes back as a
+    dense list over the top's basis.  Only nonzero terms are added, so an
+    entry no term touches stays the shared zero.
     """
-    diagrams = [diagram_of_u(u) for u in range(params.r)]
-    column = [params.zero()] * diagrams[0].boundary_top.dim
-    for u, d in enumerate(diagrams):
+    columns = None
+    for u in range(params.r):
         weight = loop_weight(u, side, params)
-        (col,) = evaluate(d, params).columns
-        for i, e in col:
-            column[i] = column[i] + e * weight
-    return column
+        result = evaluate(diagram_of_u(u), params)
+        if columns is None:
+            bottom, zero = result.source, params.zero()
+            columns = [[zero] * result.target.dim for _ in result.columns]
+        elif result.source != bottom:
+            raise ValueError("loop_sum diagrams must share a bottom object")
+        for column, col in zip(columns, result.columns):
+            for i, e in col:
+                column[i] = column[i] + e * weight
+    return columns

@@ -7,11 +7,14 @@ scalar times the identity; the scalar is 1 when r divides 2-2g and 0
 otherwise, so the dimension is r^{2g} or 0.  The sphere is genus 0: its
 dimension is the image rank of the same operator on C(1, 1).
 
-`tilde_bp_operator` assembles the operator one `loop_sum` per column from
-genuine slice diagrams (loop around all 2g handle legs, with pivotal
-corrections where an upward strand fills a double-dual slot) and proves it
-on its columns: each must be `bp_scalar`, the analytic value computed
-separately, times its basis vector, and that scalar must be idempotent.
+`tilde_bp_operator` assembles the operator from genuine slice diagrams
+(loop around all 2g handle legs, with pivotal corrections where an upward
+strand fills a double-dual slot), one `loop_sum` per labelling of the
+first g-1 handles: the last handle is left free, entering from H, so each
+sum gives the r^2 columns of that labelling at once.  It proves the
+operator on its columns: each must be `bp_scalar`, the analytic value
+computed separately, times its basis vector, and that scalar must be
+idempotent.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .category import (
     tensor_objects,
     unit_object,
 )
-from .coends import central_hull, coend_object, jmath
+from .coends import central_hull, coend_object, coend_split, jmath, simples_object
 from .cyclotomic import CycNum
 from .diagrams import (
     SliceDiagram,
@@ -92,7 +95,14 @@ def _bp_column_diagram(
     u: int,
     orientation: str,
 ) -> SliceDiagram:
-    """Slice form of the projector loop applied to one basis element.
+    """Slice form of the projector loop applied to one basis element or one block.
+
+    `labels` holds (s, t) for each of the first len(labels)//2 handles.  With
+    all g labelled the bottom is the unit and the diagram carries one basis
+    element.  With g-1 labelled the last handle is free: its legs are
+    L^dual, L^dual, L, L for L the sum of the simples, it enters from an H
+    strand at the bottom through `coend_split` and closes with jmath(L, L),
+    so column s*r+t carries the basis element whose last handle is (s, t).
 
     Reading bottom to top: the outer cup opens the loop, the basis box
     emits the 2g pairs of handle legs, an inner cup separates consecutive
@@ -101,30 +111,44 @@ def _bp_column_diagram(
     H^{(x)g}.
     """
     r = params.r
+    if genus == 0:
+        return _loop_diagram(u, orientation, params)
+    labelled = len(labels) // 2
+    if len(labels) % 2 or labelled not in (genus - 1, genus):
+        raise ValueError(
+            f"genus {genus} takes {2 * genus - 2} or {2 * genus} labels, got {len(labels)}"
+        )
     u_obj = simple_object(r, u)
     u_dual = dual_object(u_obj)
     acw = orientation == "anticlockwise"
-    if genus == 0:
-        return _loop_diagram(u, orientation, params)
 
+    pairs = [
+        (simple_object(r, labels[2 * i]), simple_object(r, labels[2 * i + 1]))
+        for i in range(labelled)
+    ]
+    if labelled < genus:
+        pairs.append((simples_object(r), simples_object(r)))
     legs: list[GradedObject] = []
-    for i in range(genus):
-        s, t = labels[2 * i], labels[2 * i + 1]
-        legs.extend(
-            [
-                simple_object(r, -s),
-                simple_object(r, -t),
-                simple_object(r, s),
-                simple_object(r, t),
-            ]
-        )
-    phi = GradedMorphism.from_entries(
-        unit_object(r), tensor_objects(*legs), {(0, 0): CycNum.one(r)}
-    )
+    for x, y in pairs:
+        legs.extend([dual_object(x), dual_object(y), x, y])
 
     outer = cup_left(u_obj) if acw else cup_right(u_obj)
     inner = cup_right(u_obj) if acw else cup_left(u_obj)
     left_end, right_end = (u_obj, u_dual) if acw else (u_dual, u_obj)
+
+    emit = []
+    if labelled:
+        phi = GradedMorphism.from_entries(
+            unit_object(r), tensor_objects(*legs[: 4 * labelled]), {(0, 0): CycNum.one(r)}
+        )
+        emit.append(box(phi))
+    first = [outer]
+    if labelled < genus:
+        emit.append(box(coend_split(r)))
+        # H is r^2 copies of the unit, so the cup's U (x) U^dual (x) H and the
+        # next layer's U (x) H (x) U^dual are one graded object, basis order
+        # included
+        first.append(identity(coend_object(r)))
 
     layer_legs = [identity(left_end)]
     for idx, leg in enumerate(legs):
@@ -150,17 +174,14 @@ def _bp_column_diagram(
             else:
                 layer_delta.append(identity(obj))
 
-    layer_close = []
-    for i in range(genus):
-        s, t = labels[2 * i], labels[2 * i + 1]
-        x = tensor_objects(left_end, simple_object(r, s), right_end)
-        y = tensor_objects(left_end, simple_object(r, t), right_end)
-        layer_close.append(box(jmath(x, y)))
+    # the U strands around each leg are one-dimensional and cancel in grade,
+    # so a handle's twelve strands are jmath's four legs
+    layer_close = [box(jmath(x, y)) for x, y in pairs]
 
     top = tensor_objects(*([coend_object(r)] * genus))
     layers = [
-        [outer],
-        [identity(left_end), box(phi), identity(right_end)],
+        first,
+        [identity(left_end), *emit, identity(right_end)],
         layer_legs,
         layer_delta,
         layer_close,
@@ -190,10 +211,12 @@ def tilde_bp_operator(
     check_cap("string-net basis", r, 2 * genus, cap)
     n = r ** (2 * genus)
     side = "right" if orientation == "anticlockwise" else "left"
-    columns = [
-        loop_sum(lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params)
-        for chi in itertools.product(range(r), repeat=2 * genus)
-    ]
+    columns = []
+    # the last handle is left free, so each loop sum gives r^2 columns in order
+    for chi in itertools.product(range(r), repeat=max(2 * genus - 2, 0)):
+        columns += loop_sum(
+            lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params
+        )
 
     scalar = bp_scalar(params, genus)
     zero = params.zero()

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringnet.caps import EXACT_DIGITS, SizeCapError, check_cap, power_digits
+from stringnet.caps import EXACT_DIGITS, SizeCapError, check_cap, int_digits, power_digits
 
 
 @given(st.integers(1, 10**6), st.integers(0, 3000))
@@ -69,3 +70,15 @@ def test_size_follows_a_lowered_printing_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert exc.value.size is None
+
+
+def test_an_exponent_too_long_to_print_is_named_by_its_digits():
+    assert [int_digits(n) for n in (0, 9, 10, 10**4300 - 1, 10**4300)] == [1, 1, 2, 4300, 4301]
+    for base, shown in [(2, "2^n, n of 4301 digits,"), (1, "n of 4301 digits at r = 1")]:
+        with pytest.raises(SizeCapError, match=rf"x needs {re.escape(shown)} > cap 10") as exc:
+            check_cap("x", base, 10**4300, 10)
+        assert exc.value.size is None
+    # 4300 digits still print at base 1
+    with pytest.raises(SizeCapError) as exc:
+        check_cap("x", 1, 10**4299, 10)
+    assert exc.value.size == 10**4299

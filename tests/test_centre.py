@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stringnet import diagrams
 from stringnet.category import (
     CategoryParams,
     GradedMorphism,
@@ -24,6 +25,7 @@ from stringnet.centre import (
     half_braiding_box,
     list_centre_simples,
     p_Y_projector,
+    torus_vectors,
 )
 from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.linalg import rank_cyc
@@ -107,6 +109,22 @@ def test_h_vector_closed_form():
                     assert c == zeta_power(r, -z.a - z.k * u) * Fraction(1, r)
                 else:
                     assert c.is_zero()
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_torus_vectors_are_the_h_vectors(r):
+    params = CategoryParams(r)
+    assert torus_vectors(params) == [h_vector(z, params) for z in list_centre_simples(params)]
+
+
+def test_torus_vectors_evaluate_r_squared_diagrams(monkeypatch):
+    calls = []
+    real = diagrams.evaluate
+    monkeypatch.setattr(diagrams, "evaluate", lambda d, params: calls.append(d) or real(d, params))
+    for r in range(1, 6):
+        calls.clear()
+        torus_vectors(CategoryParams(r))
+        assert len(calls) == r * r
 
 
 def test_h_vectors_linearly_independent():

@@ -192,6 +192,37 @@ def test_genus_linear_work_is_priced_before_it_is_built(argv, code, error):
     assert elapsed < 1
 
 
+# the longest genus Python parses by default; 2g then has 4,301 digits
+LONG_GENUS = "5" + "0" * 4299
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["bp-operator", "--r", "2", "--genus", LONG_GENUS],
+         "string-net basis needs 2^n, n of 4301 digits, > cap 10000"),
+        (["rspin-enumerate", "--r", "1", "--genus", LONG_GENUS],
+         "edge-index assignments needs n of 4301 digits at r = 1 > cap 10000"),
+    ],
+    ids=["bp-operator", "rspin-enumerate-r1"],
+)
+def test_an_exponent_too_long_to_print_is_priced_by_its_digits(argv, error):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringnet.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    payload = json.loads(proc.stdout)
+    assert error in payload["error"]
+    assert (payload["size"], payload["cap"]) == (None, 10000)
+
+
 def test_small_r1_requests_pass_the_cap(capsys):
     payload = _payload(capsys, "bp-operator", "--r", "1", "--genus", "3")
     assert (payload["dim"], payload["rank"]) == (1, 1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringnet import diagrams
 from stringnet.category import (
     CategoryParams,
     GradedMorphism,
@@ -21,10 +22,18 @@ from stringnet.category import (
     tensor_objects,
     unit_object,
 )
-from stringnet.coends import HomSpaceVector, central_hull, coend_object, jmath
+from stringnet.coends import (
+    HomSpaceVector,
+    central_hull,
+    coend_object,
+    coend_split,
+    jmath,
+    simples_object,
+)
 from stringnet.cyclotomic import CycNum, zeta_power
+from stringnet.diagrams import SliceDiagram, box, evaluate, identity, loop_sum
 from stringnet.linalg import rank_cyc
-from stringnet.spaces import tilde_bp_operator
+from stringnet.spaces import _bp_column_diagram, tilde_bp_operator
 
 from morphism_reference import dual_morphism
 
@@ -177,6 +186,53 @@ def test_hom_space_basis_dimension(genus, r, want):
     handles = tensor_objects(*[coend_object(r)] * genus) if genus else unit_object(r)
     assert sum(1 for g in handles.grades if g == 0) == handles.dim == want
     assert len(tilde_bp_operator(CategoryParams(r), genus).operator_matrix) == want
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_coend_split_then_jmath_is_the_identity_on_h(r):
+    lsum = simples_object(r)
+    split = coend_split(r)
+    assert coend_split(r) is split
+    assert split.source is coend_object(r)
+    assert split.target == tensor_objects(dual_object(lsum), dual_object(lsum), lsum, lsum)
+    h = coend_object(r)
+    d = SliceDiagram(h, [[box(split)], [box(jmath(lsum, lsum))]])
+    assert evaluate(d, CategoryParams(r)) == identity(h)
+
+
+@pytest.mark.parametrize("orientation", ["anticlockwise", "clockwise"])
+@pytest.mark.parametrize("r, genus", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_free_handle_operator_matches_one_loop_sum_per_basis_vector(r, genus, orientation):
+    # the reference labels every handle, so each diagram carries one basis vector
+    params = CategoryParams(r)
+    side = "right" if orientation == "anticlockwise" else "left"
+    columns = []
+    for chi in itertools.product(range(r), repeat=2 * genus):
+        (column,) = loop_sum(
+            lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params
+        )
+        columns.append(column)
+    report = tilde_bp_operator(params, genus, orientation=orientation)
+    assert report.operator_matrix == tuple(zip(*columns))
+
+
+def test_projector_evaluates_one_diagram_per_loop_label_and_block(monkeypatch):
+    # the last handle is free, so r^(2g-1) diagrams carry all r^(2g) columns
+    calls = []
+    real = diagrams.evaluate
+    monkeypatch.setattr(diagrams, "evaluate", lambda d, params: calls.append(d) or real(d, params))
+    for r, genus in [(1, 0), (3, 0), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)]:
+        calls.clear()
+        tilde_bp_operator(CategoryParams(r), genus)
+        assert len(calls) == (r ** (2 * genus - 1) if genus else r), (r, genus)
+
+
+def test_column_diagram_takes_all_labels_or_all_but_one_handle():
+    params = CategoryParams(2)
+    with pytest.raises(ValueError, match="genus 2 takes 2 or 4 labels, got 1"):
+        _bp_column_diagram(params, 2, (0,), 0, "anticlockwise")
+    with pytest.raises(ValueError, match="got 0"):
+        _bp_column_diagram(params, 2, (), 0, "anticlockwise")
 
 
 def test_hom_space_vector_coordinate_count():
