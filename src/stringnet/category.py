@@ -12,9 +12,9 @@ whole point of the constructions downstream.
 library multiplies morphisms only by evaluating slice diagrams, and these
 two stay as the independent route the tests compare that evaluation with.
 
-Objects and the duality maps are immutable values, so the functions that
-build them are memoised (`MEMO_SIZE` entries each): a diagram asks for the
-same few objects and caps thousands of times.
+Objects, identities and the duality maps are immutable values, so the
+functions that build them are memoised (`MEMO_SIZE` entries each): a diagram
+asks for the same few objects, strands and caps thousands of times.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -190,8 +190,8 @@ class GradedMorphism:
 
     @classmethod
     def identity(cls, x: GradedObject) -> "GradedMorphism":
-        one = CycNum.one(x.r)
-        return cls(x, x, {(i, i): one for i in range(x.dim)})
+        """The shared identity on X; see `identity`."""
+        return identity(x)
 
     @classmethod
     def zero_map(cls, source: GradedObject, target: GradedObject) -> "GradedMorphism":
@@ -255,6 +255,13 @@ class GradedMorphism:
             f"GradedMorphism({list(self.source.grades)} -> "
             f"{list(self.target.grades)}, {self.target.dim}x{self.source.dim})"
         )
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def identity(x: GradedObject) -> GradedMorphism:
+    """The identity on X, one shared instance per object, which `evaluate` passes through."""
+    one = CycNum.one(x.r)
+    return GradedMorphism(x, x, {(i, i): one for i in range(x.dim)})
 
 
 def compose(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:

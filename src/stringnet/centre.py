@@ -109,14 +109,15 @@ def _h_summand_diagram(x: GradedObject, k: int, u: int, params: CategoryParams) 
     return SliceDiagram(coend_object(r), layers)
 
 
-def _h_coords(x: GradedObject, k: int, params: CategoryParams) -> list:
-    (coords,) = loop_sum(lambda u: _h_summand_diagram(x, k, u, params), "right", params)
+def _h_coords(x: GradedObject, k: int, params: CategoryParams) -> tuple:
+    h = loop_sum(lambda u: _h_summand_diagram(x, k, u, params), "right", params)
+    (coords,) = zip(*h.matrix)
     return coords
 
 
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     """The genus-1 vector of a centre simple: the `loop_sum` of its summands."""
-    return HomSpaceVector(params.r, 1, tuple(_h_coords(z.underlying(), z.k, params)))
+    return HomSpaceVector(params.r, 1, _h_coords(z.underlying(), z.k, params))
 
 
 def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:

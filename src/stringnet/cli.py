@@ -13,11 +13,11 @@ and exits.
 Each subcommand loads only the modules it runs: its handler imports the
 library functions it calls, and the errors `main` reports live in the
 package itself.  Loading this module and parsing the command line import
-none of the arithmetic, so `--json-schema`, usage errors, the r-spin
-commands and the modular-data commands never load the category, diagram,
-coend, centre, spaces or Frobenius layers.  Parsing builds only the named
-subcommand's parser; help, an unknown command and other top-level errors
-get the full parser, which lists every subcommand.
+none of the arithmetic, so `--json-schema`, usage errors, `sn-dim`, the
+r-spin commands and the modular-data commands never load the category,
+diagram, coend, centre, spaces or Frobenius layers.  Parsing builds only
+the named subcommand's parser; help, an unknown command and other top-level
+errors get the full parser, which lists every subcommand.
 """
 
 from __future__ import annotations
@@ -150,12 +150,11 @@ def _marking(args):
 
 
 def _cmd_sn_dim(args) -> dict:
-    from .category import CategoryParams
-    from .spaces import sn_closed_dim
+    from .rspin import count_rspin
 
     return {
         "reference": "closed-surface string-net dimension r^2g when r divides 2-2g",
-        "dim": sn_closed_dim(CategoryParams(args.r), args.genus),
+        "dim": count_rspin(args.genus, args.r),
     }
 
 
@@ -264,9 +263,11 @@ def _cmd_rspin_check(args) -> dict:
 def _cmd_sigma_f(args) -> dict:
     from . import cyclotomic
     from .category import CategoryParams
+    from .caps import check_cap
     from .frobenius import frobenius_zr, sigma_F
 
     marking = _marking(args)
+    check_cap("state-sum coordinates", args.r, 2 * args.genus)
     vector = sigma_F(marking, frobenius_zr(CategoryParams(args.r)))
     return {
         "reference": "state-sum vector of an admissible marking in the handle space",
@@ -281,24 +282,17 @@ def _cmd_sigma_f(args) -> dict:
 
 def _cmd_frobenius_check(args) -> dict:
     from . import cyclotomic
-    from .category import CategoryParams, GradedMorphism
-    from .diagrams import SliceDiagram, box, evaluate
+    from .category import CategoryParams
     from .frobenius import frobenius_zr
 
-    params = CategoryParams(args.r)
-    pair = frobenius_zr(params).nakayama_pair
-    f = pair.forward.source
-    ident = GradedMorphism.identity(f)
-    power, order = pair.forward, 1
-    while power != ident:
-        power = evaluate(SliceDiagram(f, [[box(power)], [box(pair.forward)]]), params)
-        order += 1
+    f_data = frobenius_zr(CategoryParams(args.r))
+    forward = f_data.nakayama_pair.forward
     return {
         "reference": "Frobenius axioms and the Nakayama automorphism of the group algebra",
         "nakayama_diagonal": [
-            _render(pair.forward.entry(a, a), args.approx, cyclotomic) for a in range(args.r)
+            _render(forward.entry(a, a), args.approx, cyclotomic) for a in range(args.r)
         ],
-        "nakayama_order": order,
+        "nakayama_order": len(f_data.nakayama_powers),
     }
 
 

@@ -2,8 +2,9 @@
 
 A diagram is a stack of layers, read bottom to top; each layer is a sequence
 of `GradedMorphism`s juxtaposed left to right.  The builders name the cells a
-picture is drawn with: `identity` strands (one shared instance per object),
-the four duality caps and cups (`category.duality_map`), and `box`es holding
+picture is drawn with: `identity` strands (`category.identity`, the one
+shared instance per object that `GradedMorphism.identity` also returns), the
+four duality caps and cups (`category.duality_map`), and `box`es holding
 arbitrary morphisms.  Evaluation computes each layer's source and target
 objects once, checks the grade words adjacent layers exchange, then pushes
 the bottom's basis vectors up as sparse {flat index: coefficient} dicts,
@@ -16,9 +17,9 @@ received a sum is tested for zero.  No layer's Kronecker product and no
 dense matrix is ever built.  The pushed vectors are the columns of the
 result.
 `loop_sum` is the one place the projector's weighted sum over the loop
-grade u, with weight dim(C_u)/Dim, is written; it returns every column, so
-a diagram whose bottom is wider than the unit carries a whole block of
-basis vectors through one evaluation.
+grade u, with weight dim(C_u)/Dim, is written; it returns the summed
+morphism, so a diagram whose bottom is wider than the unit carries a whole
+block of basis vectors through one evaluation.
 
 Diagrams arrive pre-sliced; there is no planar-graph compiler here.  Every
 construction downstream is drawn in sliceable normal form already, and an
@@ -27,14 +28,12 @@ isotopy engine would be out of proportion to the verification goal.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .category import (
-    MEMO_SIZE,
     CategoryParams,
     GradedMorphism,
     GradedObject,
     duality_map,
+    identity,
     loop_weight,
     tensor_objects,
 )
@@ -58,15 +57,6 @@ class DiagramTypeError(ValueError):
         self.layer_index = layer_index
         self.expected = expected
         self.found = found
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def identity(x: GradedObject) -> GradedMorphism:
-    """The identity strand on X, one shared instance per object.
-
-    `evaluate` passes a run of these through without reading their columns.
-    """
-    return GradedMorphism.identity(x)
 
 
 def cap_left(x: GradedObject) -> GradedMorphism:
@@ -131,8 +121,8 @@ class SliceDiagram:
 def _layer_action(layer):
     """(source dim, target dim, columns, next step) per morphism, right to left.
 
-    A run of shared identity strands gets columns None; any other morphism,
-    an identity built elsewhere included, is pushed through its columns.
+    A run of shared identity strands gets columns None; any other morphism
+    is pushed through its columns.
     `next step` is the position after the entry, where `_push` resumes a
     term that split there.
     """
@@ -223,23 +213,14 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     return GradedMorphism(bottom, current, entries)
 
 
-def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> list:
-    """Every column of sum_u loop_weight(u, side) * evaluate(diagram_of_u(u)).
+def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> GradedMorphism:
+    """sum_u loop_weight(u, side) * evaluate(diagram_of_u(u)), as one morphism.
 
-    The diagrams must share a bottom object; each column comes back as a
-    dense list over the top's basis.  Only nonzero terms are added, so an
-    entry no term touches stays the shared zero.
+    The diagrams must share their bottom and top objects: the morphism sum
+    raises ValueError otherwise.
     """
-    columns = None
-    for u in range(params.r):
-        weight = loop_weight(u, side, params)
-        result = evaluate(diagram_of_u(u), params)
-        if columns is None:
-            bottom, zero = result.source, params.zero()
-            columns = [[zero] * result.target.dim for _ in result.columns]
-        elif result.source != bottom:
-            raise ValueError("loop_sum diagrams must share a bottom object")
-        for column, col in zip(columns, result.columns):
-            for i, e in col:
-                column[i] = column[i] + e * weight
-    return columns
+    terms = [
+        evaluate(diagram_of_u(u), params).scale(loop_weight(u, side, params))
+        for u in range(params.r)
+    ]
+    return sum(terms[1:], terms[0])

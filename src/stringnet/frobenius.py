@@ -15,9 +15,9 @@ surface decomposition: one chi per handle threads the face strand through
 a coend box.  The state sum is one slice diagram (eta, the chis, eps) that
 `diagrams.evaluate` pushes as a sparse vector, and the resulting vectors,
 one per admissible r-spin marking, give a basis of the string-net space.
-Each algebra evaluates a handle's chi diagram once per pair of labels mod
-r; `frobenius_zr` itself is not memoised, so every algebra it builds proves
-its axioms again.
+Each algebra evaluates the powers of N once and a handle's chi diagram,
+which boxes two of them, once per pair of labels mod r; `frobenius_zr` itself
+is not memoised, so every algebra it builds proves its axioms again.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class UnsupportedComplexError(ValueError):
 class FrobeniusAlgebraData(Record):
     """Algebra and coalgebra structure on F; axioms are checked on construction.
 
-    No __slots__: `nakayama_pair` and the memo of `chi` live in the instance
-    dict, filled on first use.
+    No __slots__: `nakayama_pair`, `nakayama_powers` and the memo of `chi`
+    live in the instance dict, filled on first use.
     """
 
     _fields = ("params", "object", "mu", "eta", "delta", "eps")
@@ -100,6 +100,17 @@ class FrobeniusAlgebraData(Record):
     def nakayama_pair(self) -> NakayamaPair:
         """The Nakayama pair, evaluated once per algebra; see `nakayama`."""
         return nakayama(self)
+
+    @cached_property
+    def nakayama_powers(self) -> tuple[GradedMorphism, ...]:
+        """N^0 = id, ..., N^(m-1), each one diagram step from the last; m divides r."""
+        f, forward, r = self.object, self.nakayama_pair.forward, self.params.r
+        powers, power = [identity(f)], forward
+        while power != powers[0] and len(powers) < r:
+            powers.append(power)
+            power = evaluate(SliceDiagram(f, [[box(power)], [box(forward)]]), self.params)
+        require(power == powers[0] and r % len(powers) == 0, "Nakayama order divides r")
+        return tuple(powers)
 
     @cached_property
     def handle_memo(self) -> dict[tuple[int, int], GradedMorphism]:
@@ -205,12 +216,8 @@ def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism
     params = f_data.params
     f = f_data.object
     fd = dual_object(f)
-    inv_layer = [box(f_data.nakayama_pair.inverse)]
-    r = params.r
-
-    def inv_power(k: int):
-        """N^{-k} on F alone, boxed: the exponent is taken mod r."""
-        return box(evaluate(SliceDiagram(f, [inv_layer] * (k % r)), params))
+    powers = f_data.nakayama_powers
+    m = len(powers)
 
     layers = [
         [cup_right(f), identity(f)],
@@ -222,13 +229,13 @@ def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism
         [
             identity(fd),
             identity(fd),
-            inv_power(a + 1),
-            inv_power(b + 1),
+            box(powers[-(a + 1) % m]),
+            box(powers[-(b + 1) % m]),
             identity(f),
         ],
         [box(jmath(f, f)), identity(f)],
     ]
-    top = tensor_objects(coend_object(r), f)
+    top = tensor_objects(coend_object(params.r), f)
     return evaluate(SliceDiagram(top, layers), params)
 
 
@@ -261,7 +268,5 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     layers.append([h] * genus + [box(f_data.eps)])
     top = tensor_objects(*[h.source] * genus)
     state = evaluate(SliceDiagram(top, layers), params)
-    coords = [params.zero()] * top.dim
-    for i, a in state.columns[0]:
-        coords[i] = a
-    return HomSpaceVector(r, genus, tuple(coords))
+    (coords,) = zip(*state.matrix)
+    return HomSpaceVector(r, genus, coords)

@@ -12,9 +12,8 @@ dimension is the image rank of the same operator on C(1, 1).
 strand fills a double-dual slot), one `loop_sum` per labelling of the
 first g-1 handles: the last handle is left free, entering from H, so each
 sum gives the r^2 columns of that labelling at once.  It proves the
-operator on its columns: each must be `bp_scalar`, the analytic value
-computed separately, times its basis vector, and that scalar must be
-idempotent.
+assembled operator equal to `bp_scalar`, the analytic value computed
+separately, times the identity, and that scalar idempotent.
 """
 
 from __future__ import annotations
@@ -198,7 +197,7 @@ def tilde_bp_operator(
 ) -> ProjectorReport:
     """Build the projector on C(1, H^{(x)g}) and report its image rank.
 
-    Checks every column against the analytic scalar times the basis vector,
+    Checks the operator against the analytic scalar times the identity,
     then the scalar against its square; given the first, the second is
     op o op == op (theorems: an InvariantError means the diagram calculus
     is broken).  The image rank is n, or 0 when the scalar is.
@@ -209,22 +208,24 @@ def tilde_bp_operator(
         raise ValueError(f"unknown orientation {orientation!r}")
     r = params.r
     check_cap("string-net basis", r, 2 * genus, cap)
-    n = r ** (2 * genus)
     side = "right" if orientation == "anticlockwise" else "left"
-    columns = []
-    # the last handle is left free, so each loop sum gives r^2 columns in order
-    for chi in itertools.product(range(r), repeat=max(2 * genus - 2, 0)):
-        columns += loop_sum(
-            lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params
-        )
+    # the last handle is left free, so each loop sum is the next block of r^2
+    # columns (the one column of the unit at genus 0)
+    blocks = [
+        loop_sum(lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params)
+        for chi in itertools.product(range(r), repeat=max(2 * genus - 2, 0))
+    ]
+    columns = [col for block in blocks for col in block.columns]
+    top = blocks[0].target
+    op = GradedMorphism(top, top, {(i, j): e for j, col in enumerate(columns) for i, e in col})
 
     scalar = bp_scalar(params, genus)
-    zero = params.zero()
-    for j, column in enumerate(columns):
-        want = [scalar if i == j else zero for i in range(n)]
-        require(column == want, "plaquette operator is the analytic scalar times the identity")
+    require(
+        op == GradedMorphism.identity(top).scale(scalar),
+        "plaquette operator is the analytic scalar times the identity",
+    )
     require(scalar * scalar == scalar, "plaquette operator is idempotent")
-    return ProjectorReport(r, genus, scalar, tuple(zip(*columns)), n if scalar else 0)
+    return ProjectorReport(r, genus, scalar, op.matrix, top.dim if scalar else 0)
 
 
 def annulus_hom_dim(a: int, b: int, params: CategoryParams) -> int:

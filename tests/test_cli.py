@@ -192,6 +192,16 @@ def test_genus_linear_work_is_priced_before_it_is_built(argv, code, error):
     assert elapsed < 1
 
 
+def test_sigma_f_is_priced_after_the_index_count(capsys, monkeypatch):
+    # 2^14 state-sum coordinates are over the default cap; no --cap flag
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    code = main(["sigma-f", "--r", "2", "--genus", "7", "--indices", ",".join("0" * 14)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    payload = json.loads(captured.out)
+    assert (payload["size"], payload["cap"]) == (16384, 10000)
+
+
 # the longest genus Python parses by default; 2g then has 4,301 digits
 LONG_GENUS = "5" + "0" * 4299
 

@@ -208,9 +208,10 @@ def test_free_handle_operator_matches_one_loop_sum_per_basis_vector(r, genus, or
     side = "right" if orientation == "anticlockwise" else "left"
     columns = []
     for chi in itertools.product(range(r), repeat=2 * genus):
-        (column,) = loop_sum(
+        one = loop_sum(
             lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params
         )
+        (column,) = zip(*one.matrix)
         columns.append(column)
     report = tilde_bp_operator(params, genus, orientation=orientation)
     assert report.operator_matrix == tuple(zip(*columns))

@@ -34,6 +34,7 @@ from stringnet.diagrams import (
     cup_right,
     evaluate,
     identity,
+    loop_sum,
 )
 from stringnet.frobenius import frobenius_zr
 
@@ -122,6 +123,33 @@ def test_empty_diagram_is_identity_on_top_boundary():
     x = GradedObject(4, (1, 3))
     d = SliceDiagram(x, [])
     assert evaluate(d, params) == GradedMorphism.identity(x)
+
+
+def test_identity_is_one_shared_instance():
+    for x in (unit_object(2), GradedObject(4, (1, 3)), GradedObject(3, (0, 2, 2))):
+        assert GradedMorphism.identity(x) is identity(x)
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_loop_sum_adds_the_weighted_morphisms(r):
+    # a clockwise loop on C_u is its right dimension zeta^u and carries the
+    # weight zeta^u / r, so the sum is 1 when r divides 2 and 0 otherwise
+    params = CategoryParams(r)
+
+    def loop(u):
+        x = simple_object(r, u)
+        return SliceDiagram(unit_object(r), [[cup_left(x)], [cap_right(x)]])
+
+    total = loop_sum(loop, "right", params)
+    assert isinstance(total, GradedMorphism)
+    assert total.source == total.target == unit_object(r)
+    assert total.entry(0, 0) == (1 if 2 % r == 0 else 0)
+
+
+def test_loop_sum_rejects_diagrams_whose_ends_differ():
+    params = CategoryParams(3)
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        loop_sum(lambda u: SliceDiagram(simple_object(3, u), []), "right", params)
 
 
 def test_mixed_r_rejected():

@@ -104,6 +104,35 @@ def test_nakayama_evaluated_once_per_algebra(monkeypatch):
     assert sorted(calls) == [-1, 1]
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+def test_nakayama_powers_are_the_diagonal_powers(r):
+    params = CategoryParams(r)
+    fd = frobenius_zr(params)
+    powers = fd.nakayama_powers
+    assert len(powers) == r and fd.nakayama_powers is powers
+    for k, power in enumerate(powers):
+        diagonal = {(a, a): params.zeta(-k * a) for a in range(r)}
+        assert power == GradedMorphism.from_entries(fd.object, fd.object, diagonal)
+
+
+def test_chi_evaluates_one_diagram_per_new_key(monkeypatch):
+    # with the Nakayama powers cached, chi boxes the two powers it needs
+    # rather than evaluating them again
+    fd = frobenius_zr(CategoryParams(4))
+    fd.nakayama_powers
+    calls = []
+    real = frobenius.evaluate
+
+    def counting(d, params):
+        calls.append(d)
+        return real(d, params)
+
+    monkeypatch.setattr(frobenius, "evaluate", counting)
+    for n, (a, b) in enumerate([(0, 0), (1, 2), (3, 3), (2, 1), (1, 2)], 1):
+        chi(a, b, fd)
+        assert len(calls) == min(n, 4)
+
+
 def test_chi_closed_form():
     for r in (2, 3, 4, 6):
         fd = frobenius_zr(CategoryParams(r))

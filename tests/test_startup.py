@@ -61,6 +61,7 @@ def test_state_sum_loads_no_dataclasses():
     [
         ("sigma-f", "--json-schema"),
         ("sn-dim", "--r", "0", "--genus", "1"),
+        ("sn-dim", "--r", "2", "--genus", "1"),
         ("rspin-enumerate", "--r", "2", "--genus", "1"),
         ("rspin-check", "--r", "2", "--genus", "1", "--indices", "0,1"),
         ("validate-modular", "--data", str(sample_path("semion"))),
