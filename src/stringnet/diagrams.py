@@ -216,11 +216,20 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> GradedMorphism:
     """sum_u loop_weight(u, side) * evaluate(diagram_of_u(u)), as one morphism.
 
-    The diagrams must share their bottom and top objects: the morphism sum
-    raises ValueError otherwise.
+    The weighted entries are added into one {(row, col): value} dict and the
+    morphism is built once.  The diagrams must share their bottom and top
+    objects: ValueError otherwise.
     """
-    terms = [
-        evaluate(diagram_of_u(u), params).scale(loop_weight(u, side, params))
-        for u in range(params.r)
-    ]
-    return sum(terms[1:], terms[0])
+    entries: dict = {}
+    for u in range(params.r):
+        term = evaluate(diagram_of_u(u), params)
+        if u == 0:
+            source, target = term.source, term.target
+        elif term.source != source or term.target != target:
+            raise ValueError("mismatched shapes in morphism sum")
+        weight = loop_weight(u, side, params)
+        for j, col in enumerate(term.columns):
+            for i, a in col:
+                v = a * weight
+                entries[i, j] = entries[i, j] + v if (i, j) in entries else v
+    return GradedMorphism(source, target, entries)
