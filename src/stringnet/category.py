@@ -12,9 +12,10 @@ whole point of the constructions downstream.
 library multiplies morphisms only by evaluating slice diagrams, and these
 two stay as the independent route the tests compare that evaluation with.
 
-Objects, identities and the duality maps are immutable values, so the
-functions that build them are memoised (`MEMO_SIZE` entries each): a diagram
-asks for the same few objects, strands and caps thousands of times.
+Objects and identities are immutable values, so the functions that build
+them, and the caps and cups of `diagrams`, are memoised (`MEMO_SIZE` entries
+each): a diagram asks for the same few objects, strands and caps thousands
+of times.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -244,10 +245,7 @@ class GradedMorphism:
         return GradedMorphism(self.source, self.target, entries)
 
     def scale(self, c) -> "GradedMorphism":
-        if isinstance(c, (int, Fraction)):
-            entries = {key: rational_scale(a, c) for key, a in self._entries().items()}
-        else:
-            entries = {key: a * c for key, a in self._entries().items()}
+        entries = {key: a * c for key, a in self._entries().items()}
         return GradedMorphism(self.source, self.target, entries)
 
     def __repr__(self):
@@ -307,37 +305,6 @@ def delta_pivot(x: GradedObject, params: CategoryParams) -> GradedMorphism:
     """The pivotal automorphism: zeta^g on the grade-g summand."""
     entries = {(i, i): params.zeta(g) for i, g in enumerate(x.grades)}
     return GradedMorphism.from_entries(x, x, entries)
-
-
-_DUALITY_KINDS = ("cap_left", "cap_right", "cup_left", "cup_right")
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def duality_map(x: GradedObject, kind: str) -> GradedMorphism:
-    """One (co)evaluation for X, named as its diagram builder is.
-
-    cap_left: X^dual (x) X -> 1 and cup_left: 1 -> X (x) X^dual pair mirrored
-    positions with coefficient 1; cap_right: X (x) X^dual -> 1 carries zeta^g
-    and cup_right: 1 -> X^dual (x) X carries zeta^{-g} per grade-g summand.
-    """
-    if kind not in _DUALITY_KINDS:
-        raise ValueError(f"kind must be one of {', '.join(_DUALITY_KINDS)}, got {kind!r}")
-    n = x.dim
-    dual_first = kind in ("cap_left", "cup_right")
-    cap = kind.startswith("cap")
-    one = CycNum.one(x.r)
-    entries = {}
-    for i, g in enumerate(x.grades):
-        # x_i meets its mirror n-1-i: flat index (n-1-i)*n + i in X^dual (x) X,
-        # i*n + (n-1-i) in X (x) X^dual
-        flat = (n - 1 - i) * n + i if dual_first else i * n + n - 1 - i
-        weight = one if kind.endswith("left") else zeta_power(x.r, g if cap else -g)
-        entries[(0, flat) if cap else (flat, 0)] = weight
-    xd = dual_object(x)
-    pair = tensor_objects(xd, x) if dual_first else tensor_objects(x, xd)
-    unit = unit_object(x.r)
-    source, target = (pair, unit) if cap else (unit, pair)
-    return GradedMorphism.from_entries(source, target, entries)
 
 
 def dimension(x: GradedObject, side: str, params: CategoryParams) -> CycNum:

@@ -210,13 +210,13 @@ def ahat_structure(m_or_z, params: CategoryParams) -> AhatStructure:
                 # alpha pins the W position to p on both sides
                 block = _ahat_braiding_block(m, i, p, w, params)
                 j = (i + w.grades[p]) % r
+                # W stays at p, so each row is p*dm + m_out; each (i, p, m_in)
+                # is its own source column, so no key is written twice
                 for m_in in range(dm):
                     src_flat = (hull.offsets[i] + m_in) * dw + p
                     for row, e in block.columns[m_in * dw + p]:
                         m_out = row - p * dm
-                        if 0 <= m_out < dm:
-                            key = (p * (r * dm) + hull.offsets[j] + m_out, src_flat)
-                            entries[key] = entries[key] + e if key in entries else e
+                        entries[p * (r * dm) + hull.offsets[j] + m_out, src_flat] = e
         return GradedMorphism(src, tgt, entries)
 
     if z is None:

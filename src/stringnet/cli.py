@@ -28,22 +28,7 @@ import os
 import sys
 
 from . import InadmissibleMarkingError, InvariantError, ModularDataError
-from .caps import SizeCapError
-
-COMMANDS = (
-    "sn-dim",
-    "sphere",
-    "torus-basis",
-    "bp-operator",
-    "annulus",
-    "rspin-count",
-    "rspin-enumerate",
-    "rspin-check",
-    "sigma-f",
-    "frobenius-check",
-    "charge",
-    "validate-modular",
-)
+from .caps import SizeCapError, check_cap
 
 
 class _FlagError(Exception):
@@ -74,7 +59,7 @@ class _SchemaAction(argparse.Action):
 def schema_text(command: str) -> str:
     from importlib import resources
 
-    if command not in COMMANDS:
+    if command not in _SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {command!r}")
     return (
         resources.files("stringnet").joinpath("schemas", f"{command}.json").read_text()
@@ -174,6 +159,8 @@ def _cmd_torus_basis(args) -> dict:
     from .centre import list_centre_simples, torus_vectors
     from .linalg import rank_cyc
 
+    # r^2 vectors of r^2 coordinates: the rank input and the output
+    check_cap("torus-basis coordinates", args.r, 4)
     params = CategoryParams(args.r)
     vectors = []
     coords_matrix = []
@@ -235,7 +222,6 @@ def _cmd_rspin_count(args) -> dict:
 
 
 def _cmd_rspin_enumerate(args) -> dict:
-    from .caps import check_cap
     from .rspin import enumerate_admissible
 
     # priced before building the 2g edges (1 on the sphere) of the decomposition
@@ -263,7 +249,6 @@ def _cmd_rspin_check(args) -> dict:
 def _cmd_sigma_f(args) -> dict:
     from . import cyclotomic
     from .category import CategoryParams
-    from .caps import check_cap
     from .frobenius import frobenius_zr, sigma_F
 
     marking = _marking(args)
@@ -318,77 +303,64 @@ def _cmd_validate_modular(args) -> dict:
     return {"reference": reference, "valid": True, "violations": []}
 
 
+_POSITIVE, _NONNEGATIVE = _int_at_least(1), _int_at_least(0)
+_R = {"type": _POSITIVE, "required": True}
+_NATURAL = {"type": _NONNEGATIVE, "required": True}  # a genus or a grade
+_CAP = {"type": _POSITIVE, "default": None}
+_APPROX = {"action": "store_true"}
+_ORIENTATION = {"choices": ["anticlockwise", "clockwise"], "default": "anticlockwise"}
+_INDICES = {
+    "type": _int_list,
+    "required": True,
+    "help": "comma-separated edge indices in edge order",
+}
+_REQUIRED = {"required": True}
+
+# Each subcommand's handler and flags, in the order help lists them.
+_SUBCOMMANDS = {
+    "sn-dim": (_cmd_sn_dim, {"r": _R, "genus": _NATURAL}),
+    "sphere": (_cmd_sphere, {"r": _R}),
+    "torus-basis": (_cmd_torus_basis, {"r": _R, "approx": _APPROX}),
+    "bp-operator": (
+        _cmd_bp_operator,
+        {"r": _R, "genus": _NATURAL, "orientation": _ORIENTATION, "cap": _CAP, "approx": _APPROX},
+    ),
+    "annulus": (_cmd_annulus, {"r": _R, "a": _NATURAL, "b": _NATURAL}),
+    "rspin-count": (_cmd_rspin_count, {"r": _R, "genus": _NATURAL}),
+    "rspin-enumerate": (_cmd_rspin_enumerate, {"r": _R, "genus": _NATURAL, "cap": _CAP}),
+    "rspin-check": (_cmd_rspin_check, {"r": _R, "genus": _NATURAL, "indices": _INDICES}),
+    "sigma-f": (
+        _cmd_sigma_f,
+        {"r": _R, "genus": _NATURAL, "indices": _INDICES, "approx": _APPROX},
+    ),
+    "frobenius-check": (_cmd_frobenius_check, {"r": _R, "approx": _APPROX}),
+    "charge": (
+        _cmd_charge,
+        {
+            "data": {"required": True, "help": "modular-data JSON file"},
+            "j": _REQUIRED,
+            "u": _REQUIRED,
+            "v": _REQUIRED,
+        },
+    ),
+    "validate-modular": (_cmd_validate_modular, {"data": _REQUIRED}),
+}
+COMMANDS = tuple(_SUBCOMMANDS)
+
+
 def _build_parser(argv: list[str] | None = None) -> _Parser:
     """The parser for `argv`: only its subcommand's when argv starts with one."""
-    only = argv[0] if argv and argv[0] in COMMANDS else None
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     parser = _Parser(prog="stringnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name, handler, **arguments):
+    for name, (handler, flags) in _SUBCOMMANDS.items():
         if only not in (None, name):
-            return
+            continue
         p = sub.add_parser(name)
-        for flag, options in arguments.items():
+        for flag, options in flags.items():
             p.add_argument(f"--{flag}", **options)
         p.add_argument("--json-schema", action=_SchemaAction, command=name)
-        p.set_defaults(handler=handler, inputs=[f for f in arguments if f not in ("approx", "cap")])
-
-    positive, nonnegative = _int_at_least(1), _int_at_least(0)
-    r_flag = {"type": positive, "required": True}
-    genus_flag = {"type": nonnegative, "required": True}
-    cap_flag = {"type": positive, "default": None}
-    approx_flag = {"action": "store_true"}
-    indices_flag = {
-        "type": _int_list,
-        "required": True,
-        "help": "comma-separated edge indices in edge order",
-    }
-
-    command("sn-dim", _cmd_sn_dim, r=r_flag, genus=genus_flag)
-    command("sphere", _cmd_sphere, r=r_flag)
-    command("torus-basis", _cmd_torus_basis, r=r_flag, approx=approx_flag)
-    command(
-        "bp-operator",
-        _cmd_bp_operator,
-        r=r_flag,
-        genus=genus_flag,
-        orientation={
-            "choices": ["anticlockwise", "clockwise"],
-            "default": "anticlockwise",
-        },
-        cap=cap_flag,
-        approx=approx_flag,
-    )
-    command(
-        "annulus",
-        _cmd_annulus,
-        r=r_flag,
-        a={"type": nonnegative, "required": True},
-        b={"type": nonnegative, "required": True},
-    )
-    command("rspin-count", _cmd_rspin_count, r=r_flag, genus=genus_flag)
-    command(
-        "rspin-enumerate", _cmd_rspin_enumerate, r=r_flag, genus=genus_flag, cap=cap_flag
-    )
-    command("rspin-check", _cmd_rspin_check, r=r_flag, genus=genus_flag, indices=indices_flag)
-    command(
-        "sigma-f",
-        _cmd_sigma_f,
-        r=r_flag,
-        genus=genus_flag,
-        indices=indices_flag,
-        approx=approx_flag,
-    )
-    command("frobenius-check", _cmd_frobenius_check, r=r_flag, approx=approx_flag)
-    command(
-        "charge",
-        _cmd_charge,
-        data={"required": True, "help": "modular-data JSON file"},
-        j={"required": True},
-        u={"required": True},
-        v={"required": True},
-    )
-    command("validate-modular", _cmd_validate_modular, data={"required": True})
+        p.set_defaults(handler=handler, inputs=[f for f in flags if f not in ("approx", "cap")])
     return parser
 
 

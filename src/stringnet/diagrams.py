@@ -4,12 +4,13 @@ A diagram is a stack of layers, read bottom to top; each layer is a sequence
 of `GradedMorphism`s juxtaposed left to right.  The builders name the cells a
 picture is drawn with: `identity` strands (`category.identity`, the one
 shared instance per object that `GradedMorphism.identity` also returns), the
-four duality caps and cups (`category.duality_map`), and `box`es holding
-arbitrary morphisms.  Evaluation computes each layer's source and target
-objects once, checks the grade words adjacent layers exchange, then pushes
-the bottom's basis vectors up as sparse {flat index: coefficient} dicts,
-all of them through a layer in one call.  Each term is split mixed-radix
-over the layer's morphisms and read off their stored columns: a
+four memoised duality caps and cups, whose one helper fixes the mirrored
+positions and the zeta^{+-g} weights of the right-hand pair, and `box`es
+holding arbitrary morphisms.  Evaluation computes each layer's source and
+target objects once, checks the grade words adjacent layers exchange, then
+pushes the bottom's basis vectors up as sparse {flat index: coefficient}
+dicts, all of them through a layer in one call.  Each term is split
+mixed-radix over the layer's morphisms and read off their stored columns: a
 single-entry column moves it, a longer one branches it, an empty one drops
 it; runs of shared identity strands pass their digits through untouched,
 and a product with the shared `one` is never made.  Only an index that
@@ -28,15 +29,20 @@ isotopy engine would be out of proportion to the verification goal.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .category import (
+    MEMO_SIZE,
     CategoryParams,
     GradedMorphism,
     GradedObject,
-    duality_map,
+    dual_object,
     identity,
     loop_weight,
     tensor_objects,
+    unit_object,
 )
+from .cyclotomic import CycNum, zeta_power
 
 
 class DiagramTypeError(ValueError):
@@ -59,24 +65,49 @@ class DiagramTypeError(ValueError):
         self.found = found
 
 
+def _duality_cell(x: GradedObject, cap: bool, right: bool) -> GradedMorphism:
+    """The one home of the cup/cap convention; see the four builders below.
+
+    x_i meets its mirror x_{n-1-i}.  The left cap and the right cup read
+    X^dual (x) X, the other two X (x) X^dual; a right cell weighs the grade-g
+    pair by zeta^g (cap) or zeta^{-g} (cup), a left cell by 1.
+    """
+    r, n = x.r, x.dim
+    dual_first = cap != right
+    one = CycNum.one(r)
+    entries = {}
+    for i, g in enumerate(x.grades):
+        flat = (n - 1 - i) * n + i if dual_first else i * n + n - 1 - i
+        weight = zeta_power(r, g if cap else -g) if right else one
+        entries[(0, flat) if cap else (flat, 0)] = weight
+    xd = dual_object(x)
+    pair = tensor_objects(xd, x) if dual_first else tensor_objects(x, xd)
+    unit = unit_object(r)
+    return GradedMorphism(pair, unit, entries) if cap else GradedMorphism(unit, pair, entries)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def cap_left(x: GradedObject) -> GradedMorphism:
     """Evaluation consuming X^dual (x) X."""
-    return duality_map(x, "cap_left")
+    return _duality_cell(x, cap=True, right=False)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def cap_right(x: GradedObject) -> GradedMorphism:
     """Evaluation consuming X (x) X^dual; carries the pivotal weight."""
-    return duality_map(x, "cap_right")
+    return _duality_cell(x, cap=True, right=True)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def cup_left(x: GradedObject) -> GradedMorphism:
     """Coevaluation producing X (x) X^dual."""
-    return duality_map(x, "cup_left")
+    return _duality_cell(x, cap=False, right=False)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def cup_right(x: GradedObject) -> GradedMorphism:
     """Coevaluation producing X^dual (x) X; carries the pivotal weight."""
-    return duality_map(x, "cup_right")
+    return _duality_cell(x, cap=False, right=True)
 
 
 def box(f: GradedMorphism) -> GradedMorphism:

@@ -1,10 +1,12 @@
 """The group Frobenius algebra of Z_r inside the graded category.
 
-F is the sum of all simples with multiplication delta_{c,a+b}.  The
-comultiplication carries a 1/r and the counit an r so that mu o Delta = id
-(Delta-separability); the price is that F is symmetric only up to the
-Nakayama automorphism N(1_a) = zeta^{-a} 1_a, which the pivotal structure
-produces when F is rotated through a cup and a cap.
+F is L, the sum of all simples (`coends.simples_object`), with
+multiplication delta_{c,a+b}.  The comultiplication carries a 1/r and the
+counit an r so that mu o Delta = id (Delta-separability); the price is that
+F is symmetric only up to the Nakayama automorphism N(1_a) = zeta^{-a} 1_a,
+which the pivotal structure produces when F is rotated through a cup and a
+cap.  The rotation's layers are written once: its mirror image, which
+reverses each layer and swaps the left and right duality cells, is N^{-1}.
 
 The nine axioms and the Nakayama round trip are proved as equalities of
 slice diagrams built from boxes of mu, eta, Delta, epsilon and identity
@@ -35,7 +37,7 @@ from .category import (
     tensor_objects,
     unit_object,
 )
-from .coends import HomSpaceVector, coend_object, jmath
+from .coends import HomSpaceVector, coend_object, jmath, simples_object
 from .cyclotomic import CycNum
 from .diagrams import (
     SliceDiagram,
@@ -121,7 +123,7 @@ class FrobeniusAlgebraData(Record):
 def frobenius_zr(params: CategoryParams) -> FrobeniusAlgebraData:
     """Group algebra of Z_r: mu(1_a,1_b) = 1_{a+b}, eps(1_a) = r delta_{a,0}."""
     r = params.r
-    f = GradedObject(r, tuple(range(r)))
+    f = simples_object(r)
     one = CycNum.one(r)
     mu = GradedMorphism.from_entries(
         tensor_objects(f, f),
@@ -152,28 +154,19 @@ def _nakayama_diagram(f_data: FrobeniusAlgebraData, direction: int) -> GradedMor
     """Rotate F through a cup and cap: ((eps mu)(x) id) then (id (x) (delta eta)).
 
     direction > 0 turns rightward (spectator dual strand on the right,
-    weighted cap); the mirror image turns leftward and gives the inverse.
+    weighted cap); its mirror image, every layer reversed with the left and
+    right duality cells swapped, turns leftward and gives the inverse.
     """
     f = f_data.object
-    side = dual_object(f)
-    if direction > 0:
-        layers = [
-            [identity(f), cup_left(f)],
-            [box(f_data.mu), identity(side)],
-            [box(f_data.eps), identity(side)],
-            [box(f_data.eta), identity(side)],
-            [box(f_data.delta), identity(side)],
-            [identity(f), cap_right(f)],
-        ]
-    else:
-        layers = [
-            [cup_right(f), identity(f)],
-            [identity(side), box(f_data.mu)],
-            [identity(side), box(f_data.eps)],
-            [identity(side), box(f_data.eta)],
-            [identity(side), box(f_data.delta)],
-            [cap_left(f), identity(f)],
-        ]
+    side = identity(dual_object(f))
+    cup, cap = (cup_left, cap_right) if direction > 0 else (cup_right, cap_left)
+    layers = [
+        [identity(f), cup(f)],
+        *([box(m), side] for m in (f_data.mu, f_data.eps, f_data.eta, f_data.delta)),
+        [identity(f), cap(f)],
+    ]
+    if direction <= 0:
+        layers = [layer[::-1] for layer in layers]
     return evaluate(SliceDiagram(f, layers), f_data.params)
 
 

@@ -74,12 +74,10 @@ def bp_scalar(params: CategoryParams, genus: int) -> CycNum:
 
 def _loop_diagram(u: int, orientation: str, params: CategoryParams) -> SliceDiagram:
     u_obj = simple_object(params.r, u)
-    if orientation == "anticlockwise":
-        # the surface loop flattens to a clockwise planar circle
-        layers = [[cup_left(u_obj)], [cap_right(u_obj)]]
-    else:
-        layers = [[cup_right(u_obj)], [cap_left(u_obj)]]
-    return SliceDiagram(unit_object(params.r), layers)
+    # the anticlockwise surface loop flattens to a clockwise planar circle
+    acw = orientation == "anticlockwise"
+    cup, cap = (cup_left, cap_right) if acw else (cup_right, cap_left)
+    return SliceDiagram(unit_object(params.r), [[cup(u_obj)], [cap(u_obj)]])
 
 
 def sphere_sn_dim(params: CategoryParams) -> int:

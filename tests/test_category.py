@@ -19,7 +19,6 @@ from stringnet.category import (
     delta_pivot,
     dimension,
     dual_object,
-    duality_map,
     loop_weight,
     simple_object,
     tensor_morphisms,
@@ -28,7 +27,7 @@ from stringnet.category import (
 )
 from stringnet.coends import jmath
 from stringnet.cyclotomic import CycNum, zeta_power
-from stringnet.diagrams import identity
+from stringnet.diagrams import cap_left, cap_right, cup_left, cup_right, identity
 
 from morphism_reference import dual_morphism, global_dimension, trace
 
@@ -216,7 +215,7 @@ def memoised_call(draw):
                 "simple_object",
                 "tensor_objects",
                 "dual_object",
-                "duality_map",
+                "duality_cell",
                 "identity",
                 "jmath",
             ]
@@ -230,9 +229,8 @@ def memoised_call(draw):
         return tensor_objects, tuple(draw(st.lists(obj, min_size=1, max_size=3)))
     if name == "dual_object":
         return dual_object, (draw(obj),)
-    if name == "duality_map":
-        kind = draw(st.sampled_from(["cap_left", "cap_right", "cup_left", "cup_right"]))
-        return duality_map, (draw(obj), kind)
+    if name == "duality_cell":
+        return draw(st.sampled_from([cap_left, cap_right, cup_left, cup_right])), (draw(obj),)
     if name == "identity":
         return identity, (draw(obj),)
     return jmath, (draw(obj), draw(obj))
@@ -297,8 +295,7 @@ def test_zigzag_identities(r):
         x = GradedObject(r, grades)
         xd = dual_object(x)
         ev_left, coev_left, ev_right, coev_right = (
-            duality_map(x, kind)
-            for kind in ("cap_left", "cup_left", "cap_right", "cup_right")
+            cell(x) for cell in (cap_left, cup_left, cap_right, cup_right)
         )
         id_x = GradedMorphism.identity(x)
         id_xd = GradedMorphism.identity(xd)
@@ -316,17 +313,17 @@ def test_pivot_relates_left_and_right_duality(r):
         x = GradedObject(r, grades)
         xd = dual_object(x)
         piv = delta_pivot(x, params)
-        assert duality_map(x, "cap_right") == compose(
-            duality_map(xd, "cap_left"),
+        assert cap_right(x) == compose(
+            cap_left(xd),
             tensor_morphisms(piv, GradedMorphism.identity(xd)),
         )
         # and the coev counterpart through the inverse pivot
         piv_inv = GradedMorphism.from_entries(
             x, x, {(i, i): params.zeta(-g) for i, g in enumerate(x.grades)}
         )
-        assert duality_map(x, "cup_right") == compose(
+        assert cup_right(x) == compose(
             tensor_morphisms(GradedMorphism.identity(xd), piv_inv),
-            duality_map(xd, "cup_left"),
+            cup_left(xd),
         )
 
 

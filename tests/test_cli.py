@@ -202,6 +202,17 @@ def test_sigma_f_is_priced_after_the_index_count(capsys, monkeypatch):
     assert (payload["size"], payload["cap"]) == (16384, 10000)
 
 
+def test_torus_basis_prices_its_r4_coordinates(capsys, monkeypatch):
+    # r^2 vectors of r^2 coordinates: 3^4 = 81 is over a cap of 80, 2^4 is not
+    monkeypatch.setenv(ENV_VAR, "80")
+    code = main(["torus-basis", "--r", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    payload = json.loads(captured.out)
+    assert (payload["size"], payload["cap"]) == (81, 80)
+    assert _payload(capsys, "torus-basis", "--r", "2")["rank"] == 4
+
+
 # the longest genus Python parses by default; 2g then has 4,301 digits
 LONG_GENUS = "5" + "0" * 4299
 
