@@ -10,6 +10,10 @@ assigns an index s_e in Z_r to each edge, stored as the tuple `indices` in
 edge order; the marking is admissible when a per-vertex congruence holds,
 and admissible markings on a fixed decomposition count r-spin structures.
 
+There is one census, `admissible_indices`, which lists the admissible
+markings as bare index tuples; `enumerate_admissible` wraps each of its rows
+as a `MarkedPLCW` for callers that need records.
+
 Conventions pinned here (the source material leaves them to a drawing):
 the face orientation is the cyclic order of its boundary list, and the
 "clockwise" boundary vertex of the preferred edge is the vertex where its
@@ -253,10 +257,18 @@ def is_admissible(m: MarkedPLCW) -> AdmissibilityReport:
     return AdmissibilityReport(all(x == 0 for x in residues.values()), residues)
 
 
-def enumerate_admissible(
+def admissible_indices(
     complex: PLCW, r: int, *, cap: int | None = None
-) -> list[MarkedPLCW]:
-    """All admissible markings, orientations and preferred edges held fixed."""
+) -> list[tuple[int, ...]]:
+    """The census: each admissible marking as its index tuple, in
+    `itertools.product` order, orientations and preferred edges held fixed.
+
+    This is the one census; `enumerate_admissible` wraps its rows as records.
+    The r^n assignments are priced before anything is built, a vertex with
+    only loops that fails decides the census without enumerating, and when
+    no vertex congruence involves an index (the standard decomposition)
+    every assignment is a row, listed without a check per assignment.
+    """
     r = _integer(r, "r")
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
@@ -268,8 +280,11 @@ def enumerate_admissible(
             compiled.append((outs, ins, const))
         elif const % r:  # a vertex with only loops fails whatever the indices
             return []
+    assignments = itertools.product(range(r), repeat=n_edges)
+    if not compiled:
+        return list(assignments)
     found = []
-    for assignment in itertools.product(range(r), repeat=n_edges):
+    for assignment in assignments:
         for outs, ins, const in compiled:
             acc = const
             for i in outs:
@@ -279,10 +294,22 @@ def enumerate_admissible(
             if acc % r != 0:
                 break
         else:
-            # what MarkedPLCW.__init__ checks holds: one index in range(r) per edge, in order
-            m = object.__new__(MarkedPLCW)
-            Record.__init__(m, complex, r, assignment)
-            found.append(m)
+            found.append(assignment)
+    return found
+
+
+def enumerate_admissible(
+    complex: PLCW, r: int, *, cap: int | None = None
+) -> list[MarkedPLCW]:
+    """All admissible markings, orientations and preferred edges held fixed:
+    each row of `admissible_indices`, the one census, wrapped as a record."""
+    r = _integer(r, "r")
+    found = []
+    for row in admissible_indices(complex, r, cap=cap):
+        # what MarkedPLCW.__init__ checks holds: one index in range(r) per edge, in order
+        m = object.__new__(MarkedPLCW)
+        Record.__init__(m, complex, r, row)
+        found.append(m)
     return found
 
 

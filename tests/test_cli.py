@@ -268,6 +268,26 @@ def test_rspin_enumerate_order_and_sphere(capsys):
     assert _payload(capsys, "rspin-enumerate", "--r", "2", "--genus", "0")["count"] == 1
 
 
+def test_rspin_enumerate_prints_rows_without_building_markings(capsys, monkeypatch):
+    from stringnet import Record
+    from stringnet.rspin import MarkedPLCW
+
+    built = []
+    init = Record.__init__
+
+    def counted(self, *values):
+        if isinstance(self, MarkedPLCW):
+            built.append(values)
+        init(self, *values)
+
+    # every MarkedPLCW, validated or wrapped from a census row, passes here
+    monkeypatch.setattr(Record, "__init__", counted)
+    payload = _payload(capsys, "rspin-enumerate", "--r", "9", "--genus", "1")
+    assert payload["count"] == len(payload["markings"]) == 81
+    assert payload["markings"][-1] == [8, 8]
+    assert built == []
+
+
 def test_rspin_check(capsys):
     payload = _payload(capsys, "rspin-check", "--r", "2", "--genus", "1", "--indices", "1,1")
     assert payload["admissible"] is True and payload["residues"] == {"0": 0}

@@ -13,6 +13,7 @@ from stringnet.caps import SizeCapError
 from stringnet.rspin import (
     MarkedPLCW,
     PLCW,
+    admissible_indices,
     count_rspin,
     enumerate_admissible,
     is_admissible,
@@ -175,13 +176,36 @@ def test_r_one_always_admissible():
         assert bool(is_admissible(markings[0]))
 
 
-def test_census_matches_closed_form():
-    for g in range(0, 4):
-        c = sphere_decomposition() if g == 0 else standard_decomposition(g)
-        for r in range(1, 5):
-            found = enumerate_admissible(c, r, cap=5000)
-            assert len(found) == count_rspin(g, r)
+def test_census_matches_closed_form(monkeypatch):
+    # split_face draws the face, its two corners, then each half's preferred entry
+    draws = iter([0, [0, 1], 0, 0])
+    cases = [(sphere_decomposition(), 0)]
+    cases += [(standard_decomposition(g), g) for g in (1, 2, 3)]
+    # subdivisions with several vertices, where the census checks each assignment
+    cases += [
+        (_split_edge(sphere_decomposition(), lambda _: 0), 0),
+        (_split_face(sphere_decomposition(), lambda _: next(draws)), 0),
+        (_split_edge(standard_decomposition(1), lambda _: 0), 1),
+        (_split_edge(standard_decomposition(2), lambda _: 0), 2),
+    ]
+    for c, g in cases:
+        n = len(c.edges)
+        for r in range(1, 7):
+            rows = admissible_indices(c, r, cap=50_000)
+            found = enumerate_admissible(c, r, cap=50_000)
+            assert rows == [m.indices for m in found]
+            # r^(2g + F - 1) when r divides 2 - 2g, else none
+            assert len(rows) == count_rspin(g, r) * r ** (len(c.faces) - 1)
             assert all(is_admissible(m) for m in found)
+            price = r**n if r > 1 else n  # r^n assignments; n itself at r = 1
+            if price == 1:  # no cap is below it
+                continue
+            with monkeypatch.context() as patched:
+                patched.setattr(rspin.itertools, "product", _refuse)
+                for census in (admissible_indices, enumerate_admissible):
+                    with pytest.raises(SizeCapError) as exc:
+                        census(c, r, cap=price - 1)
+                    assert exc.value.size == price
 
 
 def test_census_larger_cases():
