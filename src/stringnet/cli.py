@@ -222,11 +222,13 @@ def _cmd_rspin_count(args) -> dict:
 
 
 def _cmd_rspin_enumerate(args) -> dict:
-    from .rspin import admissible_indices
+    from .rspin import enumerate_admissible
 
     # priced before building the 2g edges (1 on the sphere) of the decomposition
     check_cap("edge-index assignments", args.r, 2 * args.genus or 1, args.cap)
-    rows = admissible_indices(_decomposition(args.genus), args.r, cap=args.cap)
+    rows = enumerate_admissible(
+        _decomposition(args.genus), args.r, cap=args.cap, records=False
+    )
     return {
         "reference": "admissible edge-index assignments on the standard decomposition",
         "count": len(rows),

@@ -12,7 +12,8 @@ and admissible markings on a fixed decomposition count r-spin structures.
 
 There is one census, `admissible_indices`, which lists the admissible
 markings as bare index tuples; `enumerate_admissible` wraps each of its rows
-as a `MarkedPLCW` for callers that need records.
+as a `MarkedPLCW` for callers that need records, or with `records=False`
+passes the rows through unwrapped.
 
 Conventions pinned here (the source material leaves them to a drawing):
 the face orientation is the cyclic order of its boundary list, and the
@@ -299,13 +300,21 @@ def admissible_indices(
 
 
 def enumerate_admissible(
-    complex: PLCW, r: int, *, cap: int | None = None
-) -> list[MarkedPLCW]:
+    complex: PLCW, r: int, *, cap: int | None = None, records: bool = True
+) -> list[MarkedPLCW] | list[tuple[int, ...]]:
     """All admissible markings, orientations and preferred edges held fixed:
-    each row of `admissible_indices`, the one census, wrapped as a record."""
+    each row of `admissible_indices`, the one census, wrapped as a record.
+
+    With `records=False` the rows come back bare. `rspin-enumerate` takes
+    them so, through this name, because perfbench's tracer prices the
+    census's r^n assignments per call of `enumerate_admissible`.
+    """
     r = _integer(r, "r")
+    rows = admissible_indices(complex, r, cap=cap)
+    if not records:
+        return rows
     found = []
-    for row in admissible_indices(complex, r, cap=cap):
+    for row in rows:
         # what MarkedPLCW.__init__ checks holds: one index in range(r) per edge, in order
         m = object.__new__(MarkedPLCW)
         Record.__init__(m, complex, r, row)

@@ -269,7 +269,7 @@ def test_rspin_enumerate_order_and_sphere(capsys):
 
 
 def test_rspin_enumerate_prints_rows_without_building_markings(capsys, monkeypatch):
-    from stringnet import Record
+    from stringnet import Record, rspin
     from stringnet.rspin import MarkedPLCW
 
     built = []
@@ -280,12 +280,22 @@ def test_rspin_enumerate_prints_rows_without_building_markings(capsys, monkeypat
             built.append(values)
         init(self, *values)
 
+    calls = []
+    census = rspin.enumerate_admissible
+
+    def traced(complex, r, **kwargs):
+        calls.append((len(complex.edges), r))
+        return census(complex, r, **kwargs)
+
     # every MarkedPLCW, validated or wrapped from a census row, passes here
     monkeypatch.setattr(Record, "__init__", counted)
+    # perfbench's tracer prices the census per call of this name
+    monkeypatch.setattr(rspin, "enumerate_admissible", traced)
     payload = _payload(capsys, "rspin-enumerate", "--r", "9", "--genus", "1")
     assert payload["count"] == len(payload["markings"]) == 81
     assert payload["markings"][-1] == [8, 8]
     assert built == []
+    assert calls == [(2, 9)]
 
 
 def test_rspin_check(capsys):

@@ -194,6 +194,7 @@ def test_census_matches_closed_form(monkeypatch):
             rows = admissible_indices(c, r, cap=50_000)
             found = enumerate_admissible(c, r, cap=50_000)
             assert rows == [m.indices for m in found]
+            assert enumerate_admissible(c, r, cap=50_000, records=False) == rows
             # r^(2g + F - 1) when r divides 2 - 2g, else none
             assert len(rows) == count_rspin(g, r) * r ** (len(c.faces) - 1)
             assert all(is_admissible(m) for m in found)
