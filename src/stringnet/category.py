@@ -127,18 +127,39 @@ class GradeSupportError(ValueError):
     """A matrix entry sits where target and source grades disagree."""
 
 
+class _Columns(tuple):
+    """Canonical columns a library routine built: `GradedMorphism` stores them as given.
+
+    Column j is a tuple of (row, entry) pairs sorted by row, each entry a
+    nonzero CycNum of conductor r in a row whose grade is source grade j.
+    `diagrams.evaluate` and `loop_sum`, the plaquette block assembly and
+    `GradedMorphism.__add__` and `scale` hold this by construction; outside
+    input never has this type.
+    """
+
+    __slots__ = ()
+
+
 class GradedMorphism:
     """A sparse matrix of CycNum supported on matching target/source grades.
 
     `columns[j]` holds the nonzero (row, entry) pairs of source index j, in
     row order, so equality and hashing are structural.  The constructor
-    takes dense rows or a {(row, column): entry} mapping; `matrix` is the
-    dense view, built on demand.
+    validates outside input, dense rows or a {(row, column): entry} mapping:
+    shape, indices, entry type and conductor, grade support, and drops zero
+    entries.  Library results that hold those invariants by construction pass
+    their columns as `_Columns`, which are stored without a check.  `matrix`
+    is the dense view, built on demand.
     """
 
     __slots__ = ("source", "target", "columns")
 
     def __init__(self, source: GradedObject, target: GradedObject, matrix) -> None:
+        if type(matrix) is _Columns:
+            object.__setattr__(self, "source", source)
+            object.__setattr__(self, "target", target)
+            object.__setattr__(self, "columns", tuple(matrix))
+            return
         if source.r != target.r:
             raise ValueError("source and target have different r")
         r, sg, tg = source.r, source.grades, target.grades
@@ -239,20 +260,42 @@ class GradedMorphism:
     def __add__(self, other: "GradedMorphism") -> "GradedMorphism":
         if self.source != other.source or self.target != other.target:
             raise ValueError("mismatched shapes in morphism sum")
-        entries = self._entries()
-        for key, b in other._entries().items():
-            entries[key] = entries[key] + b if key in entries else b
-        return GradedMorphism(self.source, self.target, entries)
+        return GradedMorphism(
+            self.source, self.target, _Columns(map(_add_columns, self.columns, other.columns))
+        )
 
     def scale(self, c) -> "GradedMorphism":
-        entries = {key: a * c for key, a in self._entries().items()}
-        return GradedMorphism(self.source, self.target, entries)
+        """c times self, for c a CycNum of conductor r or a rational."""
+        if not isinstance(c, (CycNum, int, Fraction)):
+            raise TypeError(f"cannot scale a morphism by {type(c).__name__}")
+        # every cell is scaled, so every cell is tested: c may be zero
+        columns = _Columns(tuple((i, v) for i, a in col if (v := a * c)) for col in self.columns)
+        return GradedMorphism(self.source, self.target, columns)
 
     def __repr__(self):
         return (
             f"GradedMorphism({list(self.source.grades)} -> "
             f"{list(self.target.grades)}, {self.target.dim}x{self.source.dim})"
         )
+
+
+def _add_columns(col: tuple, other: tuple) -> tuple:
+    """The sum of two canonical columns; only a row both hold is tested for zero."""
+    if not other:
+        return col
+    if not col:
+        return other
+    out = dict(col)
+    for i, b in other:
+        if i in out:
+            s = out[i] + b
+            if s:
+                out[i] = s
+            else:
+                del out[i]
+        else:
+            out[i] = b
+    return tuple(sorted(out.items()))
 
 
 @lru_cache(maxsize=MEMO_SIZE)

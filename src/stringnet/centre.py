@@ -109,15 +109,14 @@ def _h_summand_diagram(x: GradedObject, k: int, u: int, params: CategoryParams) 
     return SliceDiagram(coend_object(r), layers)
 
 
-def _h_coords(x: GradedObject, k: int, params: CategoryParams) -> tuple:
-    h = loop_sum(lambda u: _h_summand_diagram(x, k, u, params), "right", params)
-    (coords,) = zip(*h.matrix)
-    return coords
+def _h_column(x: GradedObject, k: int, params: CategoryParams) -> tuple:
+    """The one column, as (position, entry) pairs, of the loop sum 1 -> H on X."""
+    return loop_sum(lambda u: _h_summand_diagram(x, k, u, params), "right", params).columns[0]
 
 
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     """The genus-1 vector of a centre simple: the `loop_sum` of its summands."""
-    return HomSpaceVector(params.r, 1, _h_coords(z.underlying(), z.k, params))
+    return HomSpaceVector._from_column(params.r, 1, _h_column(z.underlying(), z.k, params))
 
 
 def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:
@@ -127,10 +126,10 @@ def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:
     jmath(C_a, U) lands only at position a*r+u, so the grade-a block of that
     sum is h_(a,k) and every other block is zero in h_(a,k).
     """
-    r, zero = params.r, params.zero()
-    sums = [_h_coords(simples_object(r), k, params) for k in range(r)]
+    r = params.r
+    sums = [_h_column(simples_object(r), k, params) for k in range(r)]
     return [
-        HomSpaceVector(r, 1, tuple(c if p // r == a else zero for p, c in enumerate(sums[k])))
+        HomSpaceVector._from_column(r, 1, [(p, c) for p, c in sums[k] if p // r == a])
         for a in range(r)
         for k in range(r)
     ]

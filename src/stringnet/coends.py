@@ -84,7 +84,13 @@ def jmath(x: GradedObject, y: GradedObject) -> GradedMorphism:
 
 
 class HomSpaceVector(Record):
-    """Coordinates in C(1, H^{(x)g}), one per label (s_1,t_1,...,s_g,t_g) in lex order."""
+    """Coordinates in C(1, H^{(x)g}), one per label (s_1,t_1,...,s_g,t_g) in lex order.
+
+    The public constructor checks outside input: the coordinate count, and
+    that each coordinate is a CycNum of conductor r.  `_from_column` takes the
+    one column of a morphism 1 -> H^{(x)g} the library evaluated, whose
+    entries hold that by construction, and stores it densely unchecked.
+    """
 
     __slots__ = _fields = ("r", "genus", "coords")
 
@@ -96,3 +102,13 @@ class HomSpaceVector(Record):
             if not isinstance(a, CycNum) or a.order != r:
                 raise ValueError("coords must be CycNum of conductor r")
         super().__init__(r, genus, coords)
+
+    @classmethod
+    def _from_column(cls, r: int, genus: int, column) -> "HomSpaceVector":
+        """The vector whose nonzero coordinates are the (index, entry) pairs of `column`."""
+        coords = [CycNum.zero(r)] * r ** (2 * genus)
+        for i, a in column:
+            coords[i] = a
+        v = object.__new__(cls)
+        Record.__init__(v, r, genus, tuple(coords))
+        return v

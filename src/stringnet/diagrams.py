@@ -15,8 +15,11 @@ single-entry column moves it, a longer one branches it, an empty one drops
 it; runs of shared identity strands pass their digits through untouched,
 and a product with the shared `one` is never made.  Only an index that
 received a sum is tested for zero.  No layer's Kronecker product and no
-dense matrix is ever built.  The pushed vectors are the columns of the
-result.
+dense matrix is ever built.  The pushed vectors, sorted by row, are the
+columns of the result: they hold `GradedMorphism`'s invariants by
+construction (nonzero entries of conductor r, on matching grades, since
+every cell of a layer does), so they are passed as `category._Columns` and
+stored unchecked; the constructor's checks are for outside input.
 `loop_sum` is the one place the projector's weighted sum over the loop
 grade u, with weight dim(C_u)/Dim, is written; it returns the summed
 morphism, so a diagram whose bottom is wider than the unit carries a whole
@@ -36,6 +39,7 @@ from .category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
+    _Columns,
     dual_object,
     identity,
     loop_weight,
@@ -240,27 +244,38 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     vectors = [{c: one} for c in range(bottom.dim)]
     for layer in d.layers:
         vectors = _push(vectors, _layer_action(layer), one)
-    entries = {(i, c): v for c, vec in enumerate(vectors) for i, v in vec.items()}
-    return GradedMorphism(bottom, current, entries)
+    columns = _Columns(tuple(sorted(vec.items())) for vec in vectors)
+    return GradedMorphism(bottom, current, columns)
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> GradedMorphism:
     """sum_u loop_weight(u, side) * evaluate(diagram_of_u(u)), as one morphism.
 
-    The weighted entries are added into one {(row, col): value} dict and the
-    morphism is built once.  The diagrams must share their bottom and top
-    objects: ValueError otherwise.
+    The weighted entries are added into one {row: value} dict per column and
+    the morphism is built once, from those columns.  Every weight is nonzero,
+    so only a cell that received a sum is tested for zero.  The diagrams must
+    share their bottom and top objects: ValueError otherwise.
     """
-    entries: dict = {}
     for u in range(params.r):
         term = evaluate(diagram_of_u(u), params)
         if u == 0:
             source, target = term.source, term.target
+            vectors = [{} for _ in term.columns]
+            summed = set()
         elif term.source != source or term.target != target:
             raise ValueError("mismatched shapes in morphism sum")
         weight = loop_weight(u, side, params)
         for j, col in enumerate(term.columns):
+            vec = vectors[j]
             for i, a in col:
                 v = a * weight
-                entries[i, j] = entries[i, j] + v if (i, j) in entries else v
-    return GradedMorphism(source, target, entries)
+                if i in vec:
+                    vec[i] = vec[i] + v
+                    summed.add((i, j))
+                else:
+                    vec[i] = v
+    for i, j in summed:
+        if not vectors[j][i]:
+            del vectors[j][i]
+    columns = _Columns(tuple(sorted(vec.items())) for vec in vectors)
+    return GradedMorphism(source, target, columns)

@@ -17,6 +17,11 @@ surface decomposition: one chi per handle threads the face strand through
 a coend box.  The state sum is one slice diagram (eta, the chis, eps) that
 `diagrams.evaluate` pushes as a sparse vector, and the resulting vectors,
 one per admissible r-spin marking, give a basis of the string-net space.
+The structure maps of `frobenius_zr` and the Nakayama closed form are
+entry dicts, checked by `GradedMorphism`'s validating constructor; every
+evaluated diagram stores its pushed columns unchecked, and `sigma_F` reads
+the state's one column straight into a `HomSpaceVector`, whose coordinate
+check is for outside input.
 Each algebra evaluates the powers of N once and a handle's chi diagram,
 which boxes two of them, once per pair of labels mod r; `frobenius_zr` itself
 is not memoised, so every algebra it builds proves its axioms again.
@@ -261,5 +266,4 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     layers.append([h] * genus + [box(f_data.eps)])
     top = tensor_objects(*[h.source] * genus)
     state = evaluate(SliceDiagram(top, layers), params)
-    (coords,) = zip(*state.matrix)
-    return HomSpaceVector(r, genus, coords)
+    return HomSpaceVector._from_column(r, genus, state.columns[0])

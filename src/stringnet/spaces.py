@@ -27,6 +27,7 @@ from .category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
+    _Columns,
     delta_pivot,
     dual_object,
     simple_object,
@@ -213,9 +214,10 @@ def tilde_bp_operator(
         loop_sum(lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params)
         for chi in itertools.product(range(r), repeat=max(2 * genus - 2, 0))
     ]
-    columns = [col for block in blocks for col in block.columns]
     top = blocks[0].target
-    op = GradedMorphism(top, top, {(i, j): e for j, col in enumerate(columns) for i, e in col})
+    # each block's columns are canonical rows of `top`, whose grades are all
+    # zero, so side by side they are the operator's columns as they stand
+    op = GradedMorphism(top, top, _Columns(col for block in blocks for col in block.columns))
 
     scalar = bp_scalar(params, genus)
     require(

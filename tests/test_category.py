@@ -201,6 +201,35 @@ def test_wrong_conductor_entry_rejected_by_both_constructors(data, zero):
         GradedMorphism(f.source, f.target, rows)
 
 
+def test_public_constructor_checks_tuples_as_dense_rows():
+    """A plain tuple is dense rows, checked and normalised; it is never taken
+    for a morphism's stored columns, which only the library passes."""
+    r = 3
+    x, y = GradedObject(r, (0, 1)), GradedObject(r, (0, 0))
+    one, zero, fresh_zero = CycNum.one(r), CycNum.zero(r), CycNum(r, [0, 0])
+    m = GradedMorphism(x, x, ((one, zero), (zero, one)))
+    assert m == GradedMorphism.identity(x) and hash(m) == hash(GradedMorphism.identity(x))
+    assert type(m.columns) is tuple
+    # an explicit zero, shared or freshly built, is no entry
+    assert GradedMorphism(x, x, ((one, fresh_zero), (fresh_zero, one))).columns == m.columns
+    assert GradedMorphism.from_entries(x, x, {(0, 0): one, (1, 1): one, (0, 1): fresh_zero}) == m
+    with pytest.raises(GradeSupportError, match=re.escape("entry (0,1)")):
+        GradedMorphism(x, x, ((one, one), (zero, one)))
+    for wrong in (CycNum.one(r + 1), CycNum.zero(r + 1), 1):
+        with pytest.raises(ValueError, match="conductor"):
+            GradedMorphism(x, x, ((wrong, zero), (zero, one)))
+    with pytest.raises(ValueError, match=re.escape("(2,0) outside the 2x2")):
+        GradedMorphism.from_entries(x, x, {(2, 0): one})
+    with pytest.raises(ValueError, match="does not match 2x2"):
+        GradedMorphism(x, x, ((one, zero),))
+    # a morphism's own columns handed back as a plain tuple are read as rows
+    full = GradedMorphism.from_entries(y, y, {(i, j): one for i in range(2) for j in range(2)})
+    with pytest.raises(ValueError, match="does not match 2x2"):
+        GradedMorphism(x, x, m.columns)
+    with pytest.raises(ValueError, match="conductor"):
+        GradedMorphism(y, y, full.columns)
+
+
 @st.composite
 def memoised_call(draw):
     """One memoised builder with inputs drawn for it."""

@@ -577,20 +577,49 @@ sys.exit(cli.main(["bp-operator", "--r", "2", "--genus", "1"]))
 """
 
 
-def test_invariant_failure_exits_3_under_optimize():
+def _invariant_payload_under_optimize(script: str) -> dict:
+    """Run `script` under python -O, expect exit 3 and return its JSON payload."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_THEOREM],
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
-    payload = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_invariant_failure_exits_3_under_optimize():
+    payload = _invariant_payload_under_optimize(_BROKEN_THEOREM)
     assert payload["invariant"] == "plaquette operator is the analytic scalar times the identity"
     assert "invariant violated" in payload["error"]
+
+
+# Moves one entry of the coend split H -> L^dual (x) L^dual (x) L (x) L to the
+# second column, so the loop sums the plaquette operator is assembled from are
+# no longer the scalar times the identity, and runs bp-operator under -O.
+_MOVED_COEND_SPLIT_ENTRY = """
+import sys
+from stringnet import cli, spaces
+from stringnet.category import GradedMorphism
+from stringnet.coends import coend_split
+if __debug__:
+    sys.exit("expected python -O")
+good = coend_split(2)
+entries = good._entries()
+row = next(i for i, j in entries if j == 0)
+entries[row, 1] = entries.pop((row, 0))
+spaces.coend_split = lambda r: GradedMorphism.from_entries(good.source, good.target, entries)
+sys.exit(cli.main(["bp-operator", "--r", "2", "--genus", "1"]))
+"""
+
+
+def test_moved_coend_split_entry_exits_3_under_optimize():
+    payload = _invariant_payload_under_optimize(_MOVED_COEND_SPLIT_ENTRY)
+    assert payload["invariant"] == "plaquette operator is the analytic scalar times the identity"
 
 
 def test_closed_stdout_exits_quietly():

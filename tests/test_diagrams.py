@@ -13,7 +13,9 @@ from stringnet.category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
+    _Columns,
     compose,
+    delta_pivot,
     dimension,
     dual_object,
     simple_object,
@@ -36,7 +38,10 @@ from stringnet.diagrams import (
     identity,
     loop_sum,
 )
-from stringnet.frobenius import frobenius_zr
+from stringnet.centre import torus_vectors
+from stringnet.frobenius import frobenius_zr, sigma_F
+from stringnet.rspin import enumerate_admissible, standard_decomposition
+from stringnet.spaces import tilde_bp_operator
 
 
 def _loop(u: int, orientation: str, params: CategoryParams):
@@ -288,6 +293,78 @@ def test_evaluate_matches_layer_fold(data):
     got = evaluate(d, params)
     assert got.source.dim > 0
     assert got == _layer_fold(d, got.source)
+
+
+def _assert_canonical(m: GradedMorphism) -> None:
+    """m has canonical columns and equals, hash included, what the validating
+    constructor builds from its entries."""
+    rebuilt = GradedMorphism(m.source, m.target, m._entries())
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert type(m.columns) is tuple and len(m.columns) == m.source.dim
+    r, sg, tg = m.r, m.source.grades, m.target.grades
+    for j, col in enumerate(m.columns):
+        assert type(col) is tuple
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows)) and all(0 <= i < m.target.dim for i in rows)
+        for i, a in col:
+            assert type(a) is CycNum and a.order == r and a and tg[i] == sg[j]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_library_built_morphisms_are_canonical(data):
+    """evaluate, loop_sum, + and scale store their columns unchecked; each
+    result must be what the validating constructor makes of its entries."""
+    params = CategoryParams(data.draw(st.integers(1, 4)))
+    r = params.r
+    d = _random_diagram(data.draw, params)
+    m = evaluate(d, params)
+    zero = GradedMorphism.zero_map(m.source, m.target)
+    c = params.zeta(data.draw(st.integers(0, r - 1))) * Fraction(data.draw(st.integers(1, 3)))
+    negated = m.scale(-1)
+    for built in (m, m + m, m.scale(c), negated, m + m.scale(c)):
+        _assert_canonical(built)
+    for cancelled in (m + negated, negated + m, m.scale(0), m.scale(params.zero())):
+        _assert_canonical(cancelled)
+        assert cancelled == zero
+    with pytest.raises(TypeError):
+        m.scale(0.5)  # a float product would enter the columns unchecked
+    # the grade-g rows of sum_u w_u N^u m, with N = zeta^grade, keep
+    # (1/r) sum_u zeta^{u(g +- 1)}: the rows of one grade survive, the rest cancel
+    side = data.draw(st.sampled_from(["left", "right"]))
+    pivot = delta_pivot(d.boundary_top, params)
+    summed = loop_sum(
+        lambda u: SliceDiagram(d.boundary_top, [*d.layers, *[[box(pivot)]] * u]), side, params
+    )
+    _assert_canonical(summed)
+    keep = (1 if side == "left" else -1) % r
+    want = {(i, j): a for (i, j), a in m._entries().items() if m.target.grades[i] == keep}
+    assert summed == GradedMorphism.from_entries(m.source, m.target, want)
+
+
+def test_morphisms_the_routes_build_unchecked_are_canonical(monkeypatch):
+    """Every morphism the projector, state-sum and torus routes build from
+    canonical columns, including the plaquette operator's block assembly."""
+    built = []
+    init = GradedMorphism.__init__
+
+    def spy(self, source, target, matrix):
+        init(self, source, target, matrix)
+        if type(matrix) is _Columns:
+            built.append(self)
+
+    monkeypatch.setattr(GradedMorphism, "__init__", spy)
+    for r, genus in [(1, 1), (2, 0), (2, 1), (3, 1), (2, 2), (4, 1)]:
+        tilde_bp_operator(CategoryParams(r), genus)
+    for r, genus in [(2, 2), (3, 1)]:
+        f_data = frobenius_zr(CategoryParams(r))
+        for marking in enumerate_admissible(standard_decomposition(genus), r):
+            sigma_F(marking, f_data)
+    torus_vectors(CategoryParams(3))
+    operators = [m for m in built if m.source.dim > 1 and m.source == m.target]
+    assert len(built) > 100 and operators
+    for m in built:
+        _assert_canonical(m)
 
 
 def _pushed_layers(d: SliceDiagram, params: CategoryParams) -> list:

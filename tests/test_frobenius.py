@@ -65,6 +65,30 @@ def test_unnormalized_counit_rejected():
     assert exc.value.invariant == "left counit"
 
 
+@pytest.mark.parametrize(
+    "r, a, b, axiom",
+    [
+        (1, 0, 0, "left unit"),
+        (2, 1, 1, "left Frobenius relation"),
+        (3, 1, 2, "associativity"),
+    ],
+)
+def test_mu_dropping_one_product_fails_its_axiom(monkeypatch, r, a, b, axiom):
+    # frobenius_zr with mu(1_a (x) 1_b) = 0 for one pair is no Frobenius algebra
+    real = FrobeniusAlgebraData
+
+    def corrupted(params, obj, mu, eta, delta, eps):
+        entries = mu._entries()
+        del entries[(a + b) % r, a * r + b]
+        mu = GradedMorphism.from_entries(mu.source, mu.target, entries)
+        return real(params, obj, mu, eta, delta, eps)
+
+    monkeypatch.setattr(frobenius, "FrobeniusAlgebraData", corrupted)
+    with pytest.raises(InvariantError) as exc:
+        frobenius_zr(CategoryParams(r))
+    assert exc.value.invariant == axiom
+
+
 def test_nakayama_closed_form_and_order():
     for r in range(1, 7):
         params = CategoryParams(r)
