@@ -9,17 +9,19 @@ positions and the zeta^{+-g} weights of the right-hand pair, and `box`es
 holding arbitrary morphisms.  Evaluation computes each layer's source and
 target objects once, checks the grade words adjacent layers exchange, then
 pushes the bottom's basis vectors up as sparse {flat index: coefficient}
-dicts, all of them through a layer in one call.  Each term is split
-mixed-radix over the layer's morphisms and read off their stored columns: a
-single-entry column moves it, a longer one branches it, an empty one drops
-it; runs of shared identity strands pass their digits through untouched,
-and a product with the shared `one` is never made.  Only an index that
-received a sum is tested for zero.  No layer's Kronecker product and no
-dense matrix is ever built.  The pushed vectors, sorted by row, are the
-columns of the result: they hold `GradedMorphism`'s invariants by
-construction (nonzero entries of conductor r, on matching grades, since
-every cell of a layer does), so they are passed as `category._Columns` and
-stored unchecked; the constructor's checks are for outside input.
+dicts.  By the interchange law a layer is its boxes applied one at a time,
+rightmost first, so the push takes one step per box: a term's index splits
+into the digits left of the box, under it and right of it, and each entry
+of the box's stored column for the middle digit sends it on; an empty
+column drops it.  Shared identity strands take no step, the 1x1 boxes of a
+layer fold into one scalar step, and a product with the shared `one` is
+never made.  Only an index that received a sum is tested for zero, after
+each step.  No layer's Kronecker product and no dense matrix is ever built.
+The pushed vectors, sorted by row, are the columns of the result: they hold
+`GradedMorphism`'s invariants by construction (nonzero entries of conductor
+r, on matching grades, since every cell of a layer does), so they are
+passed as `category._Columns` and stored unchecked; the constructor's
+checks are for outside input.
 `loop_sum` is the one place the projector's weighted sum over the loop
 grade u, with weight dim(C_u)/Dim, is written; it returns the summed
 morphism, so a diagram whose bottom is wider than the unit carries a whole
@@ -153,73 +155,60 @@ class SliceDiagram:
         return f"SliceDiagram({len(self.layers)} layers, r={self.r})"
 
 
-def _layer_action(layer):
-    """(source dim, target dim, columns, next step) per morphism, right to left.
+def _layer_steps(layer, one):
+    """(source dim, target dim, columns, right dim) per box of a layer, rightmost first.
 
-    A run of shared identity strands gets columns None; any other morphism
-    is pushed through its columns.
-    `next step` is the position after the entry, where `_push` resumes a
-    term that split there.
+    By the interchange law a layer is its boxes applied one at a time, each
+    beside identity strands; the right dim is the product of the target dims
+    of the cells to the box's right, which have already been applied.  Shared
+    identity strands make no step.  The 1x1 boxes fold into one 1x1 step
+    holding their product, none if that is one; an empty 1x1 column zeroes
+    the whole layer.
     """
-    action = []
-    for m in layer:
-        x = m.source
-        if x is m.target and m is identity(x):  # merged into the run before it
-            dim = x.dim * (action.pop()[0] if action and action[-1][2] is None else 1)
-            if dim != 1:  # a 1-dim run is a no-op
-                action.append((dim, dim, None))
-            continue
-        action.append((x.dim, m.target.dim, m.columns))
-    action.reverse()
-    return [(*step, k) for k, step in enumerate(action, 1)]
+    steps, right, scalar = [], 1, one
+    for m in reversed(layer):
+        x, dim = m.source, m.target.dim
+        if x.dim == dim == 1:
+            if not m.columns[0]:
+                return [(1, 1, ((),), 1)]
+            c = m.columns[0][0][1]
+            if c is not one:
+                scalar = c if scalar is one else scalar * c
+        elif not (x is m.target and m is identity(x)):
+            steps.append((x.dim, dim, m.columns, right))
+        right *= dim
+    if scalar != one:
+        steps.append((1, 1, (((0, scalar),),), 1))
+    return steps
 
 
-def _push(vectors: list, action, one) -> list:
-    """Apply one layer to every sparse vector {flat index: CycNum} of `vectors`.
+def _push(vectors: list, step, one) -> list:
+    """Apply one box to every sparse vector {flat index: CycNum} of `vectors`.
 
-    Each term walks the layer right to left, its source digits split off
-    mixed-radix and its target digits filled in from the right.  A
-    single-entry column moves the term's flat index and multiplies into its
-    coefficient; a column with more entries splits the term into one branch
-    per entry, each resumed from the next step; an empty column drops it.
-    Stored entries and pushed values are nonzero and Q(zeta_r) is a field,
-    so only an index that received a sum can end at zero.  A factor that is
-    the shared `one` leaves the other as it is.
+    Each term's index splits as (x, j, y) over (left, box source, right);
+    an entry (i, c) of column j sends it to (x * target dim + i) * right + y
+    with its coefficient times c, and an empty column drops it.  Stored
+    entries and pushed values are nonzero and Q(zeta_r) is a field, so only
+    an index that received a sum can end at zero.  A factor that is the
+    shared `one` leaves the other as it is.
     """
-    pushed, branches = [], []
+    src_dim, tgt_dim, columns, right = step
+    pushed = []
     for vec in vectors:
         out: dict = {}
         summed = set()
         for idx, v in vec.items():
-            steps, t, place = action, 0, 1
-            while True:
-                for src_dim, tgt_dim, columns, resume in steps:
-                    idx, j = divmod(idx, src_dim)
-                    if columns is None:
-                        t += j * place
-                    else:
-                        col = columns[j]
-                        if len(col) != 1:
-                            if not col:
-                                break  # the term drops
-                            for i, c in col[1:]:
-                                w = v if c is one else c if v is one else v * c
-                                branches.append((resume, idx, t + i * place, w, place * tgt_dim))
-                        i, c = col[0]
-                        t += i * place
-                        if c is not one:
-                            v = c if v is one else v * c
-                    place *= tgt_dim
+            x, y = divmod(idx, right)
+            x, j = divmod(x, src_dim)
+            x *= tgt_dim
+            for i, c in columns[j]:
+                t = (x + i) * right + y
+                w = v if c is one else c if v is one else v * c
+                if t in out:
+                    out[t] = out[t] + w
+                    summed.add(t)
                 else:
-                    if t in out:
-                        out[t] = out[t] + v
-                        summed.add(t)
-                    else:
-                        out[t] = v
-                if not branches:
-                    break
-                resume, idx, t, v, place = branches.pop()
-                steps = action[resume:]
+                    out[t] = w
         for t in summed:
             if not out[t]:
                 del out[t]
@@ -243,7 +232,8 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     one = params.one()
     vectors = [{c: one} for c in range(bottom.dim)]
     for layer in d.layers:
-        vectors = _push(vectors, _layer_action(layer), one)
+        for step in _layer_steps(layer, one):
+            vectors = _push(vectors, step, one)
     columns = _Columns(tuple(sorted(vec.items())) for vec in vectors)
     return GradedMorphism(bottom, current, columns)
 

@@ -27,7 +27,7 @@ from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.diagrams import (
     DiagramTypeError,
     SliceDiagram,
-    _layer_action,
+    _layer_steps,
     _push,
     box,
     cap_left,
@@ -181,24 +181,63 @@ def _small_endo(draw, params, x):
     return GradedMorphism.from_entries(x, x, entries)
 
 
+def _scalar(x: GradedObject, c: CycNum) -> GradedMorphism:
+    """The 1x1 box c on a one-dimensional object x; the zero map when c is 0."""
+    return GradedMorphism.from_entries(x, x, {(0, 0): c})
+
+
+def _line(draw, params: CategoryParams) -> GradedObject:
+    """A simple, the unit at grade 0: a one-dimensional object."""
+    return simple_object(params.r, draw(st.integers(0, params.r - 1)))
+
+
+def _interchange_box(draw, params: CategoryParams, g: int) -> GradedMorphism:
+    """A random endomorphism, mu, Delta or eps of F, a cap, a cup, or a 1x1
+    scalar: zeta^g, zeta^-g, zero or a rational multiple of a root of unity."""
+    r = params.r
+    kind = draw(st.sampled_from(["endo", "mu", "delta", "eps", "cap", "cup", "scalar"]))
+    if kind in ("mu", "delta", "eps"):
+        return getattr(frobenius_zr(params), kind)
+    if kind == "scalar":
+        c = params.zeta(draw(st.integers(0, r - 1))) * Fraction(draw(st.integers(-2, 2)), 2)
+        c = draw(st.sampled_from([params.zeta(g), params.zeta(-g), params.zero(), c]))
+        return _scalar(_line(draw, params), c)
+    x = GradedObject(r, draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=3)))
+    if kind == "endo":
+        return _small_endo(draw, params, x)
+    builders = [cap_left, cap_right] if kind == "cap" else [cup_left, cup_right]
+    return draw(st.sampled_from(builders))(x)
+
+
 @given(st.data())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_resliced_boxes_evaluate_equal(data):
-    """Sliding a box past a parallel strand does not change the value."""
-    r = data.draw(st.integers(1, 4))
-    params = CategoryParams(r)
-    gr = st.lists(st.integers(0, r - 1), min_size=1, max_size=3)
-    x = GradedObject(r, data.draw(gr))
-    y = GradedObject(r, data.draw(gr))
-    f = _small_endo(data.draw, params, x)
-    g = _small_endo(data.draw, params, y)
-    top = tensor_objects(x, y)
-    together = SliceDiagram(top, [[box(f), box(g)]])
-    f_first = SliceDiagram(top, [[box(f), identity(y)], [identity(x), box(g)]])
-    g_first = SliceDiagram(top, [[identity(x), box(g)], [box(f), identity(y)]])
-    val = evaluate(together, params)
-    assert evaluate(f_first, params) == val
-    assert evaluate(g_first, params) == val
+    """Sliding a box past a parallel strand does not change the value (the
+    interchange law): B1 (x) B2 in one layer, B1 then B2 and B2 then B1 all
+    evaluate to the Kronecker product of the boxes, hash included, whether
+    the boxes change their strands' dimension, are scalars whose product is
+    one, or are zero."""
+    params = CategoryParams(data.draw(st.integers(1, 4)))
+    g = data.draw(st.integers(0, params.r - 1))
+    if data.draw(st.booleans()):
+        b1 = _scalar(_line(data.draw, params), params.zeta(g))
+        b2 = _scalar(_line(data.draw, params), params.zeta(-g))
+        assert _layer_steps([b1, b2], params.one()) == []
+    else:
+        b1 = _interchange_box(data.draw, params, g)
+        b2 = _interchange_box(data.draw, params, g)
+    top = tensor_objects(b1.target, b2.target)
+    together = SliceDiagram(top, [[box(b1), box(b2)]])
+    b1_first = SliceDiagram(
+        top, [[box(b1), identity(b2.source)], [identity(b1.target), box(b2)]]
+    )
+    b2_first = SliceDiagram(
+        top, [[identity(b1.source), box(b2)], [box(b1), identity(b2.target)]]
+    )
+    want = tensor_morphisms(b1, b2)
+    for d in (together, b1_first, b2_first):
+        got = evaluate(d, params)
+        assert got == want and hash(got) == hash(want)
 
 
 def _layer_fold(d: SliceDiagram, bottom: GradedObject) -> GradedMorphism:
@@ -216,9 +255,10 @@ def _random_diagram(draw, params: CategoryParams) -> SliceDiagram:
     """A random well-typed diagram over simples and the group algebra F.
 
     The strand word starts non-unit; each layer may cap adjacent dual
-    strands, open cups, and apply random endomorphisms, identities built
-    from dense rows (equal to, but not, the shared `identity` strand), or
-    mu, Delta and eps of F (Delta has r nonzeros per column).
+    strands, open cups, hold several 1x1 scalars on unit strands (now and
+    then zero), and apply random endomorphisms, identities built from dense
+    rows (equal to, but not, the shared `identity` strand), or mu, Delta and
+    eps of F (Delta has r nonzeros per column).
     """
     r = params.r
     fd = frobenius_zr(params)
@@ -231,6 +271,10 @@ def _random_diagram(draw, params: CategoryParams) -> SliceDiagram:
         dim = tensor_objects(*word).dim
         layer, new_word, i = [], [], 0
         while i <= len(word):
+            for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+                q = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), 3, -2, 1, 0]))
+                c = params.zeta(draw(st.integers(0, r - 1))) * Fraction(q)
+                layer.append(box(_scalar(unit_object(r), c)))
             y = draw(strand)
             if dim * y.dim * y.dim <= _MAX_DIM and draw(st.integers(0, 3)) == 0:
                 cup = draw(st.sampled_from([cup_left, cup_right]))
@@ -373,7 +417,8 @@ def _pushed_layers(d: SliceDiagram, params: CategoryParams) -> list:
     vectors = [{c: one} for c in range(evaluate(d, params).source.dim)]
     pushed = []
     for layer in d.layers:
-        vectors = _push(vectors, _layer_action(layer), one)
+        for step in _layer_steps(layer, one):
+            vectors = _push(vectors, step, one)
         pushed.append(vectors)
     return pushed
 
