@@ -16,8 +16,12 @@ package itself.  Loading this module and parsing the command line import
 none of the arithmetic, so `--json-schema`, usage errors, `sn-dim`, the
 r-spin commands and the modular-data commands never load the category,
 diagram, coend, centre, spaces or Frobenius layers.  Parsing builds only
-the named subcommand's parser; help, an unknown command and other top-level
-errors get the full parser, which lists every subcommand.
+the named subcommand's parser, one `_Parser` with no top-level parser
+above it, which reads the arguments after the name; help, an unknown
+command and other top-level errors get the full parser, which lists every
+subcommand.  A handler renders each distinct scalar of its payload once,
+through a memo that lives for that call only, so repeated cells of a
+matrix or vector share one rendering.
 """
 
 from __future__ import annotations
@@ -74,13 +78,36 @@ def _render(a, approx: bool, cyclotomic) -> dict:
     """A CycNum as JSON, with its decimal value when `approx` is set.
 
     The caller passes the loaded `cyclotomic` module, which keeps the import
-    out of this per-entry call.
+    out of this per-scalar call.
     """
     obj = cyclotomic.to_json(a)
     if approx:
         z = cyclotomic.approx_complex(a)
         obj["approx"] = f"{z.real:.12g}{z.imag:+.12g}j"
     return obj
+
+
+def _renderer(approx: bool):
+    """`_render` fixed to one call's `approx` choice, once per distinct scalar.
+
+    A repeat is one dict lookup that returns the dict made for the first, so
+    the cells of a payload that hold one value share one rendering (payloads
+    are only serialised).  The memo is keyed by the scalar's order, numerators
+    and denominator, all that its rendering reads, and dies with the handler
+    that made it.
+    """
+    from . import cyclotomic
+
+    memo = {}
+
+    def render(a) -> dict:
+        key = (a.order, a.nums, a.den)
+        obj = memo.get(key)
+        if obj is None:
+            obj = memo[key] = _render(a, approx, cyclotomic)
+        return obj
+
+    return render
 
 
 def _int_at_least(low: int):
@@ -154,7 +181,6 @@ def _cmd_sphere(args) -> dict:
 
 
 def _cmd_torus_basis(args) -> dict:
-    from . import cyclotomic
     from .category import CategoryParams
     from .centre import list_centre_simples, torus_vectors
     from .linalg import rank_cyc
@@ -162,12 +188,11 @@ def _cmd_torus_basis(args) -> dict:
     # r^2 vectors of r^2 coordinates: the rank input and the output
     check_cap("torus-basis coordinates", args.r, 4)
     params = CategoryParams(args.r)
+    render = _renderer(args.approx)
     vectors = []
     coords_matrix = []
     for z, v in zip(list_centre_simples(params), torus_vectors(params)):
-        vectors.append(
-            {"z": z.to_json(), "coords": [_render(c, args.approx, cyclotomic) for c in v.coords]}
-        )
+        vectors.append({"z": z.to_json(), "coords": list(map(render, v.coords))})
         coords_matrix.append(list(v.coords))
     rank = rank_cyc([list(col) for col in zip(*coords_matrix)]) if vectors else 0
     return {
@@ -178,7 +203,6 @@ def _cmd_torus_basis(args) -> dict:
 
 
 def _cmd_bp_operator(args) -> dict:
-    from . import cyclotomic
     from .category import CategoryParams
     from .spaces import tilde_bp_operator
 
@@ -188,14 +212,12 @@ def _cmd_bp_operator(args) -> dict:
         cap=args.cap,
         orientation=args.orientation,
     )
+    render = _renderer(args.approx)
     return {
         "reference": "plaquette projector on the genus-g handle space",
         "dim": args.r ** (2 * args.genus),
-        "scalar": _render(report.analytic_scalar, args.approx, cyclotomic),
-        "matrix": [
-            [_render(entry, args.approx, cyclotomic) for entry in row]
-            for row in report.operator_matrix
-        ],
+        "scalar": render(report.analytic_scalar),
+        "matrix": [list(map(render, row)) for row in report.operator_matrix],
         "rank": report.image_rank,
     }
 
@@ -248,7 +270,6 @@ def _cmd_rspin_check(args) -> dict:
 
 
 def _cmd_sigma_f(args) -> dict:
-    from . import cyclotomic
     from .category import CategoryParams
     from .frobenius import frobenius_zr, sigma_F
 
@@ -261,23 +282,21 @@ def _cmd_sigma_f(args) -> dict:
         "vector": {
             "r": vector.r,
             "genus": vector.genus,
-            "coords": [_render(c, args.approx, cyclotomic) for c in vector.coords],
+            "coords": list(map(_renderer(args.approx), vector.coords)),
         },
     }
 
 
 def _cmd_frobenius_check(args) -> dict:
-    from . import cyclotomic
     from .category import CategoryParams
     from .frobenius import frobenius_zr
 
     f_data = frobenius_zr(CategoryParams(args.r))
     forward = f_data.nakayama_pair.forward
+    render = _renderer(args.approx)
     return {
         "reference": "Frobenius axioms and the Nakayama automorphism of the group algebra",
-        "nakayama_diagonal": [
-            _render(forward.entry(a, a), args.approx, cyclotomic) for a in range(args.r)
-        ],
+        "nakayama_diagonal": [render(forward.entry(a, a)) for a in range(args.r)],
         "nakayama_order": len(f_data.nakayama_powers),
     }
 
@@ -349,19 +368,30 @@ _SUBCOMMANDS = {
 COMMANDS = tuple(_SUBCOMMANDS)
 
 
-def _build_parser(argv: list[str] | None = None) -> _Parser:
-    """The parser for `argv`: only its subcommand's when argv starts with one."""
-    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+def _declare(parser: _Parser, name: str) -> _Parser:
+    """Give `parser` subcommand `name`'s flags, `--json-schema` and defaults."""
+    handler, flags = _SUBCOMMANDS[name]
+    for flag, options in flags.items():
+        parser.add_argument(f"--{flag}", **options)
+    parser.add_argument("--json-schema", action=_SchemaAction, command=name)
+    parser.set_defaults(
+        command=name, handler=handler, inputs=[f for f in flags if f not in ("approx", "cap")]
+    )
+    return parser
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """Subcommand `command`'s own parser, or the full parser when it is None.
+
+    The subcommand's parser reads the arguments after its name and gives the
+    namespace, output and exit code the full parser gives for the whole line.
+    """
+    if command is not None:
+        return _declare(_Parser(prog=f"stringnet {command}"), command)
     parser = _Parser(prog="stringnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (handler, flags) in _SUBCOMMANDS.items():
-        if only not in (None, name):
-            continue
-        p = sub.add_parser(name)
-        for flag, options in flags.items():
-            p.add_argument(f"--{flag}", **options)
-        p.add_argument("--json-schema", action=_SchemaAction, command=name)
-        p.set_defaults(handler=handler, inputs=[f for f in flags if f not in ("approx", "cap")])
+    for name in _SUBCOMMANDS:
+        _declare(sub.add_parser(name), name)
     return parser
 
 
@@ -380,7 +410,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        args = _build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = _build_parser().parse_args(argv)
     try:
         payload = args.handler(args)
     except _FlagError as exc:

@@ -428,18 +428,38 @@ def _subcommands(parser) -> dict:
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _parse_outcome(capsys, parser, argv):
-    """What parsing `argv` shows a user: the namespace or exit code, stdout, stderr."""
+def _outcome(capsys, call):
+    """What a call shows a user: its result or exit code, stdout, stderr."""
     try:
-        result = vars(parser.parse_args(argv))
+        result = call()
     except SystemExit as exc:
         result = exc.code
     captured = capsys.readouterr()
     return result, captured.out, captured.err
 
 
+def _parse_outcome(capsys, parser, argv):
+    return _outcome(capsys, lambda: vars(parser.parse_args(argv)))
+
+
+def _record_parsers(monkeypatch) -> list:
+    """The prog of every `_Parser` built from now on, in order."""
+    built = []
+    init = cli._Parser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", recording_init)
+    return built
+
+
 @pytest.mark.parametrize("name", COMMANDS)
-def test_the_one_subcommand_parser_parses_as_the_full_one(capsys, name):
+def test_the_one_subcommand_parser_parses_as_the_full_one(capsys, monkeypatch, name):
+    built = _record_parsers(monkeypatch)
+    one = _build_parser(name)
+    assert built == [f"stringnet {name}"]
     example = _example_argv(name)
     shapes = [
         ["--help"],
@@ -452,35 +472,63 @@ def test_the_one_subcommand_parser_parses_as_the_full_one(capsys, name):
         example,
     ]
     for tail in shapes:
-        argv = [name, *tail]
-        assert len(_subcommands(_build_parser(argv))) == 1
-        assert _parse_outcome(capsys, _build_parser(argv), argv) == _parse_outcome(
-            capsys, _build_parser(), argv
-        ), argv
+        assert _parse_outcome(capsys, one, tail) == _parse_outcome(
+            capsys, _build_parser(), [name, *tail]
+        ), tail
 
 
 @pytest.mark.parametrize(
     "argv", [[], ["--help"], ["no-such-command"], ["--r", "2", "sn-dim"]], ids=str
 )
-def test_top_level_help_and_errors_get_the_full_parser(capsys, argv):
-    assert tuple(_subcommands(_build_parser(argv))) == COMMANDS
-    assert _parse_outcome(capsys, _build_parser(argv), argv) == _parse_outcome(
-        capsys, _build_parser(), argv
-    )
+def test_top_level_help_and_errors_get_the_full_parser(capsys, monkeypatch, argv):
+    built = _record_parsers(monkeypatch)
+    outcome = _outcome(capsys, lambda: main(argv))
+    assert built == ["stringnet", *(f"stringnet {name}" for name in COMMANDS)]
+    assert outcome == _parse_outcome(capsys, _build_parser(), argv)
 
 
 def test_a_subcommand_run_builds_only_its_own_parser(capsys, monkeypatch):
-    built = []
-    init = cli._Parser.__init__
-
-    def recording_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", recording_init)
+    built = _record_parsers(monkeypatch)
     _payload(capsys, "sn-dim", "--r", "2", "--genus", "1")
-    assert built == ["stringnet", "stringnet sn-dim"]
+    assert built == ["stringnet sn-dim"]
     assert tuple(_subcommands(_build_parser())) == COMMANDS
+
+
+def test_each_distinct_scalar_is_rendered_once_per_call(capsys, monkeypatch):
+    rendered = []
+    render = cli._render
+
+    def recording_render(a, approx, cyclotomic):
+        rendered.append(a)
+        return render(a, approx, cyclotomic)
+
+    monkeypatch.setattr(cli, "_render", recording_render)
+    for _ in range(2):  # the memo dies with its call: the second run renders again
+        rendered.clear()
+        payload = _payload(capsys, "bp-operator", "--r", "2", "--genus", "1")
+        # the scalar and the 16 cells of the identity hold two values, one and zero
+        assert sorted(map(str, rendered)) == ["CycNum(2, [0])", "CycNum(2, [1])"]
+        one, zero = to_json(CycNum.one(2)), to_json(CycNum.zero(2))
+        assert payload["scalar"] == one
+        assert payload["matrix"] == [[one if i == j else zero for j in range(4)] for i in range(4)]
+
+
+def test_approx_choice_does_not_outlive_its_call(capsys):
+    def scalars(payload):
+        if "torus" in payload["reference"]:
+            return [c for v in payload["vectors"] for c in v["coords"]]
+        return [payload["scalar"], *(c for row in payload["matrix"] for c in row)]
+
+    approx_torus = _payload(capsys, "torus-basis", "--r", "2", "--approx")
+    plain = [
+        _payload(capsys, "torus-basis", "--r", "2"),
+        _payload(capsys, "bp-operator", "--r", "2", "--genus", "1"),
+    ]
+    approx_bp = _payload(capsys, "bp-operator", "--r", "2", "--genus", "1", "--approx")
+    for payload in plain:
+        assert not any("approx" in c for c in scalars(payload))
+    for payload in (approx_torus, approx_bp):
+        assert all("approx" in c for c in scalars(payload))
 
 
 # Flag values the fuzz draws from: cheap valid sizes (r <= 3, genus <= 1)
@@ -620,6 +668,32 @@ sys.exit(cli.main(["bp-operator", "--r", "2", "--genus", "1"]))
 def test_moved_coend_split_entry_exits_3_under_optimize():
     payload = _invariant_payload_under_optimize(_MOVED_COEND_SPLIT_ENTRY)
     assert payload["invariant"] == "plaquette operator is the analytic scalar times the identity"
+
+
+# Weighs one pair of the left cap by zeta, so the mirrored rotation is no
+# longer the inverse of the Nakayama automorphism, and runs frobenius-check
+# under -O.
+_REWEIGHTED_LEFT_CAP = """
+import sys
+from stringnet import cli, diagrams, frobenius
+from stringnet.category import GradedMorphism
+from stringnet.cyclotomic import zeta_power
+if __debug__:
+    sys.exit("expected python -O")
+def cap_left(x):
+    good = diagrams.cap_left(x)
+    entries = good._entries()
+    key = max(entries)
+    entries[key] = entries[key] * zeta_power(x.r, 1)
+    return GradedMorphism.from_entries(good.source, good.target, entries)
+frobenius.cap_left = cap_left
+sys.exit(cli.main(["frobenius-check", "--r", "3"]))
+"""
+
+
+def test_reweighted_left_cap_exits_3_under_optimize():
+    payload = _invariant_payload_under_optimize(_REWEIGHTED_LEFT_CAP)
+    assert payload["invariant"] == "Nakayama inverse"
 
 
 def test_closed_stdout_exits_quietly():

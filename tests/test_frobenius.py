@@ -139,6 +139,54 @@ def test_nakayama_powers_are_the_diagonal_powers(r):
         assert power == GradedMorphism.from_entries(fd.object, fd.object, diagonal)
 
 
+def _reweighted(cell):
+    """A duality-cell builder whose highest-grade pair weighs zeta times more."""
+
+    def build(x):
+        good = cell(x)
+        entries = good._entries()
+        key = max(entries)
+        entries[key] = entries[key] * zeta_power(x.r, 1)
+        return GradedMorphism.from_entries(good.source, good.target, entries)
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "cell, invariant",
+    [
+        # the rightward rotation, N, carries the weighted right cap
+        ("cap_right", "Nakayama diagram equals the closed form"),
+        # only its mirror, N^-1, passes through the left cap
+        ("cap_left", "Nakayama inverse"),
+    ],
+)
+def test_reweighted_duality_cell_fails_its_nakayama_check(monkeypatch, cell, invariant):
+    monkeypatch.setattr(frobenius, cell, _reweighted(getattr(frobenius, cell)))
+    fd = frobenius_zr(CategoryParams(3))  # the axioms use no duality cell
+    with pytest.raises(InvariantError) as exc:
+        nakayama(fd)
+    assert exc.value.invariant == invariant
+
+
+@pytest.mark.parametrize(
+    "r, diagonal",
+    [
+        (3, [-1, 1, 1]),  # order 2, which does not divide 3
+        (4, [2, 2, 2, 2]),  # no power returns to the identity
+    ],
+)
+def test_nakayama_of_wrong_order_fails_its_check(r, diagonal):
+    fd = frobenius_zr(CategoryParams(r))
+    fake = GradedMorphism.from_entries(
+        fd.object, fd.object, {(a, a): CycNum.from_rational(r, d) for a, d in enumerate(diagonal)}
+    )
+    fd.__dict__["nakayama_pair"] = frobenius.NakayamaPair(fake, fake)
+    with pytest.raises(InvariantError) as exc:
+        fd.nakayama_powers
+    assert exc.value.invariant == "Nakayama order divides r"
+
+
 def test_chi_evaluates_one_diagram_per_new_key(monkeypatch):
     # with the Nakayama powers cached, chi boxes the two powers it needs
     # rather than evaluating them again
