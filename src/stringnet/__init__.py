@@ -6,11 +6,13 @@ spectrum, the Drinfeld-centre torus basis, the combinatorial r-spin structure
 census, the group-algebra Frobenius route to the same spaces, and the
 background-charge criterion for pivotally deformed modular data.
 
-Value objects (categories, objects, surfaces, reports) are `Record`s: a class
-names its fields in `_fields`, its `__init__` normalises and validates them,
-and `Record` supplies immutability, equality, hashing and repr.  This module
-also holds the errors the CLI reports, so that loading the CLI loads no
-computation.
+Value objects (scalars, categories, objects, morphisms, diagrams, surfaces,
+reports) are `Record`s: a class names its fields in `_fields`, its `__init__`
+normalises and validates them, and `Record` supplies immutability, equality,
+hashing and repr.  `Record` is the one class that defines assignment and
+deletion; a subclass may still define its own equality, hashing or repr.
+This module also holds the errors the CLI reports, so that loading the CLI
+loads no computation.
 """
 
 from operator import attrgetter

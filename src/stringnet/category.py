@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import Record
-from .cyclotomic import CycNum, rational_scale, zeta_power
+from .cyclotomic import CycNum, zeta_power
 
 
 class CategoryParams(Record):
@@ -140,19 +140,19 @@ class _Columns(tuple):
     __slots__ = ()
 
 
-class GradedMorphism:
+class GradedMorphism(Record):
     """A sparse matrix of CycNum supported on matching target/source grades.
 
     `columns[j]` holds the nonzero (row, entry) pairs of source index j, in
-    row order, so equality and hashing are structural.  The constructor
-    validates outside input, dense rows or a {(row, column): entry} mapping:
-    shape, indices, entry type and conductor, grade support, and drops zero
-    entries.  Library results that hold those invariants by construction pass
-    their columns as `_Columns`, which are stored without a check.  `matrix`
-    is the dense view, built on demand.
+    row order, so `Record`'s equality and hashing are structural.  The
+    constructor validates outside input, dense rows or a {(row, column):
+    entry} mapping: shape, indices, entry type and conductor, grade support,
+    and drops zero entries.  Library results that hold those invariants by
+    construction pass their columns as `_Columns`, which are stored without a
+    check.  `matrix` is the dense view, built on demand.
     """
 
-    __slots__ = ("source", "target", "columns")
+    __slots__ = _fields = ("source", "target", "columns")
 
     def __init__(self, source: GradedObject, target: GradedObject, matrix) -> None:
         if type(matrix) is _Columns:
@@ -195,12 +195,7 @@ class GradedMorphism:
         for col in columns:
             if len(col) > 1:
                 col.sort()  # rows are distinct, so entries are never compared
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMorphism is immutable")
+        super().__init__(source, target, tuple(map(tuple, columns)))
 
     # -- constructors ------------------------------------------------------
 
@@ -244,18 +239,6 @@ class GradedMorphism:
 
     def _entries(self) -> dict:
         return {(i, j): a for j, col in enumerate(self.columns) for i, a in col}
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.columns == other.columns
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.columns))
 
     def __add__(self, other: "GradedMorphism") -> "GradedMorphism":
         if self.source != other.source or self.target != other.target:
@@ -369,5 +352,4 @@ def loop_weight(u: int, side: str, params: CategoryParams) -> CycNum:
     the quotient is a rational rescale.  Memoised: every projector column
     weighs the same r loops.
     """
-    dim_u = dimension(simple_object(params.r, u), side, params)
-    return rational_scale(dim_u, Fraction(1, params.r))
+    return dimension(simple_object(params.r, u), side, params) * Fraction(1, params.r)

@@ -11,12 +11,12 @@ h_Z they produce are linearly independent.
 loop sum per character k gives the r vectors h_(a,k) as its grade blocks:
 r^2 diagrams for the whole basis.
 
-The half-braiding on the lifted hull Ahat(M) is assembled from dual-basis
-pairs in C(i (x) W, j) by diagram evaluation, block by block; the closed
-form (blocks shift by the grade of W with coefficient 1) is what the tests
-check it against.  For a centre simple Z the unit-like map Ahat(Z) -> Z and
-the counit-like map Z -> Ahat(Z) are each built once, r small diagrams
-apiece; the hull projector p_Y is the second after the first.
+The half-braiding on the lifted hull Ahat(Z) of a centre simple Z is
+assembled from dual-basis pairs in C(i (x) W, j) by diagram evaluation,
+block by block; the closed form (blocks shift by the grade of W with
+coefficient 1) is what the tests check it against.  The unit-like map
+Ahat(Z) -> Z and the counit-like map Z -> Ahat(Z) are each built once, r
+small diagrams apiece; the hull projector p_Y is the second after the first.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _h_column(x: GradedObject, k: int, params: CategoryParams) -> tuple:
 
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     """The genus-1 vector of a centre simple: the `loop_sum` of its summands."""
-    return HomSpaceVector._from_column(params.r, 1, _h_column(z.underlying(), z.k, params))
+    return HomSpaceVector(params.r, 1, _h_column(z.underlying(), z.k, params))
 
 
 def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:
@@ -129,7 +129,7 @@ def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:
     r = params.r
     sums = [_h_column(simples_object(r), k, params) for k in range(r)]
     return [
-        HomSpaceVector._from_column(r, 1, [(p, c) for p, c in sums[k] if p // r == a])
+        HomSpaceVector(r, 1, [(p, c) for p, c in sums[k] if p // r == a])
         for a in range(r)
         for k in range(r)
     ]
@@ -152,8 +152,8 @@ def p_Y_projector(y: CentreSimple, params: CategoryParams) -> GradedMorphism:
 class AhatStructure(NamedTuple):
     hull: CentralHull
     half_braiding: Callable[[GradedObject], GradedMorphism]
-    unitlike: GradedMorphism | None
-    counitlike: GradedMorphism | None
+    unitlike: GradedMorphism
+    counitlike: GradedMorphism
 
 
 def _ahat_braiding_block(
@@ -188,12 +188,11 @@ def _ahat_braiding_block(
     return evaluate(SliceDiagram(top, layers), params)
 
 
-def ahat_structure(m_or_z, params: CategoryParams) -> AhatStructure:
-    """Half-braiding on Ahat(M); for a centre simple also the two maps
-    relating Z and Ahat(Z), the second carrying the dim_r(U)/Dim prefactor.
+def ahat_structure(z: CentreSimple, params: CategoryParams) -> AhatStructure:
+    """Half-braiding on Ahat(Z) and the two maps relating Z and Ahat(Z),
+    the second carrying the dim_r(U)/Dim prefactor.
     """
-    z = m_or_z if isinstance(m_or_z, CentreSimple) else None
-    m = m_or_z if z is None else z.underlying()
+    m = z.underlying()
     r = params.r
     hull = central_hull(m)
     dm = m.dim
@@ -218,8 +217,6 @@ def ahat_structure(m_or_z, params: CategoryParams) -> AhatStructure:
                         entries[p * (r * dm) + hull.offsets[j] + m_out, src_flat] = e
         return GradedMorphism(src, tgt, entries)
 
-    if z is None:
-        return AhatStructure(hull, braiding, None, None)
     return AhatStructure(
         hull, braiding, _unitlike_map(z, hull, params), _counitlike_map(z, hull, params)
     )

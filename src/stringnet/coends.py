@@ -19,6 +19,9 @@ them.
 simples: it splits H into the handle legs of every pair (s,t) at once, so
 a projector diagram that starts from H carries a whole handle's r^2 basis
 vectors.
+
+A `HomSpaceVector` has one constructor, which takes the one column of an
+evaluated morphism 1 -> H^{(x)g} and stores it densely.
 """
 
 from __future__ import annotations
@@ -86,29 +89,15 @@ def jmath(x: GradedObject, y: GradedObject) -> GradedMorphism:
 class HomSpaceVector(Record):
     """Coordinates in C(1, H^{(x)g}), one per label (s_1,t_1,...,s_g,t_g) in lex order.
 
-    The public constructor checks outside input: the coordinate count, and
-    that each coordinate is a CycNum of conductor r.  `_from_column` takes the
-    one column of a morphism 1 -> H^{(x)g} the library evaluated, whose
-    entries hold that by construction, and stores it densely unchecked.
+    Built from the one column of a morphism 1 -> H^{(x)g} the library
+    evaluated, as its (index, entry) pairs, and stored densely: the
+    coordinates not in `column` are zero.
     """
 
     __slots__ = _fields = ("r", "genus", "coords")
 
-    def __init__(self, r: int, genus: int, coords: tuple[CycNum, ...]) -> None:
-        want = r ** (2 * genus)
-        if len(coords) != want:
-            raise ValueError(f"expected {want} coordinates, got {len(coords)}")
-        for a in coords:
-            if not isinstance(a, CycNum) or a.order != r:
-                raise ValueError("coords must be CycNum of conductor r")
-        super().__init__(r, genus, coords)
-
-    @classmethod
-    def _from_column(cls, r: int, genus: int, column) -> "HomSpaceVector":
-        """The vector whose nonzero coordinates are the (index, entry) pairs of `column`."""
+    def __init__(self, r: int, genus: int, column) -> None:
         coords = [CycNum.zero(r)] * r ** (2 * genus)
         for i, a in column:
             coords[i] = a
-        v = object.__new__(cls)
-        Record.__init__(v, r, genus, tuple(coords))
-        return v
+        super().__init__(r, genus, tuple(coords))

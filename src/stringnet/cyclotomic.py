@@ -8,12 +8,14 @@ form: den > 0, gcd(den, *nums) == 1, and zero is (0, ..., 0) over 1.
 Equality and hashing are therefore structural, and there is no floating
 point anywhere in the arithmetic.
 
-The public constructor `CycNum(order, coeffs)` checks and normalises its
-outside input, any rationals `Fraction` accepts; `.coeffs` returns them as
-Fractions.  `+`, `-`, negation, `*`, `rational_scale`, `from_rational` and
-the shared per-conductor constants (`zero`, `one`, `zeta_power`) skip those
-checks through `_from_reduced`, which trusts its numerators to be reduced
-modulo Phi_order and canonical over `den`.
+A CycNum is a `Record` of `order`, `nums` and `den`.  The public
+constructor `CycNum(order, coeffs)` checks and normalises its outside input,
+any rationals `Fraction` accepts; `.coeffs` returns them as Fractions.  `+`,
+`*`, `from_rational` and the shared per-conductor constants (`zero`, `one`,
+`zeta_power`) skip those checks through `_from_reduced`, which trusts its
+numerators to be reduced modulo Phi_order and canonical over `den`.  A
+difference is a sum with the product by -1, a rational rescale a product
+with the rational, and `not a` tests for zero.
 
 A product is an integer schoolbook convolution, folded back below degree d
 with a per-conductor table of the rows x^k mod Phi_n for d <= k <= 2d-2
@@ -40,9 +42,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add
 
-from . import require
+from . import Record, require
 
 
 class ConductorMismatchError(ValueError):
@@ -92,10 +94,10 @@ def degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-class CycNum:
+class CycNum(Record):
     """An element of Q(zeta_n): integer power-basis numerators over one denominator."""
 
-    __slots__ = ("order", "nums", "den")
+    __slots__ = _fields = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs) -> None:
         if order < 1:
@@ -109,12 +111,7 @@ class CycNum:
         # canonical as built: the top power of each prime in the lcm divides
         # some c.denominator, and that c's scaled numerator is prime to it
         den = lcm(*(c.denominator for c in cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycNum is immutable")
+        super().__init__(order, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -139,9 +136,6 @@ class CycNum:
 
     # -- predicates --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
@@ -165,24 +159,9 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _combine(self, o, add)
+        return _combine(self, o)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _combine(self, o, sub)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return _from_reduced(self.order, tuple(map(neg, self.nums)), self.den)
 
     def __mul__(self, other):
         if type(other) is not CycNum or other.order != self.order:
@@ -195,6 +174,8 @@ class CycNum:
 
     # -- comparison --------------------------------------------------------
 
+    # Record's equality and hash would hold only between CycNums; these also
+    # agree with int and Fraction.
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.nums[0] == other * self.den
@@ -257,12 +238,12 @@ def _product(order: int, a: tuple, da: int, b: tuple, db: int) -> CycNum:
     return _canonical(order, conv, da * db)
 
 
-def _combine(a: CycNum, b: CycNum, op) -> CycNum:
-    """a + b or a - b (op is `add` or `sub`) over a common denominator."""
+def _combine(a: CycNum, b: CycNum) -> CycNum:
+    """a + b over a common denominator."""
     da, db = a.den, b.den
     if da == db:
-        return _canonical(a.order, list(map(op, a.nums, b.nums)), da)
-    return _canonical(a.order, [op(x * db, y * da) for x, y in zip(a.nums, b.nums)], da * db)
+        return _canonical(a.order, list(map(add, a.nums, b.nums)), da)
+    return _canonical(a.order, [x * db + y * da for x, y in zip(a.nums, b.nums)], da * db)
 
 
 @lru_cache(maxsize=None)
@@ -298,13 +279,6 @@ def zeta_power(n: int, k: int) -> CycNum:
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
     return _zeta_table(n)[k % n]
-
-
-def rational_scale(a: CycNum, q) -> CycNum:
-    """Multiply by an exact rational."""
-    q = Fraction(q)
-    p = q.numerator
-    return _canonical(a.order, [c * p for c in a.nums], a.den * q.denominator)
 
 
 # -- JSON ------------------------------------------------------------------

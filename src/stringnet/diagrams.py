@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import Record
 from .category import (
     MEMO_SIZE,
     CategoryParams,
@@ -129,10 +130,10 @@ def _layer_ends(layer) -> tuple[GradedObject, GradedObject]:
     return src, tgt
 
 
-class SliceDiagram:
+class SliceDiagram(Record):
     """Layers bottom to top with a declared top boundary."""
 
-    __slots__ = ("boundary_top", "layers")
+    __slots__ = _fields = ("boundary_top", "layers")
 
     def __init__(self, boundary_top: GradedObject, layers) -> None:
         layers = tuple(tuple(layer) for layer in layers)
@@ -141,11 +142,7 @@ class SliceDiagram:
             for m in layer:
                 if m.source.r != r:
                     raise ValueError(f"layer {i} mixes r={m.source.r} into an r={r} diagram")
-        object.__setattr__(self, "boundary_top", boundary_top)
-        object.__setattr__(self, "layers", layers)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SliceDiagram is immutable")
+        super().__init__(boundary_top, layers)
 
     @property
     def r(self) -> int:

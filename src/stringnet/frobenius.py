@@ -20,8 +20,7 @@ one per admissible r-spin marking, give a basis of the string-net space.
 The structure maps of `frobenius_zr` and the Nakayama closed form are
 entry dicts, checked by `GradedMorphism`'s validating constructor; every
 evaluated diagram stores its pushed columns unchecked, and `sigma_F` reads
-the state's one column straight into a `HomSpaceVector`, whose coordinate
-check is for outside input.
+the state's one column straight into a `HomSpaceVector`.
 Each algebra evaluates the powers of N once and a handle's chi diagram,
 which boxes two of them, once per pair of labels mod r; `frobenius_zr` itself
 is not memoised, so every algebra it builds proves its axioms again.
@@ -266,4 +265,4 @@ def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     layers.append([h] * genus + [box(f_data.eps)])
     top = tensor_objects(*[h.source] * genus)
     state = evaluate(SliceDiagram(top, layers), params)
-    return HomSpaceVector._from_column(r, genus, state.columns[0])
+    return HomSpaceVector(r, genus, state.columns[0])

@@ -85,7 +85,7 @@ class ModularData(Record):
         if dims[0] != one:
             out.append("dim of the unit is not 1")
         for a in range(n):
-            if dims[a].is_zero():
+            if not dims[a]:
                 out.append(f"dim of {self.labels[a]} vanishes")
         for a in range(n):
             for b in range(a + 1, n):
@@ -96,7 +96,7 @@ class ModularData(Record):
         for a in range(n):
             if s[a][0] != dims[a]:
                 out.append(f"s column at the unit disagrees with dim({self.labels[a]})")
-        if self.global_dim.is_zero():
+        if not self.global_dim:
             out.append("global dimension vanishes")
         if rank_cyc([list(row) for row in s]) != n:
             out.append("s is not invertible")

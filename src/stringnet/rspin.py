@@ -10,10 +10,9 @@ assigns an index s_e in Z_r to each edge, stored as the tuple `indices` in
 edge order; the marking is admissible when a per-vertex congruence holds,
 and admissible markings on a fixed decomposition count r-spin structures.
 
-There is one census, `admissible_indices`, which lists the admissible
-markings as bare index tuples; `enumerate_admissible` wraps each of its rows
-as a `MarkedPLCW` for callers that need records, or with `records=False`
-passes the rows through unwrapped.
+There is one census, `enumerate_admissible`, which lists the admissible
+markings as `MarkedPLCW` records, or with `records=False` as bare index
+tuples.
 
 Conventions pinned here (the source material leaves them to a drawing):
 the face orientation is the cyclic order of its boundary list, and the
@@ -258,13 +257,13 @@ def is_admissible(m: MarkedPLCW) -> AdmissibilityReport:
     return AdmissibilityReport(all(x == 0 for x in residues.values()), residues)
 
 
-def admissible_indices(
-    complex: PLCW, r: int, *, cap: int | None = None
-) -> list[tuple[int, ...]]:
-    """The census: each admissible marking as its index tuple, in
-    `itertools.product` order, orientations and preferred edges held fixed.
+def enumerate_admissible(
+    complex: PLCW, r: int, *, cap: int | None = None, records: bool = True
+) -> list[MarkedPLCW] | list[tuple[int, ...]]:
+    """The census: every admissible marking, orientations and preferred edges
+    held fixed, in `itertools.product` order, as a `MarkedPLCW` or, with
+    `records=False`, as its bare index tuple.
 
-    This is the one census; `enumerate_admissible` wraps its rows as records.
     The r^n assignments are priced before anything is built, a vertex with
     only loops that fails decides the census without enumerating, and when
     no vertex congruence involves an index (the standard decomposition)
@@ -283,34 +282,20 @@ def admissible_indices(
             return []
     assignments = itertools.product(range(r), repeat=n_edges)
     if not compiled:
-        return list(assignments)
-    found = []
-    for assignment in assignments:
-        for outs, ins, const in compiled:
-            acc = const
-            for i in outs:
-                acc += assignment[i]
-            for i in ins:
-                acc -= assignment[i]
-            if acc % r != 0:
-                break
-        else:
-            found.append(assignment)
-    return found
-
-
-def enumerate_admissible(
-    complex: PLCW, r: int, *, cap: int | None = None, records: bool = True
-) -> list[MarkedPLCW] | list[tuple[int, ...]]:
-    """All admissible markings, orientations and preferred edges held fixed:
-    each row of `admissible_indices`, the one census, wrapped as a record.
-
-    With `records=False` the rows come back bare. `rspin-enumerate` takes
-    them so, through this name, because perfbench's tracer prices the
-    census's r^n assignments per call of `enumerate_admissible`.
-    """
-    r = _integer(r, "r")
-    rows = admissible_indices(complex, r, cap=cap)
+        rows = list(assignments)
+    else:
+        rows = []
+        for assignment in assignments:
+            for outs, ins, const in compiled:
+                acc = const
+                for i in outs:
+                    acc += assignment[i]
+                for i in ins:
+                    acc -= assignment[i]
+                if acc % r != 0:
+                    break
+            else:
+                rows.append(assignment)
     if not records:
         return rows
     found = []

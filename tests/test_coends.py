@@ -238,11 +238,9 @@ def test_column_diagram_takes_all_labels_or_all_but_one_handle():
 
 def test_hom_space_vector_coordinate_count():
     r = 2
-    coords = tuple(zeta_power(r, k % 2) for k in range(4))
-    assert HomSpaceVector(r, 1, coords).coords == coords
-    with pytest.raises(ValueError, match="coordinates"):
-        HomSpaceVector(r, 1, coords[:3])
+    column = ((1, zeta_power(r, 1)), (3, CycNum.one(r)))
+    zero = CycNum.zero(r)
+    assert HomSpaceVector(r, 1, column).coords == (zero, zeta_power(r, 1), zero, CycNum.one(r))
+    assert HomSpaceVector(r, 1, ()).coords == (zero,) * 4
     # genus 0 is C(1, 1): one coordinate
-    assert HomSpaceVector(3, 0, (CycNum.one(3),)).coords == (CycNum.one(3),)
-    with pytest.raises(ValueError, match="expected 1 coordinates"):
-        HomSpaceVector(3, 0, ())
+    assert HomSpaceVector(3, 0, ((0, CycNum.one(3)),)).coords == (CycNum.one(3),)

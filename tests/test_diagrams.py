@@ -441,7 +441,7 @@ def test_push_drops_a_sum_that_cancels(r):
     one = params.one()
     split = GradedMorphism.from_entries(x, xx, {(0, 0): one, (1, 0): one})
     merge = GradedMorphism.from_entries(
-        xx, xx, {(0, 0): one, (0, 1): -one, (1, 0): one, (1, 1): one}
+        xx, xx, {(0, 0): one, (0, 1): one * -1, (1, 0): one, (1, 1): one}
     )
     d = SliceDiagram(
         tensor_objects(xx, z), [[box(split), identity(z)], [box(merge), identity(z)]]

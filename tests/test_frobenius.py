@@ -89,6 +89,43 @@ def test_mu_dropping_one_product_fails_its_axiom(monkeypatch, r, a, b, axiom):
     assert exc.value.invariant == axiom
 
 
+def _keep(test):
+    """An entry-dict edit keeping the entries whose (row, column) passes `test`."""
+    return lambda entries: {k: v for k, v in entries.items() if test(*k)}
+
+
+def _times(q):
+    """An entry-dict edit multiplying every entry by q."""
+    return lambda entries: {k: v * q for k, v in entries.items()}
+
+
+@pytest.mark.parametrize(
+    "edits, axiom",
+    [
+        # mu(1_1 (x) 1_b) = 0 keeps associativity and the left unit
+        ({"mu": _keep(lambda row, col: col // 2 != 1)}, "right unit"),
+        # Delta(1_1) loses its 1_1 (x) 1_0 term
+        ({"delta": _keep(lambda row, col: (row, col) != (2, 1))}, "coassociativity"),
+        # Delta(1_c) keeps only its 1_0 (x) 1_c term, which still satisfies the left counit
+        ({"delta": _keep(lambda row, col: row // 2 != 1)}, "right counit"),
+        # r Delta with eps / r keeps every other axiom, but mu o Delta = r id
+        ({"delta": _times(2), "eps": _times(Fraction(1, 2))}, "Delta-separability"),
+    ],
+)
+def test_corrupted_structure_map_fails_its_axiom(edits, axiom):
+    # frobenius_zr at r = 2, with entries of its structure maps edited
+    params = CategoryParams(2)
+    good = frobenius_zr(params)
+    maps = {}
+    for name in ("mu", "eta", "delta", "eps"):
+        m = getattr(good, name)
+        edit = edits.get(name)
+        maps[name] = m if edit is None else GradedMorphism(m.source, m.target, edit(m._entries()))
+    with pytest.raises(InvariantError) as exc:
+        FrobeniusAlgebraData(params, good.object, **maps)
+    assert exc.value.invariant == axiom
+
+
 def test_nakayama_closed_form_and_order():
     for r in range(1, 7):
         params = CategoryParams(r)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from stringnet import Record
-from stringnet.category import CategoryParams, GradedObject
+from stringnet.category import CategoryParams, GradedMorphism, GradedObject, identity
+from stringnet.cyclotomic import CycNum
+from stringnet.diagrams import SliceDiagram
 from stringnet.frobenius import frobenius_zr
 from stringnet.rspin import AdmissibilityReport, MarkedPLCW, standard_decomposition
 
@@ -71,3 +73,23 @@ def test_equal_markings_are_equal_and_hash_equal():
     same = MarkedPLCW(complex_, 2, {0: 2, 1: 1})
     assert m == same and hash(m) == hash(same)
     assert "indices=(0, 1)" in repr(m)
+
+
+def test_shared_values_survive_deletion_and_assignment():
+    """identity(x) and CycNum.one(r) are memoised, one instance per process."""
+    x = GradedObject(3, (0, 1))
+    diagram = SliceDiagram(x, [[identity(x)], [identity(x)]])
+    with pytest.raises(AttributeError):
+        del identity(x).columns
+    with pytest.raises(AttributeError):
+        del diagram.layers
+    with pytest.raises(AttributeError):
+        del CycNum.one(3).nums
+    with pytest.raises(AttributeError):
+        identity(x).columns = ()
+    with pytest.raises(AttributeError):
+        CycNum.one(3).den = 2
+    one = CycNum(3, [1, 0])
+    assert identity(x) == GradedMorphism(x, x, {(0, 0): one, (1, 1): one})
+    assert diagram == SliceDiagram(x, [[identity(x)], [identity(x)]])
+    assert CycNum.one(3) == one and CycNum.one(3).nums == (1, 0)

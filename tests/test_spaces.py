@@ -59,7 +59,7 @@ def test_bp_scalar_is_zero_or_one():
             if (2 - 2 * g) % r == 0:
                 assert s == 1
             else:
-                assert s.is_zero()
+                assert not s
 
 
 def test_sphere_dim_small_r():
@@ -88,7 +88,7 @@ def test_torus_operator_is_identity():
 
 def test_genus_two_operator_vanishes_at_r3():
     rep = tilde_bp_operator(CategoryParams(3), 2)
-    assert rep.analytic_scalar.is_zero()
+    assert not rep.analytic_scalar
     assert rep.image_rank == 0
     assert all(not e for row in rep.operator_matrix for e in row)
 

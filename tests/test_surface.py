@@ -3,8 +3,9 @@
 Every public module-level function and class in `src/stringnet` must be read
 outside its own definition: by name, as an attribute, or in an import, in
 the library itself, in `tests/test_acceptance.py` or in `perfbench/*.py`.
-A public helper that only its unit test calls fails here.  All files are
-parsed, not imported.
+A public helper that only its unit test calls fails here.  Immutability has
+one home: no class but `Record` defines `__setattr__` or `__delattr__`.  All
+files are parsed, not imported.
 """
 
 from __future__ import annotations
@@ -64,3 +65,33 @@ def test_every_public_library_name_is_read():
     library = [path.read_text() for path in LIBRARY]
     readers = [path.read_text() for path in READERS]
     assert _unread_public_names(library, readers) == []
+
+
+def _mutators(source: str) -> list[str]:
+    """Class.method for each class in `source` that defines `__setattr__` or `__delattr__`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{node.name}.{n}" for n in names if n in ("__setattr__", "__delattr__")]
+    return sorted(found)
+
+
+def test_the_check_finds_a_class_that_defines_assignment():
+    source = (
+        "class A:\n    def __setattr__(self, name, value):\n        pass\n"
+        "class B:\n    __delattr__ = A.__setattr__\n"
+        "class C:\n    def __getattr__(self, name):\n        pass\n"
+    )
+    assert _mutators(source) == ["A.__setattr__", "B.__delattr__"]
+
+
+def test_only_record_defines_assignment_and_deletion():
+    found = [name for path in LIBRARY for name in _mutators(path.read_text())]
+    assert sorted(found) == ["Record.__delattr__", "Record.__setattr__"]
