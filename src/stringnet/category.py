@@ -131,7 +131,9 @@ class _Columns(tuple):
     """Canonical columns a library routine built: `GradedMorphism` stores them as given.
 
     Column j is a tuple of (row, entry) pairs sorted by row, each entry a
-    nonzero CycNum of conductor r in a row whose grade is source grade j.
+    nonzero CycNum of conductor r in a row whose grade is source grade j,
+    or a `diagrams.evaluate_lazily` column that builds that tuple on first
+    read and then reads, equals and hashes as it.
     `diagrams.evaluate` and `loop_sum`, the plaquette block assembly and
     `GradedMorphism.__add__` and `scale` hold this by construction; outside
     input never has this type.

@@ -8,20 +8,25 @@ four memoised duality caps and cups, whose one helper fixes the mirrored
 positions and the zeta^{+-g} weights of the right-hand pair, and `box`es
 holding arbitrary morphisms.  Evaluation computes each layer's source and
 target objects once, checks the grade words adjacent layers exchange, then
-pushes the bottom's basis vectors up as sparse {flat index: coefficient}
-dicts.  By the interchange law a layer is its boxes applied one at a time,
-rightmost first, so the push takes one step per box: a term's index splits
-into the digits left of the box, under it and right of it, and each entry
-of the box's stored column for the middle digit sends it on; an empty
-column drops it.  Shared identity strands take no step, the 1x1 boxes of a
-layer fold into one scalar step, and a product with the shared `one` is
-never made.  Only an index that received a sum is tested for zero, after
-each step.  No layer's Kronecker product and no dense matrix is ever built.
-The pushed vectors, sorted by row, are the columns of the result: they hold
-`GradedMorphism`'s invariants by construction (nonzero entries of conductor
-r, on matching grades, since every cell of a layer does), so they are
-passed as `category._Columns` and stored unchecked; the constructor's
-checks are for outside input.
+pushes one sparse {flat index: coefficient} dict up: it holds every bottom
+basis vector, column c's terms at c * dim + index, so the column is the
+most significant digit of each index.  By the interchange law a layer is its
+boxes applied one at a time, rightmost first, so the push takes one step per
+box: a term's index splits into the digits left of the box, under it and
+right of it, and each entry of the box's stored column for the middle digit
+sends it on; an empty column drops it.  The left digits carry the column
+digit through every step unchanged.  Shared identity strands take no step,
+the 1x1 boxes of a layer fold into one scalar step, and a product with the
+shared `one` is never made.  Only an index that received a sum is tested
+for zero, after each step.  No layer's Kronecker product and no dense matrix
+is ever built.  The pushed items, sorted once and split by their column
+digit, are the columns of the result: they hold `GradedMorphism`'s
+invariants by construction (nonzero entries of conductor r, on matching
+grades, since every cell of a layer does), so they are passed as
+`category._Columns` and stored unchecked; the constructor's checks are for
+outside input.  `evaluate_lazily` type-checks a diagram the same way but
+pushes column j, basis vector j alone, only when something first reads it;
+a later diagram boxing that morphism reads its columns from the same store.
 `loop_sum` is the one place the projector's weighted sum over the loop
 grade u, with weight dim(C_u)/Dim, is written; it returns the summed
 morphism, so a diagram whose bottom is wider than the unit carries a whole
@@ -172,49 +177,55 @@ def _layer_steps(layer, one):
             if c is not one:
                 scalar = c if scalar is one else scalar * c
         elif not (x is m.target and m is identity(x)):
-            steps.append((x.dim, dim, m.columns, right))
+            columns = m.columns
+            if columns and type(columns[0]) is _PushedColumn:
+                columns = columns[0].built
+            steps.append((x.dim, dim, columns, right))
         right *= dim
     if scalar != one:
         steps.append((1, 1, (((0, scalar),),), 1))
     return steps
 
 
-def _push(vectors: list, step, one) -> list:
-    """Apply one box to every sparse vector {flat index: CycNum} of `vectors`.
+def _push(vec: dict, step, one) -> dict:
+    """Apply one box to a sparse vector {flat index: CycNum}.
 
     Each term's index splits as (x, j, y) over (left, box source, right);
     an entry (i, c) of column j sends it to (x * target dim + i) * right + y
-    with its coefficient times c, and an empty column drops it.  Stored
-    entries and pushed values are nonzero and Q(zeta_r) is a field, so only
-    an index that received a sum can end at zero.  A factor that is the
-    shared `one` leaves the other as it is.
+    with its coefficient times c, and an empty column drops it.  The left
+    digit x carries the column digit of `evaluate`'s seed along unchanged.
+    Stored entries and pushed values are nonzero and Q(zeta_r) is a field,
+    so only an index that received a sum can end at zero.  A factor that is
+    the shared `one` leaves the other as it is.
     """
     src_dim, tgt_dim, columns, right = step
-    pushed = []
-    for vec in vectors:
-        out: dict = {}
-        summed = set()
-        for idx, v in vec.items():
-            x, y = divmod(idx, right)
-            x, j = divmod(x, src_dim)
-            x *= tgt_dim
-            for i, c in columns[j]:
-                t = (x + i) * right + y
-                w = v if c is one else c if v is one else v * c
-                if t in out:
-                    out[t] = out[t] + w
-                    summed.add(t)
-                else:
-                    out[t] = w
-        for t in summed:
-            if not out[t]:
-                del out[t]
-        pushed.append(out)
-    return pushed
+    out: dict = {}
+    summed = set()
+    for idx, v in vec.items():
+        x, y = divmod(idx, right)
+        x, j = divmod(x, src_dim)
+        x *= tgt_dim
+        for i, c in columns[j]:
+            t = (x + i) * right + y
+            w = v if c is one else c if v is one else v * c
+            if t in out:
+                out[t] = out[t] + w
+                summed.add(t)
+            else:
+                out[t] = w
+    for t in summed:
+        if not out[t]:
+            del out[t]
+    return out
 
 
-def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
-    """The morphism a diagram denotes, from its bottom to its top boundary."""
+def _checked_steps(d: SliceDiagram, params: CategoryParams):
+    """(bottom, top, steps) of a diagram whose adjacent layers agree.
+
+    Each layer's source and target are computed once and checked against
+    the object below it; DiagramTypeError names the first layer that
+    disagrees.  The steps are every layer's `_layer_steps`, bottom to top.
+    """
     if params.r != d.r:
         raise ValueError(f"params r={params.r} but diagram r={d.r}")
     ends = [_layer_ends(layer) for layer in d.layers]
@@ -227,12 +238,89 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     if current is not top and current != top:
         raise DiagramTypeError(len(d.layers) - 1, top, current, "top boundary")
     one = params.one()
-    vectors = [{c: one} for c in range(bottom.dim)]
-    for layer in d.layers:
-        for step in _layer_steps(layer, one):
-            vectors = _push(vectors, step, one)
-    columns = _Columns(tuple(sorted(vec.items())) for vec in vectors)
-    return GradedMorphism(bottom, current, columns)
+    return bottom, current, [step for layer in d.layers for step in _layer_steps(layer, one)]
+
+
+def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
+    """The morphism a diagram denotes, from its bottom to its top boundary.
+
+    One vector carries every bottom basis vector: column c's terms sit at
+    c * dim + index, so the column is the most significant digit, which
+    every step carries through unchanged.  The items, sorted once, split
+    into the columns by that digit.
+    """
+    bottom, top, steps = _checked_steps(d, params)
+    one = params.one()
+    n = bottom.dim
+    vec = {c * n + c: one for c in range(n)}
+    for step in steps:
+        vec = _push(vec, step, one)
+    items = sorted(vec.items())
+    if n == 1:
+        return GradedMorphism(bottom, top, _Columns((tuple(items),)))
+    columns = [[] for _ in range(n)]
+    m = top.dim
+    for key, v in items:
+        c, i = divmod(key, m)
+        columns[c].append((i, v))
+    return GradedMorphism(bottom, top, _Columns(map(tuple, columns)))
+
+
+class _ColumnsOnRead(dict):
+    """{j: column j} of `evaluate_lazily`'s morphism, each pushed on first read.
+
+    A missing column is basis vector j pushed through the diagram's steps,
+    stored as its sorted tuple.  A step boxing that morphism reads this dict,
+    so `_push` finds a column already built by one lookup.
+    """
+
+    __slots__ = ("steps", "one")
+
+    def __init__(self, steps: list, one: CycNum) -> None:
+        super().__init__()
+        self.steps, self.one = steps, one
+
+    def __missing__(self, j: int) -> tuple:
+        one = self.one
+        vec = {j: one}
+        for step in self.steps:
+            vec = _push(vec, step, one)
+        col = self[j] = tuple(sorted(vec.items()))
+        return col
+
+
+class _PushedColumn(Record):
+    """One column of `evaluate_lazily`'s morphism: it reads, equals and
+    hashes as the tuple its `_ColumnsOnRead` builds on first read."""
+
+    __slots__ = _fields = ("built", "j")
+
+    def __iter__(self):
+        return iter(self.built[self.j])
+
+    def __len__(self) -> int:
+        return len(self.built[self.j])
+
+    def __getitem__(self, k):
+        return self.built[self.j][k]
+
+    def __eq__(self, other):
+        return self.built[self.j] == other
+
+    def __hash__(self):
+        return hash(self.built[self.j])
+
+
+def evaluate_lazily(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
+    """`evaluate(d, params)`, with each column pushed only when first read.
+
+    The layers are type-checked now; a reader that takes one column of the
+    result pays for that column alone, while equality, hashing and
+    `matrix` build every column.
+    """
+    bottom, top, steps = _checked_steps(d, params)
+    built = _ColumnsOnRead(steps, params.one())
+    return GradedMorphism(bottom, top, _Columns(_PushedColumn(built, j) for j in range(bottom.dim)))
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> GradedMorphism:

@@ -17,13 +17,16 @@ surface decomposition: one chi per handle threads the face strand through
 a coend box.  The state sum is one slice diagram (eta, the chis, eps) that
 `diagrams.evaluate` pushes as a sparse vector, and the resulting vectors,
 one per admissible r-spin marking, give a basis of the string-net space.
+eta emits 1_0 on F and no chi moves the F digit, so the push reads only
+column 0 of each chi: `chi` type-checks its diagram at once
+(`diagrams.evaluate_lazily`) and builds a column only when it is read.
 The structure maps of `frobenius_zr` and the Nakayama closed form are
 entry dicts, checked by `GradedMorphism`'s validating constructor; every
 evaluated diagram stores its pushed columns unchecked, and `sigma_F` reads
 the state's one column straight into a `HomSpaceVector`.
-Each algebra evaluates the powers of N once and a handle's chi diagram,
-which boxes two of them, once per pair of labels mod r; `frobenius_zr` itself
-is not memoised, so every algebra it builds proves its axioms again.
+Each algebra evaluates the powers of N once and builds a handle's chi
+diagram, which boxes two of them, once per pair of labels mod r; `frobenius_zr`
+itself is not memoised, so every algebra it builds proves its axioms again.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .diagrams import (
     cup_left,
     cup_right,
     evaluate,
+    evaluate_lazily,
     identity,
 )
 from .rspin import MarkedPLCW, is_admissible, standard_decomposition
@@ -120,7 +124,7 @@ class FrobeniusAlgebraData(Record):
 
     @cached_property
     def handle_memo(self) -> dict[tuple[int, int], GradedMorphism]:
-        """chi(a, b) by (a mod r, b mod r); see `chi`."""
+        """chi(a, b) by (a mod r, b mod r), each column built on first read; see `chi`."""
         return {}
 
 
@@ -198,19 +202,21 @@ def chi(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
     """Handle morphism F -> H (x) F: on every x the value is v_{a,b} (x) x
     with v_{a,b} = (1/r^2) sum_{s,t} zeta^{sa+tb} e_{(s,t)}.
 
-    The labels count mod r; each algebra evaluates the diagram once per pair.
+    The labels count mod r; each algebra builds the diagram once per pair.
+    Its layers are type-checked then, but column j is pushed, from basis
+    vector j alone, only when first read: the state push reads column 0,
+    while equality, hashing and `matrix` build every column.
     """
     r = f_data.params.r
     key = (a % r, b % r)
     memo = f_data.handle_memo
     if key not in memo:
-        memo[key] = _chi_diagram(*key, f_data)
+        memo[key] = evaluate_lazily(_chi_diagram(*key, f_data), f_data.params)
     return memo[key]
 
 
-def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
-    """Evaluate the handle diagram behind `chi(a, b)`."""
-    params = f_data.params
+def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> SliceDiagram:
+    """The handle diagram behind `chi(a, b)`."""
     f = f_data.object
     fd = dual_object(f)
     powers = f_data.nakayama_powers
@@ -232,8 +238,7 @@ def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism
         ],
         [box(jmath(f, f)), identity(f)],
     ]
-    top = tensor_objects(coend_object(params.r), f)
-    return evaluate(SliceDiagram(top, layers), params)
+    return SliceDiagram(tensor_objects(coend_object(f_data.params.r), f), layers)
 
 
 def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:

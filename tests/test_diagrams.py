@@ -27,7 +27,9 @@ from stringnet.cyclotomic import CycNum, zeta_power
 from stringnet.diagrams import (
     DiagramTypeError,
     SliceDiagram,
+    _layer_ends,
     _layer_steps,
+    _PushedColumn,
     _push,
     box,
     cap_left,
@@ -347,6 +349,8 @@ def _assert_canonical(m: GradedMorphism) -> None:
     assert type(m.columns) is tuple and len(m.columns) == m.source.dim
     r, sg, tg = m.r, m.source.grades, m.target.grades
     for j, col in enumerate(m.columns):
+        if type(col) is _PushedColumn:
+            col = tuple(col)  # a column built on first read holds its tuple
         assert type(col) is tuple
         rows = [i for i, _ in col]
         assert rows == sorted(set(rows)) and all(0 <= i < m.target.dim for i in rows)
@@ -412,14 +416,20 @@ def test_morphisms_the_routes_build_unchecked_are_canonical(monkeypatch):
 
 
 def _pushed_layers(d: SliceDiagram, params: CategoryParams) -> list:
-    """The vectors `evaluate` pushes, after each layer, from the bottom's basis."""
+    """The vector `evaluate` pushes, split into its columns after each layer."""
     one = params.one()
-    vectors = [{c: one} for c in range(evaluate(d, params).source.dim)]
+    n = evaluate(d, params).source.dim
+    vec = {c * n + c: one for c in range(n)}
     pushed = []
     for layer in d.layers:
         for step in _layer_steps(layer, one):
-            vectors = _push(vectors, step, one)
-        pushed.append(vectors)
+            vec = _push(vec, step, one)
+        dim = _layer_ends(layer)[1].dim
+        columns = [{} for _ in range(n)]
+        for key, v in vec.items():
+            c, i = divmod(key, dim)
+            columns[c][i] = v
+        pushed.append(columns)
     return pushed
 
 
@@ -449,6 +459,37 @@ def test_push_drops_a_sum_that_cancels(r):
     got = _check_push(d, params)
     assert got.columns == (((1, one + one),),)
     assert _pushed_layers(d, params)[-1] == [{1: one + one}]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_column_digit_stays_in_its_column(r):
+    """Four bottom basis vectors share one pushed vector, each under its column digit.
+
+    H = [[1, 1], [1, -1]] twice is 2: in each column one row sums to 2 and
+    the other cancels to zero.  The strand W beside H, then P : W -> W'
+    widening it, move the left digit and the dim of the current object
+    under the column digit; a digit leaking into a neighbouring column would
+    add or cancel entries of another column.
+    """
+    params = CategoryParams(r)
+    one = params.one()
+    w, w2 = GradedObject(r, (0, 1)), GradedObject(r, (0, 1, 1))
+    x = GradedObject(r, (0, 0))
+    h = GradedMorphism.from_entries(
+        x, x, {(0, 0): one, (1, 0): one, (0, 1): one, (1, 1): one * -1}
+    )
+    p = GradedMorphism.from_entries(w, w2, {(0, 0): one, (1, 1): one * 2, (2, 1): one * -1})
+    d = SliceDiagram(
+        tensor_objects(w2, x), [[identity(w), box(h)], [identity(w), box(h)], [box(p), identity(x)]]
+    )
+    got = _check_push(d, params)
+    two = one + one
+    assert got == tensor_morphisms(p, identity(x).scale(2))
+    assert [len(col) for col in got.columns] == [1, 1, 2, 2]
+    assert _pushed_layers(d, params)[0] == [
+        {0: one, 1: one}, {0: one, 1: one * -1}, {2: one, 3: one}, {2: one, 3: one * -1}
+    ]
+    assert _pushed_layers(d, params)[1] == [{0: two}, {1: two}, {2: two}, {3: two}]
 
 
 @pytest.mark.parametrize("r", [2, 3])

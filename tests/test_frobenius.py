@@ -14,8 +14,9 @@ from stringnet.category import (
     compose,
     unit_object,
 )
-from stringnet import InvariantError, frobenius
+from stringnet import InvariantError, diagrams, frobenius
 from stringnet.cyclotomic import CycNum, zeta_power
+from stringnet.diagrams import evaluate
 from stringnet.frobenius import (
     FrobeniusAlgebraData,
     InadmissibleMarkingError,
@@ -224,22 +225,109 @@ def test_nakayama_of_wrong_order_fails_its_check(r, diagonal):
     assert exc.value.invariant == "Nakayama order divides r"
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record the first argument of every call to module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_chi_evaluates_one_diagram_per_new_key(monkeypatch):
     # with the Nakayama powers cached, chi boxes the two powers it needs
-    # rather than evaluating them again
+    # rather than evaluating them again; each new key's diagram is checked
+    # when chi builds it, but no column is pushed until one is read
     fd = frobenius_zr(CategoryParams(4))
     fd.nakayama_powers
-    calls = []
-    real = frobenius.evaluate
-
-    def counting(d, params):
-        calls.append(d)
-        return real(d, params)
-
-    monkeypatch.setattr(frobenius, "evaluate", counting)
+    evaluated = _count_calls(monkeypatch, frobenius, "evaluate")
+    diagrams_built = _count_calls(monkeypatch, frobenius, "evaluate_lazily")
+    pushes = _count_calls(monkeypatch, diagrams, "_push")
     for n, (a, b) in enumerate([(0, 0), (1, 2), (3, 3), (2, 1), (1, 2)], 1):
         chi(a, b, fd)
-        assert len(calls) == min(n, 4)
+        assert len(diagrams_built) == min(n, 4)
+    assert evaluated == [] and pushes == []
+    list(chi(1, 2, fd).columns[3])
+    assert pushes and len(diagrams_built) == 4
+
+
+def _is_built(column) -> bool:
+    return column.j in column.built
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_chi_columns_on_read_equal_the_evaluated_columns(r):
+    """Each column of chi, built alone on first read, is the column `evaluate`
+    pushes from the whole basis, hash included."""
+    params = CategoryParams(r)
+    fd = frobenius_zr(params)
+    for a, b in sorted({(0, 0), (1 % r, (r - 1) % r), ((r - 1) % r, 2 % r)}):
+        lazy = chi(a, b, fd)
+        full = evaluate(frobenius._chi_diagram(a, b, fd), params)
+        assert (lazy.source, lazy.target) == (full.source, full.target)
+        assert not any(map(_is_built, lazy.columns))
+        for j in reversed(range(r)):
+            col = lazy.columns[j]
+            assert col == full.columns[j] and hash(col) == hash(full.columns[j])
+            assert [_is_built(c) for c in lazy.columns] == [k >= j for k in range(r)]
+        assert lazy == full and hash(lazy) == hash(full)
+        assert lazy.matrix == full.matrix
+
+
+_GOLDEN_SIGMA_CASES = [
+    (2, "0,1"),
+    (2, "1,1,0,0"),
+    (2, "1,0,1,1,1,0"),
+    (2, "1,0,1,1,1,0,0,0"),
+    (2, "0,0,1,0,0,0,0,0,0,1"),
+    (3, "0,2"),
+]
+
+
+def _sigma_markings():
+    """(r, markings): the golden grid's sigma-f cases, then every marking at (6, 1)."""
+    for r, indices in _GOLDEN_SIGMA_CASES:
+        values = [int(i) for i in indices.split(",")]
+        yield r, [MarkedPLCW(standard_decomposition(len(values) // 2), r, dict(enumerate(values)))]
+    yield 6, enumerate_admissible(standard_decomposition(1), 6)
+
+
+def test_sigma_vectors_equal_the_full_chi_route(monkeypatch):
+    """sigma_F through chi columns built on read equals sigma_F through fully
+    evaluated chis."""
+    cases = list(_sigma_markings())
+    on_read = [
+        [sigma_F(m, frobenius_zr(CategoryParams(r))) for m in markings] for r, markings in cases
+    ]
+    monkeypatch.setattr(frobenius, "evaluate_lazily", evaluate)
+    full = [
+        [sigma_F(m, frobenius_zr(CategoryParams(r))) for m in markings] for r, markings in cases
+    ]
+    assert on_read == full and len(full[-1]) == 36
+
+
+@pytest.mark.parametrize("r, genus, handles", [(4, 1, None), (4, 3, [(1, 2), (3, 0), (1, 2)])])
+def test_sigma_builds_one_chi_column_per_key(r, genus, handles):
+    """The state push reads column 0 of each chi it boxes, and only that one:
+    eta emits 1_0 on F and no chi moves the F digit.  (r | 2 - 2g, so genus 2
+    has no admissible marking at r = 4; genus 3 repeats a key across handles.)"""
+    fd = frobenius_zr(CategoryParams(r))
+    complex_ = standard_decomposition(genus)
+    if handles is None:
+        markings = enumerate_admissible(complex_, r)
+    else:
+        indices = [i for pair in handles for i in pair]
+        markings = [MarkedPLCW(complex_, r, dict(enumerate(indices)))]
+    for m in markings:
+        sigma_F(m, fd)
+    keys = {(m.indices[2 * i], m.indices[2 * i + 1]) for m in markings for i in range(genus)}
+    assert set(fd.handle_memo) == keys
+    for morphism in fd.handle_memo.values():
+        assert [_is_built(c) for c in morphism.columns] == [True] + [False] * (r - 1)
 
 
 def test_chi_closed_form():
