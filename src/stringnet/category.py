@@ -131,12 +131,13 @@ class _Columns(tuple):
     """Canonical columns a library routine built: `GradedMorphism` stores them as given.
 
     Column j is a tuple of (row, entry) pairs sorted by row, each entry a
-    nonzero CycNum of conductor r in a row whose grade is source grade j,
-    or a `diagrams.evaluate_lazily` column that builds that tuple on first
-    read and then reads, equals and hashes as it.
+    nonzero CycNum of conductor r in a row whose grade is source grade j.
     `diagrams.evaluate` and `loop_sum`, the plaquette block assembly and
     `GradedMorphism.__add__` and `scale` hold this by construction; outside
-    input never has this type.
+    input never has this type.  Only the morphisms `diagrams.evaluate_lazily`
+    returns hold, in place of those tuples, columns that build them on first
+    read and then read, equal and hash as them; all columns of one such
+    morphism share one store.  `__add__` and `scale` return plain tuples.
     """
 
     __slots__ = ()
@@ -265,11 +266,11 @@ class GradedMorphism(Record):
 
 
 def _add_columns(col: tuple, other: tuple) -> tuple:
-    """The sum of two canonical columns; only a row both hold is tested for zero."""
+    """The sum of two canonical columns, a tuple; only a row both hold is tested for zero."""
     if not other:
-        return col
+        return tuple(col)
     if not col:
-        return other
+        return tuple(other)
     out = dict(col)
     for i, b in other:
         if i in out:

@@ -165,7 +165,8 @@ def _layer_steps(layer, one):
     of the cells to the box's right, which have already been applied.  Shared
     identity strands make no step.  The 1x1 boxes fold into one 1x1 step
     holding their product, none if that is one; an empty 1x1 column zeroes
-    the whole layer.
+    the whole layer.  A box holding `evaluate_lazily`'s morphism steps
+    through its store's `view`, which every column of that morphism shares.
     """
     steps, right, scalar = [], 1, one
     for m in reversed(layer):
@@ -179,7 +180,7 @@ def _layer_steps(layer, one):
         elif not (x is m.target and m is identity(x)):
             columns = m.columns
             if columns and type(columns[0]) is _PushedColumn:
-                columns = columns[0].built
+                columns = columns[0].built.view
             steps.append((x.dim, dim, columns, right))
         right *= dim
     if scalar != one:
@@ -266,26 +267,30 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     return GradedMorphism(bottom, top, _Columns(map(tuple, columns)))
 
 
-class _ColumnsOnRead(dict):
-    """{j: column j} of `evaluate_lazily`'s morphism, each pushed on first read.
+class _ColumnsOnRead:
+    """The columns of `evaluate_lazily`'s morphism, each pushed on first read.
 
-    A missing column is basis vector j pushed through the diagram's steps,
-    stored as its sorted tuple.  A step boxing that morphism reads this dict,
-    so `_push` finds a column already built by one lookup.
+    `view[j]` is column j's `_PushedColumn` until something reads it, then
+    basis vector j pushed through the diagram's steps, as its sorted tuple.
+    A step boxing that morphism pushes through `view`, a plain list, so
+    `_push` reads a built column by one list index, and a column not yet
+    built builds itself when `_push` iterates it.
     """
 
-    __slots__ = ("steps", "one")
+    __slots__ = ("steps", "one", "view")
 
-    def __init__(self, steps: list, one: CycNum) -> None:
-        super().__init__()
+    def __init__(self, steps: list, one: CycNum, dim: int) -> None:
         self.steps, self.one = steps, one
+        self.view = [_PushedColumn(self, j) for j in range(dim)]
 
-    def __missing__(self, j: int) -> tuple:
-        one = self.one
-        vec = {j: one}
-        for step in self.steps:
-            vec = _push(vec, step, one)
-        col = self[j] = tuple(sorted(vec.items()))
+    def column(self, j: int) -> tuple:
+        col = self.view[j]
+        if type(col) is _PushedColumn:
+            one = self.one
+            vec = {j: one}
+            for step in self.steps:
+                vec = _push(vec, step, one)
+            col = self.view[j] = tuple(sorted(vec.items()))
         return col
 
 
@@ -296,19 +301,19 @@ class _PushedColumn(Record):
     __slots__ = _fields = ("built", "j")
 
     def __iter__(self):
-        return iter(self.built[self.j])
+        return iter(self.built.column(self.j))
 
     def __len__(self) -> int:
-        return len(self.built[self.j])
+        return len(self.built.column(self.j))
 
     def __getitem__(self, k):
-        return self.built[self.j][k]
+        return self.built.column(self.j)[k]
 
     def __eq__(self, other):
-        return self.built[self.j] == other
+        return self.built.column(self.j) == other
 
     def __hash__(self):
-        return hash(self.built[self.j])
+        return hash(self.built.column(self.j))
 
 
 def evaluate_lazily(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
@@ -319,8 +324,8 @@ def evaluate_lazily(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     `matrix` build every column.
     """
     bottom, top, steps = _checked_steps(d, params)
-    built = _ColumnsOnRead(steps, params.one())
-    return GradedMorphism(bottom, top, _Columns(_PushedColumn(built, j) for j in range(bottom.dim)))
+    built = _ColumnsOnRead(steps, params.one(), bottom.dim)
+    return GradedMorphism(bottom, top, _Columns(built.view))
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> GradedMorphism:

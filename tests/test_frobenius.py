@@ -256,7 +256,7 @@ def test_chi_evaluates_one_diagram_per_new_key(monkeypatch):
 
 
 def _is_built(column) -> bool:
-    return column.j in column.built
+    return type(column.built.view[column.j]) is tuple
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -276,6 +276,19 @@ def test_chi_columns_on_read_equal_the_evaluated_columns(r):
             assert [_is_built(c) for c in lazy.columns] == [k >= j for k in range(r)]
         assert lazy == full and hash(lazy) == hash(full)
         assert lazy.matrix == full.matrix
+
+
+def test_a_sum_with_chi_holds_plain_columns():
+    """`__add__` returns tuples, so on-read columns stay in the morphisms
+    `evaluate_lazily` returns, whose columns share one store."""
+    params = CategoryParams(3)
+    fd = frobenius_zr(params)
+    lazy = chi(1, 2, fd)
+    zero = GradedMorphism.zero_map(lazy.source, lazy.target)
+    full = evaluate(frobenius._chi_diagram(1, 2, fd), params)
+    for total in (lazy + zero, zero + lazy, lazy + lazy):
+        assert all(type(col) is tuple for col in total.columns)
+    assert lazy + zero == zero + lazy == full and lazy + lazy == full + full
 
 
 _GOLDEN_SIGMA_CASES = [
