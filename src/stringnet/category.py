@@ -34,12 +34,11 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
 from . import Record
-from .cyclotomic import CycNum, zeta_power
+from .cyclotomic import CycNum, _is_fraction, _rational, zeta_power
 
 
 class CategoryParams(Record):
@@ -252,7 +251,7 @@ class GradedMorphism(Record):
 
     def scale(self, c) -> "GradedMorphism":
         """c times self, for c a CycNum of conductor r or a rational."""
-        if not isinstance(c, (CycNum, int, Fraction)):
+        if not (isinstance(c, (CycNum, int)) or _is_fraction(c)):
             raise TypeError(f"cannot scale a morphism by {type(c).__name__}")
         # every cell is scaled, so every cell is tested: c may be zero
         columns = _Columns(tuple((i, v) for i, a in col if (v := a * c)) for col in self.columns)
@@ -355,4 +354,4 @@ def loop_weight(u: int, side: str, params: CategoryParams) -> CycNum:
     the quotient is a rational rescale.  Memoised: every projector column
     weighs the same r loops.
     """
-    return dimension(simple_object(params.r, u), side, params) * Fraction(1, params.r)
+    return dimension(simple_object(params.r, u), side, params) * _rational(params.r, 1, params.r)

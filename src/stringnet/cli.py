@@ -15,7 +15,9 @@ library functions it calls, and the errors `main` reports live in the
 package itself.  Loading this module and parsing the command line import
 none of the arithmetic, so `--json-schema`, usage errors, `sn-dim`, the
 r-spin commands and the modular-data commands never load the category,
-diagram, coend, centre, spaces or Frobenius layers.  Parsing builds only
+diagram, coend, centre, spaces or Frobenius layers, and the numeric
+subcommands load neither `fractions` nor `decimal` (only `--approx` and the
+modular-data commands do).  Parsing builds only
 the named subcommand's parser, one `_Parser` with no top-level parser
 above it, which reads the arguments after the name; help, an unknown
 command and other top-level errors get the full parser, which lists every

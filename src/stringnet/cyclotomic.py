@@ -13,9 +13,10 @@ constructor `CycNum(order, coeffs)` checks and normalises its outside input,
 any rationals `Fraction` accepts; `.coeffs` returns them as Fractions.  `+`,
 `*`, `from_rational` and the shared per-conductor constants (`zero`, `one`,
 `zeta_power`) skip those checks through `_from_reduced`, which trusts its
-numerators to be reduced modulo Phi_order and canonical over `den`.  A
-difference is a sum with the product by -1, a rational rescale a product
-with the rational, and `not a` tests for zero.
+numerators to be reduced modulo Phi_order and canonical over `den`; the
+library's own rationals, such as the weight 1/r, are built from two
+integers by `_rational`.  A difference is a sum with the product by -1, a
+rational rescale a product with the rational, and `not a` tests for zero.
 
 A product is an integer schoolbook convolution, folded back below degree d
 with a per-conductor table of the rows x^k mod Phi_n for d <= k <= 2d-2
@@ -31,6 +32,14 @@ Equality with an int or a Fraction holds exactly when the element is that
 rational, and such an element hashes as the Fraction does, so CycNums and
 rationals can share a set or a dict.
 
+`Fraction` is imported only where outside input or output needs it: the
+public constructor, `.coeffs`, `from_rational` of a non-int, `from_json`,
+repr, and the hash of a rational element that is not an integer.  The
+arithmetic, and equality with and coercion of an int, never load
+`fractions` (nor `decimal` and `numbers`, which it loads), so the numeric
+subcommands start without them.  A Fraction operand is recognised through
+`sys.modules`: none can exist before `fractions` is loaded.
+
 There is no division in the field: downstream computations only ever
 rescale by nonzero rationals and multiply by roots of unity, and the one
 quotient of quantum dimensions the charge criterion needs is decided by
@@ -39,7 +48,7 @@ cross-multiplying.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
@@ -100,6 +109,8 @@ class CycNum(Record):
     __slots__ = _fields = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs) -> None:
+        from fractions import Fraction
+
         if order < 1:
             raise ValueError(f"conductor must be positive, got {order}")
         cs = tuple(Fraction(c) for c in coeffs)
@@ -116,6 +127,8 @@ class CycNum(Record):
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-basis coordinates as Fractions."""
+        from fractions import Fraction
+
         den = self.den
         return tuple(Fraction(c, den) for c in self.nums)
 
@@ -131,8 +144,12 @@ class CycNum(Record):
 
     @classmethod
     def from_rational(cls, order: int, q) -> "CycNum":
+        if isinstance(q, int):
+            return _rational(order, q, 1)
+        from fractions import Fraction
+
         q = Fraction(q)
-        return _from_reduced(order, (q.numerator,) + (0,) * (degree(order) - 1), q.denominator)
+        return _rational(order, q.numerator, q.denominator)
 
     # -- predicates --------------------------------------------------------
 
@@ -151,7 +168,7 @@ class CycNum(Record):
                     f"conductors differ: {self.order} vs {other.order}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return CycNum.from_rational(self.order, other)
         return None
 
@@ -177,17 +194,22 @@ class CycNum(Record):
     # Record's equality and hash would hold only between CycNums; these also
     # agree with int and Fraction.
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is CycNum:
+            return self.order == other.order and self.den == other.den and self.nums == other.nums
+        if isinstance(other, int) or _is_fraction(other):
             return self.is_rational() and self.nums[0] == other * self.den
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        return self.order == other.order and self.den == other.den and self.nums == other.nums
+        return NotImplemented
 
     def __hash__(self):
         nums = self.nums
         if any(nums[1:]):
             return hash((self.order, nums, self.den))
-        return hash(Fraction(nums[0], self.den))  # the hash of the rational it equals
+        # the hash of the rational it equals; an integer's is the int's
+        if self.den == 1:
+            return hash(nums[0])
+        from fractions import Fraction
+
+        return hash(Fraction(nums[0], self.den))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
@@ -201,6 +223,18 @@ def _from_reduced(order: int, nums: tuple, den: int) -> CycNum:
     object.__setattr__(a, "nums", nums)
     object.__setattr__(a, "den", den)
     return a
+
+
+def _rational(order: int, num: int, den: int) -> CycNum:
+    """num / den in Q(zeta_order), for integers num and den > 0."""
+    g = gcd(num, den)
+    return _from_reduced(order, (num // g,) + (0,) * (degree(order) - 1), den // g)
+
+
+def _is_fraction(x) -> bool:
+    """Whether x is a Fraction, without loading `fractions` to ask."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 def _canonical(order: int, nums: list, den: int) -> CycNum:
@@ -301,6 +335,8 @@ def from_json(obj: dict) -> CycNum:
         raise ValueError(f"order must be an integer, got {order!r}")
     if type(coeffs) is not list or any(type(c) not in (str, int) for c in coeffs):
         raise ValueError(f"coeffs must be a list of strings or integers, got {coeffs!r}")
+    from fractions import Fraction
+
     try:
         return CycNum(order, [Fraction(c) for c in coeffs])
     except ZeroDivisionError:

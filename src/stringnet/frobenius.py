@@ -31,7 +31,6 @@ itself is not memoised, so every algebra it builds proves its axioms again.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,7 +44,7 @@ from .category import (
     unit_object,
 )
 from .coends import HomSpaceVector, coend_object, jmath, simples_object
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _rational
 from .diagrams import (
     SliceDiagram,
     box,
@@ -139,7 +138,7 @@ def frobenius_zr(params: CategoryParams) -> FrobeniusAlgebraData:
         {((a + b) % r, a * r + b): one for a in range(r) for b in range(r)},
     )
     eta = GradedMorphism.from_entries(unit_object(r), f, {(0, 0): one})
-    inv_r = one * Fraction(1, r)
+    inv_r = _rational(r, 1, r)
     delta = GradedMorphism.from_entries(
         f,
         tensor_objects(f, f),

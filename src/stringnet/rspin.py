@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import Record
@@ -329,12 +330,19 @@ def count_rspin(genus: int, r: int) -> int:
     return r ** (2 * genus)
 
 
+# Bound of the memoised decompositions, immutable values that a `sigma-f`
+# call builds once for its marking and looks up again in `sigma_F`.
+DECOMPOSITION_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=DECOMPOSITION_MEMO_SIZE)
 def standard_decomposition(genus: int) -> PLCW:
     """One vertex, 2g loops, a single 4g-gon with word f1 f2 f1^- f2^- ...
 
     The preferred edge is position 0.  At the unique vertex the congruence
     reads -2g = 1 - 4g + 1 mod r, independent of all indices, so every
-    assignment is admissible exactly when r divides 2-2g.
+    assignment is admissible exactly when r divides 2-2g.  Memoised, so
+    each genus is built and validated once.
     """
     if genus < 1:
         raise ValueError("standard decomposition needs genus >= 1; "
@@ -347,6 +355,7 @@ def standard_decomposition(genus: int) -> PLCW:
     return PLCW(1, edges, [(word, 0)])
 
 
+@lru_cache(maxsize=1)
 def sphere_decomposition() -> PLCW:
     """Two vertices joined by one edge; one bigon traversing it both ways."""
     return PLCW(2, [(0, 0, 1)], [([(0, 1), (0, -1)], 0)])

@@ -19,7 +19,6 @@ separately, times the identity, and that scalar idempotent.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import Record, require
 from .caps import check_cap
@@ -35,7 +34,7 @@ from .category import (
     unit_object,
 )
 from .coends import central_hull, coend_object, coend_split, jmath, simples_object
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _rational
 from .diagrams import (
     SliceDiagram,
     box,
@@ -46,7 +45,6 @@ from .diagrams import (
     identity,
     loop_sum,
 )
-from .rspin import count_rspin
 
 _ORIENTATIONS = ("anticlockwise", "clockwise")
 
@@ -59,6 +57,8 @@ class ProjectorReport(Record):
 
 def sn_closed_dim(params: CategoryParams, genus: int) -> int:
     """Dimension of the closed genus-g string-net space: the r-spin count."""
+    from .rspin import count_rspin
+
     return count_rspin(genus, params.r)
 
 
@@ -70,7 +70,7 @@ def bp_scalar(params: CategoryParams, genus: int) -> CycNum:
     acc = CycNum.zero(r)
     for u in range(r):
         acc = acc + params.zeta((2 - 2 * genus) * u)
-    return acc * Fraction(1, r)
+    return acc * _rational(r, 1, r)
 
 
 def _loop_diagram(u: int, orientation: str, params: CategoryParams) -> SliceDiagram:

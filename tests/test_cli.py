@@ -320,6 +320,17 @@ def test_sigma_f_success_and_rejections(capsys):
     assert code == 1 and "standard" in json.loads(out)["error"]
 
 
+def test_sigma_f_validates_its_decomposition_once(capsys, monkeypatch):
+    from stringnet.rspin import PLCW, standard_decomposition
+
+    standard_decomposition.cache_clear()
+    validated = []
+    validate = PLCW._validate
+    monkeypatch.setattr(PLCW, "_validate", lambda c: validated.append(c) or validate(c))
+    _payload(capsys, "sigma-f", "--r", "2", "--genus", "2", "--indices", "0,1,1,0")
+    assert len(validated) == 1
+
+
 def test_frobenius_check(capsys):
     payload = _payload(capsys, "frobenius-check", "--r", "4")
     params = CategoryParams(4)

@@ -21,6 +21,21 @@ DIAGRAM_LAYERS = {
 }
 
 
+# The exact-rational modules: `fractions` loads `decimal` and `numbers`.
+RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
+# The numeric subcommands, each at an r whose weight 1/r is not an integer.
+PROJECTOR_COMMANDS = [
+    ("bp-operator", "--r", "2", "--genus", "1"),
+    ("sphere", "--r", "3"),
+    ("annulus", "--r", "2", "--a", "1", "--b", "1"),
+    ("torus-basis", "--r", "2"),
+]
+STATE_SUM_COMMANDS = [
+    ("sigma-f", "--r", "2", "--genus", "1", "--indices", "0,1"),
+    ("frobenius-check", "--r", "3"),
+]
+
+
 def _modules_loaded_by(code: str) -> set[str]:
     """Modules a fresh interpreter gains by running `code`."""
     script = (
@@ -70,3 +85,54 @@ def test_state_sum_loads_no_dataclasses():
 )
 def test_light_commands_skip_the_diagram_layers(argv):
     assert not _modules_loaded_by_cli(*argv) & DIAGRAM_LAYERS
+
+
+@pytest.mark.parametrize(
+    "argv", PROJECTOR_COMMANDS + STATE_SUM_COMMANDS, ids=lambda argv: argv[0]
+)
+def test_numeric_commands_load_no_rational_modules(argv):
+    loaded = _modules_loaded_by_cli(*argv)
+    assert "stringnet.diagrams" in loaded
+    assert not loaded & RATIONAL_MODULES
+
+
+@pytest.mark.parametrize("argv", PROJECTOR_COMMANDS, ids=lambda argv: argv[0])
+def test_projector_commands_skip_the_rspin_module(argv):
+    loaded = _modules_loaded_by_cli(*argv)
+    assert "stringnet.diagrams" in loaded
+    assert "stringnet.rspin" not in loaded
+
+
+# The library builds its rationals, then `fractions` is loaded: a Fraction
+# made afterwards must still meet those rationals as it did before.
+LATE_FRACTIONS = """
+import sys
+from stringnet.category import CategoryParams, identity, loop_weight
+from stringnet.coends import simples_object
+from stringnet.cyclotomic import CycNum, zeta_power
+from stringnet.frobenius import frobenius_zr
+from stringnet.spaces import bp_scalar
+params = CategoryParams(4)
+quarter = loop_weight(0, "right", params)
+inv_r = frobenius_zr(params).delta.entry(0, 0)
+half_sum = bp_scalar(CategoryParams(2), 0)
+one = CycNum.one(4)
+assert one == 1 and 1 == one and one != 2 and hash(one) == hash(1)
+assert "fractions" not in sys.modules, "the library loaded fractions"
+from fractions import Fraction
+assert quarter == inv_r == Fraction(1, 4) and Fraction(1, 4) == quarter
+assert hash(quarter) == hash(inv_r) == hash(Fraction(1, 4))
+assert quarter != Fraction(1, 3) and zeta_power(4, 1) != Fraction(1, 4)
+assert half_sum == 1 and hash(half_sum) == hash(Fraction(1))
+assert len({quarter, Fraction(1, 4)}) == 1
+assert one * Fraction(1, 4) == quarter == Fraction(1, 4) * one
+assert quarter + Fraction(3, 4) == 1 and zeta_power(4, 2) * Fraction(-1, 2) == Fraction(1, 2)
+assert CycNum.from_rational(4, Fraction(2, 8)) == quarter
+f = simples_object(4)
+assert identity(f).scale(Fraction(1, 4)) == identity(f).scale(quarter)
+assert identity(f).scale(Fraction(0)).columns == ((),) * f.dim
+"""
+
+
+def test_rationals_built_before_fractions_loads_agree_with_fractions():
+    assert "fractions" in _modules_loaded_by(LATE_FRACTIONS)
