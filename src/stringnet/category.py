@@ -133,10 +133,10 @@ class _Columns(tuple):
     nonzero CycNum of conductor r in a row whose grade is source grade j.
     `diagrams.evaluate` and `loop_sum`, the plaquette block assembly and
     `GradedMorphism.__add__` and `scale` hold this by construction; outside
-    input never has this type.  Only the morphisms `diagrams.evaluate_lazily`
-    returns hold, in place of those tuples, columns that build them on first
-    read and then read, equal and hash as them; all columns of one such
-    morphism share one store.  `__add__` and `scale` return plain tuples.
+    input never has this type.  Only `diagrams.evaluate_lazily`'s morphisms
+    hold `_PushedColumn`s in their place, which build those tuples on first
+    read and then read, equal and hash as them; `__add__` and `scale` return
+    plain tuples.
     """
 
     __slots__ = ()
@@ -273,8 +273,7 @@ def _add_columns(col: tuple, other: tuple) -> tuple:
     out = dict(col)
     for i, b in other:
         if i in out:
-            s = out[i] + b
-            if s:
+            if s := out[i] + b:
                 out[i] = s
             else:
                 del out[i]

@@ -17,20 +17,20 @@ right of it, and each entry of the box's stored column for the middle digit
 sends it on; an empty column drops it.  The left digits carry the column
 digit through every step unchanged.  Shared identity strands take no step,
 the 1x1 boxes of a layer fold into one scalar step, and a product with the
-shared `one` is never made.  Only an index that received a sum is tested
-for zero, after each step.  No layer's Kronecker product and no dense matrix
-is ever built.  The pushed items, sorted once and split by their column
-digit, are the columns of the result: they hold `GradedMorphism`'s
-invariants by construction (nonzero entries of conductor r, on matching
-grades, since every cell of a layer does), so they are passed as
-`category._Columns` and stored unchecked; the constructor's checks are for
-outside input.  `evaluate_lazily` type-checks a diagram the same way but
-pushes column j, basis vector j alone, only when something first reads it;
-a later diagram boxing that morphism reads its columns from the same store.
-`loop_sum` is the one place the projector's weighted sum over the loop
-grade u, with weight dim(C_u)/Dim, is written; it returns the summed
-morphism, so a diagram whose bottom is wider than the unit carries a whole
-block of basis vectors through one evaluation.
+shared `one` is never made.  An index that a sum cancels is dropped as the
+sum lands.  No layer's Kronecker product and no dense matrix is ever
+built.  The pushed items, sorted once and split by their column digit, are
+the columns of the result: they hold `GradedMorphism`'s invariants by
+construction (nonzero entries of conductor r, on matching grades, since
+every cell of a layer does), so they are passed as `category._Columns` and
+stored unchecked; the constructor's checks are for outside input.
+`evaluate_lazily` type-checks a diagram the same way but pushes column j,
+basis vector j alone, only when something first reads it; its columns
+share one list of the built ones, through which a later diagram boxing
+that morphism pushes.  `loop_sum` is the one place the projector's
+weighted sum over the loop grade u, with weight dim(C_u)/Dim, is written;
+it returns the summed morphism, so a diagram whose bottom is wider than
+the unit carries a whole block of basis vectors through one evaluation.
 
 Diagrams arrive pre-sliced; there is no planar-graph compiler here.  Every
 construction downstream is drawn in sliceable normal form already, and an
@@ -166,7 +166,7 @@ def _layer_steps(layer, one):
     identity strands make no step.  The 1x1 boxes fold into one 1x1 step
     holding their product, none if that is one; an empty 1x1 column zeroes
     the whole layer.  A box holding `evaluate_lazily`'s morphism steps
-    through its store's `view`, which every column of that morphism shares.
+    through the `view` list that every column of that morphism shares.
     """
     steps, right, scalar = [], 1, one
     for m in reversed(layer):
@@ -180,7 +180,7 @@ def _layer_steps(layer, one):
         elif not (x is m.target and m is identity(x)):
             columns = m.columns
             if columns and type(columns[0]) is _PushedColumn:
-                columns = columns[0].built.view
+                columns = columns[0].view
             steps.append((x.dim, dim, columns, right))
         right *= dim
     if scalar != one:
@@ -196,12 +196,11 @@ def _push(vec: dict, step, one) -> dict:
     with its coefficient times c, and an empty column drops it.  The left
     digit x carries the column digit of `evaluate`'s seed along unchanged.
     Stored entries and pushed values are nonzero and Q(zeta_r) is a field,
-    so only an index that received a sum can end at zero.  A factor that is
-    the shared `one` leaves the other as it is.
+    so only an index that receives a sum can end at zero; it is dropped
+    there.  A factor that is the shared `one` leaves the other as it is.
     """
     src_dim, tgt_dim, columns, right = step
     out: dict = {}
-    summed = set()
     for idx, v in vec.items():
         x, y = divmod(idx, right)
         x, j = divmod(x, src_dim)
@@ -210,13 +209,12 @@ def _push(vec: dict, step, one) -> dict:
             t = (x + i) * right + y
             w = v if c is one else c if v is one else v * c
             if t in out:
-                out[t] = out[t] + w
-                summed.add(t)
+                if s := out[t] + w:
+                    out[t] = s
+                else:
+                    del out[t]
             else:
                 out[t] = w
-    for t in summed:
-        if not out[t]:
-            del out[t]
     return out
 
 
@@ -267,53 +265,42 @@ def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     return GradedMorphism(bottom, top, _Columns(map(tuple, columns)))
 
 
-class _ColumnsOnRead:
-    """The columns of `evaluate_lazily`'s morphism, each pushed on first read.
-
-    `view[j]` is column j's `_PushedColumn` until something reads it, then
-    basis vector j pushed through the diagram's steps, as its sorted tuple.
-    A step boxing that morphism pushes through `view`, a plain list, so
-    `_push` reads a built column by one list index, and a column not yet
-    built builds itself when `_push` iterates it.
+class _PushedColumn:
+    """Column j of `evaluate_lazily`'s morphism: it reads, equals and hashes
+    as basis vector j pushed through the diagram's steps, which `built` does
+    on first read, storing the sorted tuple at `view[j]`.  The morphism's
+    columns share `view`, a plain list, so a step boxing it reads a built
+    column by one list index and builds the others as `_push` iterates them.
     """
 
-    __slots__ = ("steps", "one", "view")
+    __slots__ = ("view", "j", "steps", "one")
 
-    def __init__(self, steps: list, one: CycNum, dim: int) -> None:
-        self.steps, self.one = steps, one
-        self.view = [_PushedColumn(self, j) for j in range(dim)]
+    def __init__(self, view: list, j: int, steps: list, one: CycNum) -> None:
+        self.view, self.j, self.steps, self.one = view, j, steps, one
 
-    def column(self, j: int) -> tuple:
-        col = self.view[j]
-        if type(col) is _PushedColumn:
-            one = self.one
+    def built(self) -> tuple:
+        view, j, one = self.view, self.j, self.one
+        if view[j] is self:
             vec = {j: one}
             for step in self.steps:
                 vec = _push(vec, step, one)
-            col = self.view[j] = tuple(sorted(vec.items()))
-        return col
-
-
-class _PushedColumn(Record):
-    """One column of `evaluate_lazily`'s morphism: it reads, equals and
-    hashes as the tuple its `_ColumnsOnRead` builds on first read."""
-
-    __slots__ = _fields = ("built", "j")
+            view[j] = tuple(sorted(vec.items()))
+        return view[j]
 
     def __iter__(self):
-        return iter(self.built.column(self.j))
+        return iter(self.built())
 
     def __len__(self) -> int:
-        return len(self.built.column(self.j))
+        return len(self.built())
 
     def __getitem__(self, k):
-        return self.built.column(self.j)[k]
+        return self.built()[k]
 
     def __eq__(self, other):
-        return self.built.column(self.j) == other
+        return self.built() == other
 
     def __hash__(self):
-        return hash(self.built.column(self.j))
+        return hash(self.built())
 
 
 def evaluate_lazily(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
@@ -324,8 +311,9 @@ def evaluate_lazily(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
     `matrix` build every column.
     """
     bottom, top, steps = _checked_steps(d, params)
-    built = _ColumnsOnRead(steps, params.one(), bottom.dim)
-    return GradedMorphism(bottom, top, _Columns(built.view))
+    one, view = params.one(), []
+    view.extend(_PushedColumn(view, j, steps, one) for j in range(bottom.dim))
+    return GradedMorphism(bottom, top, _Columns(view))
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> GradedMorphism:
@@ -333,29 +321,26 @@ def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> GradedMorphism:
 
     The weighted entries are added into one {row: value} dict per column and
     the morphism is built once, from those columns.  Every weight is nonzero,
-    so only a cell that received a sum is tested for zero.  The diagrams must
-    share their bottom and top objects: ValueError otherwise.
+    so only a cell that receives a sum can end at zero; it is dropped there.
+    The diagrams must share their bottom and top objects: ValueError otherwise.
     """
     for u in range(params.r):
         term = evaluate(diagram_of_u(u), params)
         if u == 0:
             source, target = term.source, term.target
             vectors = [{} for _ in term.columns]
-            summed = set()
         elif term.source != source or term.target != target:
             raise ValueError("mismatched shapes in morphism sum")
         weight = loop_weight(u, side, params)
-        for j, col in enumerate(term.columns):
-            vec = vectors[j]
+        for vec, col in zip(vectors, term.columns):
             for i, a in col:
                 v = a * weight
                 if i in vec:
-                    vec[i] = vec[i] + v
-                    summed.add((i, j))
+                    if s := vec[i] + v:
+                        vec[i] = s
+                    else:
+                        del vec[i]
                 else:
                     vec[i] = v
-    for i, j in summed:
-        if not vectors[j][i]:
-            del vectors[j][i]
     columns = _Columns(tuple(sorted(vec.items())) for vec in vectors)
     return GradedMorphism(source, target, columns)

@@ -19,7 +19,7 @@ a coend box.  The state sum is one slice diagram (eta, the chis, eps) that
 one per admissible r-spin marking, give a basis of the string-net space.
 eta emits 1_0 on F and no chi moves the F digit, so the push reads only
 column 0 of each chi: `chi` type-checks its diagram at once
-(`diagrams.evaluate_lazily`) and builds a column only when it is read.
+(`diagrams.evaluate_lazily`), and each column pushes itself when first read.
 The structure maps of `frobenius_zr` and the Nakayama closed form are
 entry dicts, checked by `GradedMorphism`'s validating constructor; every
 evaluated diagram stores its pushed columns unchecked, and `sigma_F` reads
@@ -56,7 +56,6 @@ from .diagrams import (
     evaluate_lazily,
     identity,
 )
-from .rspin import MarkedPLCW, is_admissible, standard_decomposition
 
 
 class UnsupportedComplexError(ValueError):
@@ -240,13 +239,15 @@ def _chi_diagram(a: int, b: int, f_data: FrobeniusAlgebraData) -> SliceDiagram:
     return SliceDiagram(tensor_objects(coend_object(f_data.params.r), f), layers)
 
 
-def sigma_F(m: MarkedPLCW, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
+def sigma_F(m, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     """State-sum vector of an admissible marking on the standard decomposition.
 
     One slice diagram, evaluated as a vector: eta, then one chi per handle
     with that handle's two edge indices beside the H strands already
     emitted, then eps on the leftover face strand.
     """
+    from .rspin import is_admissible, standard_decomposition
+
     params = f_data.params
     r = params.r
     if m.r != r:

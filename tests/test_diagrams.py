@@ -151,6 +151,8 @@ def test_loop_sum_adds_the_weighted_morphisms(r):
     assert isinstance(total, GradedMorphism)
     assert total.source == total.target == unit_object(r)
     assert total.entry(0, 0) == (1 if 2 % r == 0 else 0)
+    if r >= 3:
+        assert total.columns == ((),)  # the cancelled sum stores no entry
 
 
 def test_loop_sum_rejects_diagrams_whose_ends_differ():
@@ -459,6 +461,23 @@ def test_push_drops_a_sum_that_cancels(r):
     got = _check_push(d, params)
     assert got.columns == (((1, one + one),),)
     assert _pushed_layers(d, params)[-1] == [{1: one + one}]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_push_reinserts_an_index_after_its_sum_cancels(r):
+    """Three paths reach one index with a, -a and b, in that order: the first
+    sum cancels and drops the index, and the third path sets it to exactly b."""
+    params = CategoryParams(r)
+    one = params.one()
+    x, xxx = simple_object(r, 0), GradedObject(r, (0, 0, 0))
+    a, b = params.zeta(1) * 3, one * 5
+    split = GradedMorphism.from_entries(x, xxx, {(0, 0): a, (1, 0): a * -1, (2, 0): b})
+    merge = GradedMorphism.from_entries(xxx, x, {(0, 0): one, (0, 1): one, (0, 2): one})
+    d = SliceDiagram(x, [[box(split)], [box(merge)]])
+    (split_step,), (merge_step,) = (_layer_steps(layer, one) for layer in d.layers)
+    assert list(_push({0: one}, split_step, one).values()) == [a, a * -1, b]
+    assert _push(_push({0: one}, split_step, one), merge_step, one) == {0: b}
+    assert _check_push(d, params).columns == (((0, b),),)
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -256,7 +256,7 @@ def test_chi_evaluates_one_diagram_per_new_key(monkeypatch):
 
 
 def _is_built(column) -> bool:
-    return type(column.built.view[column.j]) is tuple
+    return type(column.view[column.j]) is tuple
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -280,7 +280,7 @@ def test_chi_columns_on_read_equal_the_evaluated_columns(r):
 
 def test_a_sum_with_chi_holds_plain_columns():
     """`__add__` returns tuples, so on-read columns stay in the morphisms
-    `evaluate_lazily` returns, whose columns share one store."""
+    `evaluate_lazily` returns, whose columns share one list."""
     params = CategoryParams(3)
     fd = frobenius_zr(params)
     lazy = chi(1, 2, fd)

@@ -56,7 +56,7 @@ def _run_fresh(code: str, *args: int) -> list:
 
 # (r, genus, bound): each bound is 3 x the median of three measured times
 CASES = [
-    pytest.param(2, 4, 3 * 0.80, id="r2-g4"),
+    pytest.param(2, 4, 3 * 0.384, id="r2-g4"),
     pytest.param(6, 1, 3 * 0.234, id="r6-g1"),
     pytest.param(8, 1, 3 * 1.257, id="r8-g1", marks=pytest.mark.slow),
     pytest.param(10, 1, 3 * 3.58, id="r10-g1", marks=pytest.mark.slow),

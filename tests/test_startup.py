@@ -103,6 +103,13 @@ def test_projector_commands_skip_the_rspin_module(argv):
     assert "stringnet.rspin" not in loaded
 
 
+def test_frobenius_check_skips_the_rspin_module():
+    """frobenius-check proves the algebra's axioms; only the state sum reads markings."""
+    loaded = _modules_loaded_by_cli("frobenius-check", "--r", "3")
+    assert "stringnet.frobenius" in loaded
+    assert "stringnet.rspin" not in loaded
+
+
 # The library builds its rationals, then `fractions` is loaded: a Fraction
 # made afterwards must still meet those rationals as it did before.
 LATE_FRACTIONS = """
