@@ -133,10 +133,7 @@ class _Columns(tuple):
     nonzero CycNum of conductor r in a row whose grade is source grade j.
     `diagrams.evaluate` and `loop_sum`, the plaquette block assembly and
     `GradedMorphism.__add__` and `scale` hold this by construction; outside
-    input never has this type.  Only `diagrams.evaluate_lazily`'s morphisms
-    hold `_PushedColumn`s in their place, which build those tuples on first
-    read and then read, equal and hash as them; `__add__` and `scale` return
-    plain tuples.
+    input never has this type.
     """
 
     __slots__ = ()
@@ -265,11 +262,11 @@ class GradedMorphism(Record):
 
 
 def _add_columns(col: tuple, other: tuple) -> tuple:
-    """The sum of two canonical columns, a tuple; only a row both hold is tested for zero."""
+    """The sum of two canonical columns; only a row both hold is tested for zero."""
     if not other:
-        return tuple(col)
+        return col
     if not col:
-        return tuple(other)
+        return other
     out = dict(col)
     for i, b in other:
         if i in out:

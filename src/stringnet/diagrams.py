@@ -24,13 +24,11 @@ the columns of the result: they hold `GradedMorphism`'s invariants by
 construction (nonzero entries of conductor r, on matching grades, since
 every cell of a layer does), so they are passed as `category._Columns` and
 stored unchecked; the constructor's checks are for outside input.
-`evaluate_lazily` type-checks a diagram the same way but pushes column j,
-basis vector j alone, only when something first reads it; its columns
-share one list of the built ones, through which a later diagram boxing
-that morphism pushes.  `loop_sum` is the one place the projector's
-weighted sum over the loop grade u, with weight dim(C_u)/Dim, is written;
-it returns the summed morphism, so a diagram whose bottom is wider than
-the unit carries a whole block of basis vectors through one evaluation.
+`evaluate` is the one routine that pushes a diagram.  `loop_sum` is the
+one place the projector's weighted sum over the loop grade u, with weight
+dim(C_u)/Dim, is written; it returns the summed morphism, so a diagram
+whose bottom is wider than the unit carries a whole block of basis vectors
+through one evaluation.
 
 Diagrams arrive pre-sliced; there is no planar-graph compiler here.  Every
 construction downstream is drawn in sliceable normal form already, and an
@@ -165,8 +163,7 @@ def _layer_steps(layer, one):
     of the cells to the box's right, which have already been applied.  Shared
     identity strands make no step.  The 1x1 boxes fold into one 1x1 step
     holding their product, none if that is one; an empty 1x1 column zeroes
-    the whole layer.  A box holding `evaluate_lazily`'s morphism steps
-    through the `view` list that every column of that morphism shares.
+    the whole layer.
     """
     steps, right, scalar = [], 1, one
     for m in reversed(layer):
@@ -178,10 +175,7 @@ def _layer_steps(layer, one):
             if c is not one:
                 scalar = c if scalar is one else scalar * c
         elif not (x is m.target and m is identity(x)):
-            columns = m.columns
-            if columns and type(columns[0]) is _PushedColumn:
-                columns = columns[0].view
-            steps.append((x.dim, dim, columns, right))
+            steps.append((x.dim, dim, m.columns, right))
         right *= dim
     if scalar != one:
         steps.append((1, 1, (((0, scalar),),), 1))
@@ -218,12 +212,14 @@ def _push(vec: dict, step, one) -> dict:
     return out
 
 
-def _checked_steps(d: SliceDiagram, params: CategoryParams):
-    """(bottom, top, steps) of a diagram whose adjacent layers agree.
+def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
+    """The morphism a diagram denotes, from its bottom to its top boundary.
 
-    Each layer's source and target are computed once and checked against
-    the object below it; DiagramTypeError names the first layer that
-    disagrees.  The steps are every layer's `_layer_steps`, bottom to top.
+    One vector carries every bottom basis vector: column c's terms sit at
+    c * dim + index, so the column is the most significant digit, which
+    every step carries through unchanged.  The items, sorted once, split
+    into the columns by that digit.  Each layer's ends are computed once;
+    DiagramTypeError names the first layer that disagrees with the one below.
     """
     if params.r != d.r:
         raise ValueError(f"params r={params.r} but diagram r={d.r}")
@@ -233,87 +229,23 @@ def _checked_steps(d: SliceDiagram, params: CategoryParams):
         if src is not current and src != current:
             raise DiagramTypeError(i, expected=current, found=src)
         current = tgt
-    top = d.boundary_top
-    if current is not top and current != top:
-        raise DiagramTypeError(len(d.layers) - 1, top, current, "top boundary")
-    one = params.one()
-    return bottom, current, [step for layer in d.layers for step in _layer_steps(layer, one)]
-
-
-def evaluate(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
-    """The morphism a diagram denotes, from its bottom to its top boundary.
-
-    One vector carries every bottom basis vector: column c's terms sit at
-    c * dim + index, so the column is the most significant digit, which
-    every step carries through unchanged.  The items, sorted once, split
-    into the columns by that digit.
-    """
-    bottom, top, steps = _checked_steps(d, params)
+    if current is not d.boundary_top and current != d.boundary_top:
+        raise DiagramTypeError(len(d.layers) - 1, d.boundary_top, current, "top boundary")
     one = params.one()
     n = bottom.dim
     vec = {c * n + c: one for c in range(n)}
-    for step in steps:
-        vec = _push(vec, step, one)
+    for layer in d.layers:
+        for step in _layer_steps(layer, one):
+            vec = _push(vec, step, one)
     items = sorted(vec.items())
     if n == 1:
-        return GradedMorphism(bottom, top, _Columns((tuple(items),)))
+        return GradedMorphism(bottom, current, _Columns((tuple(items),)))
     columns = [[] for _ in range(n)]
-    m = top.dim
+    m = current.dim
     for key, v in items:
         c, i = divmod(key, m)
         columns[c].append((i, v))
-    return GradedMorphism(bottom, top, _Columns(map(tuple, columns)))
-
-
-class _PushedColumn:
-    """Column j of `evaluate_lazily`'s morphism: it reads, equals and hashes
-    as basis vector j pushed through the diagram's steps, which `built` does
-    on first read, storing the sorted tuple at `view[j]`.  The morphism's
-    columns share `view`, a plain list, so a step boxing it reads a built
-    column by one list index and builds the others as `_push` iterates them.
-    """
-
-    __slots__ = ("view", "j", "steps", "one")
-
-    def __init__(self, view: list, j: int, steps: list, one: CycNum) -> None:
-        self.view, self.j, self.steps, self.one = view, j, steps, one
-
-    def built(self) -> tuple:
-        view, j, one = self.view, self.j, self.one
-        if view[j] is self:
-            vec = {j: one}
-            for step in self.steps:
-                vec = _push(vec, step, one)
-            view[j] = tuple(sorted(vec.items()))
-        return view[j]
-
-    def __iter__(self):
-        return iter(self.built())
-
-    def __len__(self) -> int:
-        return len(self.built())
-
-    def __getitem__(self, k):
-        return self.built()[k]
-
-    def __eq__(self, other):
-        return self.built() == other
-
-    def __hash__(self):
-        return hash(self.built())
-
-
-def evaluate_lazily(d: SliceDiagram, params: CategoryParams) -> GradedMorphism:
-    """`evaluate(d, params)`, with each column pushed only when first read.
-
-    The layers are type-checked now; a reader that takes one column of the
-    result pays for that column alone, while equality, hashing and
-    `matrix` build every column.
-    """
-    bottom, top, steps = _checked_steps(d, params)
-    one, view = params.one(), []
-    view.extend(_PushedColumn(view, j, steps, one) for j in range(bottom.dim))
-    return GradedMorphism(bottom, top, _Columns(view))
+    return GradedMorphism(bottom, current, _Columns(map(tuple, columns)))
 
 
 def loop_sum(diagram_of_u, side: str, params: CategoryParams) -> GradedMorphism:

@@ -14,18 +14,18 @@ strands, so `diagrams.evaluate` is the only product of morphisms here.
 
 `chi` and `sigma_F` evaluate the face morphism of the standard one-face
 surface decomposition: one chi per handle threads the face strand through
-a coend box.  The state sum is one slice diagram (eta, the chis, eps) that
-`diagrams.evaluate` pushes as a sparse vector, and the resulting vectors,
-one per admissible r-spin marking, give a basis of the string-net space.
-eta emits 1_0 on F and no chi moves the F digit, so the push reads only
-column 0 of each chi: `chi` type-checks its diagram at once
-(`diagrams.evaluate_lazily`), and each column pushes itself when first read.
+a coend box.  The state sum is one slice diagram (eta, the handles, eps)
+that `diagrams.evaluate` pushes as a sparse vector, and the resulting
+vectors, one per admissible r-spin marking, give a basis of the string-net
+space.  chi runs on 1_0 only: eta emits 1_0 on F, and each handle box is
+chi on that summand, checked to keep the face strand there, so by
+induction the state equals the one the full chis give.
 The structure maps of `frobenius_zr` and the Nakayama closed form are
 entry dicts, checked by `GradedMorphism`'s validating constructor; every
 evaluated diagram stores its pushed columns unchecked, and `sigma_F` reads
 the state's one column straight into a `HomSpaceVector`.
-Each algebra evaluates the powers of N once and builds a handle's chi
-diagram, which boxes two of them, once per pair of labels mod r; `frobenius_zr`
+Each algebra evaluates the powers of N once and builds a handle box, whose
+diagram boxes two of them, once per pair of labels mod r; `frobenius_zr`
 itself is not memoised, so every algebra it builds proves its axioms again.
 """
 
@@ -53,7 +53,6 @@ from .diagrams import (
     cup_left,
     cup_right,
     evaluate,
-    evaluate_lazily,
     identity,
 )
 
@@ -65,8 +64,8 @@ class UnsupportedComplexError(ValueError):
 class FrobeniusAlgebraData(Record):
     """Algebra and coalgebra structure on F; axioms are checked on construction.
 
-    No __slots__: `nakayama_pair`, `nakayama_powers` and the memo of `chi`
-    live in the instance dict, filled on first use.
+    No __slots__: `nakayama_pair`, `nakayama_powers` and `handle_memo` live
+    in the instance dict, filled on first use.
     """
 
     _fields = ("params", "object", "mu", "eta", "delta", "eps")
@@ -122,7 +121,7 @@ class FrobeniusAlgebraData(Record):
 
     @cached_property
     def handle_memo(self) -> dict[tuple[int, int], GradedMorphism]:
-        """chi(a, b) by (a mod r, b mod r), each column built on first read; see `chi`."""
+        """The handle boxes of `sigma_F` by (a mod r, b mod r); see `_handle`."""
         return {}
 
 
@@ -200,16 +199,32 @@ def chi(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
     """Handle morphism F -> H (x) F: on every x the value is v_{a,b} (x) x
     with v_{a,b} = (1/r^2) sum_{s,t} zeta^{sa+tb} e_{(s,t)}.
 
-    The labels count mod r; each algebra builds the diagram once per pair.
-    Its layers are type-checked then, but column j is pushed, from basis
-    vector j alone, only when first read: the state push reads column 0,
-    while equality, hashing and `matrix` build every column.
+    The labels count mod r.  `sigma_F` boxes `_handle`, this morphism on
+    1_0 alone, in its place.
+    """
+    r = f_data.params.r
+    return evaluate(_chi_diagram(a % r, b % r, f_data), f_data.params)
+
+
+def _handle(a: int, b: int, f_data: FrobeniusAlgebraData) -> GradedMorphism:
+    """chi(a, b) on the summand 1_0 of F: the box a handle of the state sum holds.
+
+    Column 0 is chi after eta, one `evaluate` pushed from the unit; the
+    other r - 1 columns are empty.  Each row's F digit, row % r, must be 0,
+    so the box hands the next handle 1_0 again; H has grade 0 throughout,
+    so grade support implies it, and the check names what the state push
+    relies on.  Each algebra builds one box per pair of labels mod r.
     """
     r = f_data.params.r
     key = (a % r, b % r)
     memo = f_data.handle_memo
     if key not in memo:
-        memo[key] = evaluate_lazily(_chi_diagram(*key, f_data), f_data.params)
+        d = _chi_diagram(*key, f_data)
+        on_unit = SliceDiagram(d.boundary_top, [[box(f_data.eta)], *d.layers])
+        column = evaluate(on_unit, f_data.params).columns[0]
+        require(all(row % r == 0 for row, _ in column), "chi keeps the face strand on 1_0")
+        entries = {(row, 0): v for row, v in column}
+        memo[key] = GradedMorphism.from_entries(f_data.object, d.boundary_top, entries)
     return memo[key]
 
 
@@ -265,7 +280,7 @@ def sigma_F(m, f_data: FrobeniusAlgebraData) -> HomSpaceVector:
     h = identity(coend_object(r))
     layers = [[box(f_data.eta)]]
     for i in range(genus):
-        step = chi(m.indices[2 * i], m.indices[2 * i + 1], f_data)
+        step = _handle(m.indices[2 * i], m.indices[2 * i + 1], f_data)
         layers.append([h] * i + [box(step)])
     layers.append([h] * genus + [box(f_data.eps)])
     top = tensor_objects(*[h.source] * genus)

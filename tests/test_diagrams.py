@@ -29,7 +29,6 @@ from stringnet.diagrams import (
     SliceDiagram,
     _layer_ends,
     _layer_steps,
-    _PushedColumn,
     _push,
     box,
     cap_left,
@@ -351,8 +350,6 @@ def _assert_canonical(m: GradedMorphism) -> None:
     assert type(m.columns) is tuple and len(m.columns) == m.source.dim
     r, sg, tg = m.r, m.source.grades, m.target.grades
     for j, col in enumerate(m.columns):
-        if type(col) is _PushedColumn:
-            col = tuple(col)  # a column built on first read holds its tuple
         assert type(col) is tuple
         rows = [i for i, _ in col]
         assert rows == sorted(set(rows)) and all(0 <= i < m.target.dim for i in rows)

@@ -11,12 +11,12 @@ from stringnet.category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
+    _Columns,
     compose,
     unit_object,
 )
-from stringnet import InvariantError, diagrams, frobenius
+from stringnet import InvariantError, frobenius
 from stringnet.cyclotomic import CycNum, zeta_power
-from stringnet.diagrams import evaluate
 from stringnet.frobenius import (
     FrobeniusAlgebraData,
     InadmissibleMarkingError,
@@ -238,57 +238,27 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _handle_keys(markings) -> list:
+    """The label pairs of every handle of the markings, in order of first use."""
+    pairs = (m.indices[i : i + 2] for m in markings for i in range(0, len(m.indices), 2))
+    return list(dict.fromkeys(map(tuple, pairs)))
+
+
 def test_chi_evaluates_one_diagram_per_new_key(monkeypatch):
-    # with the Nakayama powers cached, chi boxes the two powers it needs
-    # rather than evaluating them again; each new key's diagram is checked
-    # when chi builds it, but no column is pushed until one is read
+    # with the Nakayama powers cached, a handle boxes the two powers it needs
+    # rather than evaluating them again: sigma_F evaluates its state diagram,
+    # and one handle diagram for each label pair it is the first to use
     fd = frobenius_zr(CategoryParams(4))
     fd.nakayama_powers
     evaluated = _count_calls(monkeypatch, frobenius, "evaluate")
-    diagrams_built = _count_calls(monkeypatch, frobenius, "evaluate_lazily")
-    pushes = _count_calls(monkeypatch, diagrams, "_push")
-    for n, (a, b) in enumerate([(0, 0), (1, 2), (3, 3), (2, 1), (1, 2)], 1):
-        chi(a, b, fd)
-        assert len(diagrams_built) == min(n, 4)
-    assert evaluated == [] and pushes == []
-    list(chi(1, 2, fd).columns[3])
-    assert pushes and len(diagrams_built) == 4
-
-
-def _is_built(column) -> bool:
-    return type(column.view[column.j]) is tuple
-
-
-@pytest.mark.parametrize("r", range(1, 9))
-def test_chi_columns_on_read_equal_the_evaluated_columns(r):
-    """Each column of chi, built alone on first read, is the column `evaluate`
-    pushes from the whole basis, hash included."""
-    params = CategoryParams(r)
-    fd = frobenius_zr(params)
-    for a, b in sorted({(0, 0), (1 % r, (r - 1) % r), ((r - 1) % r, 2 % r)}):
-        lazy = chi(a, b, fd)
-        full = evaluate(frobenius._chi_diagram(a, b, fd), params)
-        assert (lazy.source, lazy.target) == (full.source, full.target)
-        assert not any(map(_is_built, lazy.columns))
-        for j in reversed(range(r)):
-            col = lazy.columns[j]
-            assert col == full.columns[j] and hash(col) == hash(full.columns[j])
-            assert [_is_built(c) for c in lazy.columns] == [k >= j for k in range(r)]
-        assert lazy == full and hash(lazy) == hash(full)
-        assert lazy.matrix == full.matrix
-
-
-def test_a_sum_with_chi_holds_plain_columns():
-    """`__add__` returns tuples, so on-read columns stay in the morphisms
-    `evaluate_lazily` returns, whose columns share one list."""
-    params = CategoryParams(3)
-    fd = frobenius_zr(params)
-    lazy = chi(1, 2, fd)
-    zero = GradedMorphism.zero_map(lazy.source, lazy.target)
-    full = evaluate(frobenius._chi_diagram(1, 2, fd), params)
-    for total in (lazy + zero, zero + lazy, lazy + lazy):
-        assert all(type(col) is tuple for col in total.columns)
-    assert lazy + zero == zero + lazy == full and lazy + lazy == full + full
+    torus = enumerate_admissible(standard_decomposition(1), 4)
+    genus3 = MarkedPLCW(standard_decomposition(3), 4, dict(enumerate([1, 2, 3, 0, 1, 2])))
+    seen = set()
+    for n, m in enumerate([*torus, *torus, genus3], 1):
+        sigma_F(m, fd)
+        seen.update(_handle_keys([m]))
+        assert len(evaluated) == n + len(seen)
+    assert len(seen) == 16
 
 
 _GOLDEN_SIGMA_CASES = [
@@ -310,37 +280,62 @@ def _sigma_markings():
 
 
 def test_sigma_vectors_equal_the_full_chi_route(monkeypatch):
-    """sigma_F through chi columns built on read equals sigma_F through fully
-    evaluated chis."""
+    """sigma_F through the handle boxes, chi on 1_0 alone, equals sigma_F
+    through the full chis."""
     cases = list(_sigma_markings())
-    on_read = [
+    on_unit = [
         [sigma_F(m, frobenius_zr(CategoryParams(r))) for m in markings] for r, markings in cases
     ]
-    monkeypatch.setattr(frobenius, "evaluate_lazily", evaluate)
+    monkeypatch.setattr(frobenius, "_handle", chi)
     full = [
         [sigma_F(m, frobenius_zr(CategoryParams(r))) for m in markings] for r, markings in cases
     ]
-    assert on_read == full and len(full[-1]) == 36
+    assert on_unit == full and len(full[-1]) == 36
 
 
 @pytest.mark.parametrize("r, genus, handles", [(4, 1, None), (4, 3, [(1, 2), (3, 0), (1, 2)])])
-def test_sigma_builds_one_chi_column_per_key(r, genus, handles):
-    """The state push reads column 0 of each chi it boxes, and only that one:
-    eta emits 1_0 on F and no chi moves the F digit.  (r | 2 - 2g, so genus 2
-    has no admissible marking at r = 4; genus 3 repeats a key across handles.)"""
+def test_sigma_builds_one_chi_column_per_key(monkeypatch, r, genus, handles):
+    """The state push boxes, per label pair, chi's column 0 alone, evaluated
+    once: eta emits 1_0 on F, and each handle keeps it there.  (r | 2 - 2g,
+    so genus 2 has no admissible marking at r = 4; genus 3 repeats a key
+    across handles.)"""
     fd = frobenius_zr(CategoryParams(r))
+    fd.nakayama_powers
     complex_ = standard_decomposition(genus)
     if handles is None:
         markings = enumerate_admissible(complex_, r)
     else:
         indices = [i for pair in handles for i in pair]
         markings = [MarkedPLCW(complex_, r, dict(enumerate(indices)))]
+    evaluated = _count_calls(monkeypatch, frobenius, "evaluate")
     for m in markings:
         sigma_F(m, fd)
-    keys = {(m.indices[2 * i], m.indices[2 * i + 1]) for m in markings for i in range(genus)}
-    assert set(fd.handle_memo) == keys
-    for morphism in fd.handle_memo.values():
-        assert [_is_built(c) for c in morphism.columns] == [True] + [False] * (r - 1)
+    keys = _handle_keys(markings)
+    assert list(fd.handle_memo) == keys
+    assert len(evaluated) == len(markings) + len(keys)
+    for (a, b), handle in fd.handle_memo.items():
+        assert handle.columns[0] and handle.columns[1:] == ((),) * (r - 1)
+        assert handle.columns[0] == chi(a, b, fd).columns[0]
+
+
+def test_a_handle_that_moves_the_face_strand_fails_its_check(monkeypatch):
+    """A handle box whose pushed column leaves 1_0 on F would feed the next
+    handle a summand its box does not hold, so building it fails.  H has
+    grade 0 throughout, so grade support rules such a row out: only columns
+    stored unchecked can hold one."""
+    r = 3
+    fd = frobenius_zr(CategoryParams(r))
+    fd.nakayama_powers
+    real = frobenius.evaluate
+
+    def moved(d, params):
+        m = real(d, params)
+        return GradedMorphism(m.source, m.target, _Columns((((1, params.one()),),)))
+
+    monkeypatch.setattr(frobenius, "evaluate", moved)
+    with pytest.raises(InvariantError) as exc:
+        sigma_F(enumerate_admissible(standard_decomposition(1), r)[0], fd)
+    assert exc.value.invariant == "chi keeps the face strand on 1_0"
 
 
 def test_chi_closed_form():
@@ -364,12 +359,14 @@ def test_chi_labels_count_mod_r():
         fd = frobenius_zr(CategoryParams(r))
         for a in range(r):
             for b in range(r):
-                assert chi(a, b, fd) is chi(a + r, b - r, fd)
+                assert chi(a, b, fd) == chi(a + r, b - r, fd)
+                assert frobenius._handle(a, b, fd) is frobenius._handle(a + r, b - r, fd)
 
 
 def test_chi_evaluated_once_per_key_per_algebra(monkeypatch):
-    # every handle of every marking asks chi for its label pair; each pair's
-    # diagram is evaluated once per algebra
+    # every handle of every marking boxes its label pair's chi on 1_0; each
+    # pair's diagram is built once per algebra, while chi builds its own on
+    # every call, with the labels reduced mod r
     calls = []
     real = frobenius._chi_diagram
 
@@ -379,14 +376,16 @@ def test_chi_evaluated_once_per_key_per_algebra(monkeypatch):
 
     monkeypatch.setattr(frobenius, "_chi_diagram", counting)
     fd = frobenius_zr(CategoryParams(2))
-    for genus in (2, 3):
-        c = standard_decomposition(genus)
-        sigma_F(MarkedPLCW(c, 2, {e.id: e.id % 2 for e in c.edges}), fd)
+    markings = enumerate_admissible(standard_decomposition(2), 2)
+    for m in [*markings, *markings]:
+        sigma_F(m, fd)
+    keys = _handle_keys(markings)
+    assert calls == keys and len(keys) == 4
     chi(3, -1, fd)
-    chi(1, 1, fd)
-    assert calls == [(0, 1), (1, 1)]
-    chi(0, 1, frobenius_zr(CategoryParams(2)))
-    assert calls == [(0, 1), (1, 1), (0, 1)]
+    chi(3, -1, fd)
+    assert calls == [*keys, (1, 1), (1, 1)]
+    sigma_F(markings[0], frobenius_zr(CategoryParams(2)))
+    assert calls[len(keys) + 2 :] == _handle_keys(markings[:1])
 
 
 def test_chi_coefficient_vectors_have_full_rank():

@@ -9,9 +9,9 @@ bound of three times its time measured on a 2-vCPU x86_64 host (Python
 
 The (8, 1) and (10, 1) cases carry the `slow` marker: the default run
 deselects them (`addopts` in pyproject.toml), and `pytest -m slow
-tests/test_scale.py` runs them.  Since the state push builds only the chi
-columns it reads, (6, 1) takes about 0.2 s, (8, 1) about 1 s and (10, 1)
-about 5 s.
+tests/test_scale.py` runs them.  Since the state push boxes each chi on
+1_0 alone, one column pushed from the unit, (6, 1) takes about 0.2 s, (8, 1)
+about 1 s and (10, 1) about 5 s.
 
 At r = 7 and 8 the rank of the r^2 torus vectors h_Z, one per simple of the
 Drinfeld centre, must equal the closed form and the r-spin count at genus 1,
