@@ -34,8 +34,8 @@ class SizeCapError(RuntimeError):
             size = base**exponent if power_digits(base, exponent) <= printable else None
             shown = f"{base}^{exponent}" if size is None else size
         super().__init__(
-            f"{what} needs {shown} > cap {cap}; raise the cap explicitly "
-            f"(argument or {ENV_VAR}) to proceed"
+            f"{what} needs {shown} > cap {cap}; raise {ENV_VAR} "
+            f"(or a library call's cap argument) to proceed"
         )
         self.what = what
         self.size = size

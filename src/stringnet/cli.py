@@ -1,14 +1,14 @@
 """Deterministic JSON command line: one subcommand per computation.
 
-Every subcommand echoes its inputs (each flag it declares except `--approx`
-and `--cap`), names the quantity it computes in a "reference" field, and
-emits sorted-key JSON so identical invocations are byte-identical.  Exit
-codes: 0 success, 1 a domain error raised by the computation, 2 a bad
-invocation (including missing files), 3 a failed theorem check (an
-InvariantError, named in the payload).  A reader that closes stdout early
-ends the run with exit 1 and nothing on stderr.
-`--json-schema` on any subcommand prints the shipped schema for its output
-and exits.
+Every subcommand echoes its inputs (each flag it declares except `--approx`),
+names the quantity it computes in a "reference" field, and emits sorted-key
+JSON so identical invocations are byte-identical.  Exit codes: 0 success, 1 a
+domain error raised by the computation, 2 a bad invocation (including missing
+files), 3 a failed theorem check (an InvariantError, named in the payload).
+A reader that closes stdout early ends the run with exit 1 and nothing on
+stderr.  The brute-force subcommands price their work against one size cap,
+the `STRINGNET_CAP` setting.  `--json-schema` on any subcommand prints the
+shipped schema for its output and exits.
 
 Each subcommand loads only the modules it runs: its handler imports the
 library functions it calls, and the errors `main` reports live in the
@@ -63,13 +63,11 @@ class _SchemaAction(argparse.Action):
 
 
 def schema_text(command: str) -> str:
-    from importlib import resources
-
     if command not in _SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {command!r}")
-    return (
-        resources.files("stringnet").joinpath("schemas", f"{command}.json").read_text()
-    )
+    path = os.path.join(os.path.dirname(__file__), "schemas", f"{command}.json")
+    with open(path, encoding="utf-8") as file:
+        return file.read()
 
 
 def _emit(payload: dict) -> None:
@@ -176,6 +174,8 @@ def _cmd_sphere(args) -> dict:
     from .category import CategoryParams
     from .spaces import sphere_sn_dim
 
+    # r loop diagrams, whose scalars in Q(zeta_r) carry r coefficients each
+    check_cap("sphere loop-sum terms", args.r, 2)
     return {
         "reference": "sphere string-net dimension via sum of dim_r(U)^2 over Dim",
         "dim": sphere_sn_dim(CategoryParams(args.r)),
@@ -208,12 +208,7 @@ def _cmd_bp_operator(args) -> dict:
     from .category import CategoryParams
     from .spaces import tilde_bp_operator
 
-    report = tilde_bp_operator(
-        CategoryParams(args.r),
-        args.genus,
-        cap=args.cap,
-        orientation=args.orientation,
-    )
+    report = tilde_bp_operator(CategoryParams(args.r), args.genus, orientation=args.orientation)
     render = _renderer(args.approx)
     return {
         "reference": "plaquette projector on the genus-g handle space",
@@ -230,6 +225,7 @@ def _cmd_annulus(args) -> dict:
 
     if not (0 <= args.a < args.r and 0 <= args.b < args.r):
         raise _FlagError(f"boundary grades must lie in 0..{args.r - 1}")
+    check_cap("annulus hull summands", args.r, 1)  # the hull of C_b has r summands
     return {
         "reference": "annulus space dimension r when the boundary grades agree",
         "dim": annulus_hom_dim(args.a, args.b, CategoryParams(args.r)),
@@ -249,10 +245,8 @@ def _cmd_rspin_enumerate(args) -> dict:
     from .rspin import enumerate_admissible
 
     # priced before building the 2g edges (1 on the sphere) of the decomposition
-    check_cap("edge-index assignments", args.r, 2 * args.genus or 1, args.cap)
-    rows = enumerate_admissible(
-        _decomposition(args.genus), args.r, cap=args.cap, records=False
-    )
+    check_cap("edge-index assignments", args.r, 2 * args.genus or 1)
+    rows = enumerate_admissible(_decomposition(args.genus), args.r, records=False)
     return {
         "reference": "admissible edge-index assignments on the standard decomposition",
         "count": len(rows),
@@ -328,7 +322,6 @@ def _cmd_validate_modular(args) -> dict:
 _POSITIVE, _NONNEGATIVE = _int_at_least(1), _int_at_least(0)
 _R = {"type": _POSITIVE, "required": True}
 _NATURAL = {"type": _NONNEGATIVE, "required": True}  # a genus or a grade
-_CAP = {"type": _POSITIVE, "default": None}
 _APPROX = {"action": "store_true"}
 _ORIENTATION = {"choices": ["anticlockwise", "clockwise"], "default": "anticlockwise"}
 _INDICES = {
@@ -345,11 +338,11 @@ _SUBCOMMANDS = {
     "torus-basis": (_cmd_torus_basis, {"r": _R, "approx": _APPROX}),
     "bp-operator": (
         _cmd_bp_operator,
-        {"r": _R, "genus": _NATURAL, "orientation": _ORIENTATION, "cap": _CAP, "approx": _APPROX},
+        {"r": _R, "genus": _NATURAL, "orientation": _ORIENTATION, "approx": _APPROX},
     ),
     "annulus": (_cmd_annulus, {"r": _R, "a": _NATURAL, "b": _NATURAL}),
     "rspin-count": (_cmd_rspin_count, {"r": _R, "genus": _NATURAL}),
-    "rspin-enumerate": (_cmd_rspin_enumerate, {"r": _R, "genus": _NATURAL, "cap": _CAP}),
+    "rspin-enumerate": (_cmd_rspin_enumerate, {"r": _R, "genus": _NATURAL}),
     "rspin-check": (_cmd_rspin_check, {"r": _R, "genus": _NATURAL, "indices": _INDICES}),
     "sigma-f": (
         _cmd_sigma_f,
@@ -376,9 +369,7 @@ def _declare(parser: _Parser, name: str) -> _Parser:
     for flag, options in flags.items():
         parser.add_argument(f"--{flag}", **options)
     parser.add_argument("--json-schema", action=_SchemaAction, command=name)
-    parser.set_defaults(
-        command=name, handler=handler, inputs=[f for f in flags if f not in ("approx", "cap")]
-    )
+    parser.set_defaults(command=name, handler=handler, inputs=[f for f in flags if f != "approx"])
     return parser
 
 

@@ -23,7 +23,6 @@ than by building any diagram, and without dividing.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 from . import ModularDataError, Record
@@ -158,7 +157,7 @@ def load_modular_data(path) -> ModularData:
 
 def sample_path(name: str) -> Path:
     """Path of a shipped sample file: trivial, semion, z3_pointed, z5_pointed."""
-    p = Path(str(resources.files("stringnet").joinpath("data", f"{name}.json")))
+    p = Path(__file__).with_name("data") / f"{name}.json"
     if not p.is_file():
         raise ValueError(f"no sample data file named {name!r}")
     return p

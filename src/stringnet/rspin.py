@@ -234,6 +234,13 @@ def _vertex_profiles(complex: PLCW) -> list[tuple[list[int], list[int], int]]:
     return profiles
 
 
+def _residue(profile: tuple[list[int], list[int], int], indices, r: int) -> int:
+    """One vertex's side of the congruence under `indices`, mod r: its
+    constant, plus its outgoing and minus its incoming edges' indices."""
+    outs, ins, const = profile
+    return (const + sum(indices[i] for i in outs) - sum(indices[i] for i in ins)) % r
+
+
 class AdmissibilityReport(Record):
     """Whether a marking is admissible, with its residue at each vertex."""
 
@@ -250,10 +257,9 @@ def is_admissible(m: MarkedPLCW) -> AdmissibilityReport:
     Returns the report with one residue per vertex; admissible iff all
     residues vanish.
     """
-    r, s = m.r, m.indices
     residues = {
-        v: (const + sum(s[i] for i in outs) - sum(s[i] for i in ins)) % r
-        for v, (outs, ins, const) in enumerate(_vertex_profiles(m.complex))
+        v: _residue(profile, m.indices, m.r)
+        for v, profile in enumerate(_vertex_profiles(m.complex))
     }
     return AdmissibilityReport(all(x == 0 for x in residues.values()), residues)
 
@@ -285,18 +291,7 @@ def enumerate_admissible(
     if not compiled:
         rows = list(assignments)
     else:
-        rows = []
-        for assignment in assignments:
-            for outs, ins, const in compiled:
-                acc = const
-                for i in outs:
-                    acc += assignment[i]
-                for i in ins:
-                    acc -= assignment[i]
-                if acc % r != 0:
-                    break
-            else:
-                rows.append(assignment)
+        rows = [a for a in assignments if not any(_residue(p, a, r) for p in compiled)]
     if not records:
         return rows
     found = []

@@ -188,11 +188,7 @@ def _bp_column_diagram(
 
 
 def tilde_bp_operator(
-    params: CategoryParams,
-    genus: int,
-    *,
-    cap: int | None = None,
-    orientation: str = "anticlockwise",
+    params: CategoryParams, genus: int, *, orientation: str = "anticlockwise"
 ) -> ProjectorReport:
     """Build the projector on C(1, H^{(x)g}) and report its image rank.
 
@@ -206,7 +202,7 @@ def tilde_bp_operator(
     if orientation not in _ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
     r = params.r
-    check_cap("string-net basis", r, 2 * genus, cap)
+    check_cap("string-net basis", r, 2 * genus)
     side = "right" if orientation == "anticlockwise" else "left"
     # the last handle is left free, so each loop sum is the next block of r^2
     # columns (the one column of the unit at genus 0)

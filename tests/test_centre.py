@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringnet import diagrams
+from stringnet import InvariantError, centre, diagrams
 from stringnet.category import (
     CategoryParams,
     GradedMorphism,
@@ -174,6 +174,16 @@ def test_hull_projector_rank_one():
         for i in range(3):
             trace = trace + proj.matrix[i][i]
         assert trace == 1
+
+
+def test_a_doubled_counit_like_map_fails_the_idempotence_check(monkeypatch):
+    counitlike = centre._counitlike_map
+    monkeypatch.setattr(
+        centre, "_counitlike_map", lambda z, hull, params: counitlike(z, hull, params).scale(2)
+    )
+    with pytest.raises(InvariantError) as exc:
+        p_Y_projector(CentreSimple(2, 0, 0), CategoryParams(2))
+    assert exc.value.invariant == "hull projector p_Y is idempotent"
 
 
 def test_hull_projectors_decompose_identity():

@@ -76,10 +76,9 @@ def test_missing_flag_and_unknown_command_exit_2(capsys):
         (["sn-dim", "--r", "x", "--genus", "1"], "argument --r: not an integer: 'x'"),
         (["annulus", "--r", "3", "--a", "1.5", "--b", "0"], "argument --a: not an integer: '1.5'"),
         (["sn-dim", "--r", "0", "--genus", "1"], "argument --r: must be >= 1, got 0"),
-        (["bp-operator", "--r", "2", "--genus", "1", "--cap", "0"], "argument --cap: must be >= 1, got 0"),
         (["sn-dim", "--r", "2", "--genus", "-1"], "argument --genus: must be >= 0, got -1"),
     ],
-    ids=["r-not-integer", "a-not-integer", "r-below-1", "cap-below-1", "genus-below-0"],
+    ids=["r-not-integer", "a-not-integer", "r-below-1", "genus-below-0"],
 )
 def test_integer_flag_errors(capsys, argv, error):
     code, out = _run(capsys, *argv)
@@ -119,11 +118,41 @@ def test_bp_operator_torus_is_identity(capsys):
     assert payload["scalar"] == one
 
 
-def test_bp_operator_cap_exits_1(capsys):
-    code, out = _run(capsys, "bp-operator", "--r", "3", "--genus", "2", "--cap", "80")
+@pytest.mark.parametrize(
+    "argv, price",
+    [
+        (["bp-operator", "--r", "2", "--genus", "1"], 4),
+        (["rspin-enumerate", "--r", "3", "--genus", "1"], 9),
+        (["torus-basis", "--r", "2"], 16),
+        (["sigma-f", "--r", "2", "--genus", "1", "--indices", "0,1"], 4),
+        (["sphere", "--r", "3"], 9),
+        (["annulus", "--r", "5", "--a", "1", "--b", "1"], 5),
+    ],
+    ids=["bp-operator", "rspin-enumerate", "torus-basis", "sigma-f", "sphere", "annulus"],
+)
+def test_the_cap_setting_prices_each_subcommand(capsys, monkeypatch, argv, price):
+    monkeypatch.setenv(ENV_VAR, str(price - 1))
+    code, out = _run(capsys, *argv)
     assert code == 1
     payload = json.loads(out)
-    assert payload["size"] == 81 and payload["cap"] == 80
+    assert (payload["size"], payload["cap"]) == (price, price - 1)
+    monkeypatch.setenv(ENV_VAR, str(price))
+    _payload(capsys, *argv)
+
+
+def test_sphere_and_annulus_are_priced_at_the_default_cap(capsys, monkeypatch):
+    # sphere costs r^2 and annulus r, so the default cap admits r = 100 and 10,000
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert _payload(capsys, "sphere", "--r", "100")["dim"] == 0
+    assert _payload(capsys, "annulus", "--r", "10000", "--a", "1", "--b", "1")["dim"] == 10000
+    for argv, size in [
+        (["sphere", "--r", "101"], 10201),
+        (["annulus", "--r", "10001", "--a", "1", "--b", "1"], 10001),
+    ]:
+        code, out = _run(capsys, *argv)
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["size"], payload["cap"]) == (size, 10000)
 
 
 @pytest.mark.parametrize(
@@ -131,7 +160,7 @@ def test_bp_operator_cap_exits_1(capsys):
     [
         (["sn-dim", "--r", "2", "--genus", "10000"], "r=2, genus=10000 has 6021 digits"),
         (["rspin-count", "--r", "2", "--genus", "10000"], "r=2, genus=10000 has 6021 digits"),
-        (["bp-operator", "--r", "2", "--genus", "10000", "--cap", "100"], "needs 2^20000 > cap 100"),
+        (["bp-operator", "--r", "2", "--genus", "10000"], "needs 2^20000 > cap 10000"),
         (["rspin-enumerate", "--r", "2", "--genus", "100000"], "needs 2^200000 > cap 10000"),
     ],
     ids=["sn-dim", "rspin-count", "bp-operator", "rspin-enumerate"],
@@ -193,7 +222,7 @@ def test_genus_linear_work_is_priced_before_it_is_built(argv, code, error):
 
 
 def test_sigma_f_is_priced_after_the_index_count(capsys, monkeypatch):
-    # 2^14 state-sum coordinates are over the default cap; no --cap flag
+    # 2^14 state-sum coordinates are over the default cap
     monkeypatch.delenv(ENV_VAR, raising=False)
     code = main(["sigma-f", "--r", "2", "--genus", "7", "--indices", ",".join("0" * 14)])
     captured = capsys.readouterr()
@@ -255,9 +284,14 @@ def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv(ENV_VAR, "3")
     code, out = _run(capsys, "bp-operator", "--r", "2", "--genus", "1")
     assert code == 1 and json.loads(out)["cap"] == 3
-    # an explicit --cap wins over the environment
+    # the setting is the cap's only one: no subcommand takes a --cap flag
     code, out = _run(capsys, "bp-operator", "--r", "2", "--genus", "1", "--cap", "10")
-    assert code == 0
+    assert (code, json.loads(out)) == (2, {"error": "unrecognized arguments: --cap 10"})
+    # a setting below 1 or not an integer is refused
+    for value, error in [("0", " must be positive, got 0"), ("x", "='x' is not an integer")]:
+        monkeypatch.setenv(ENV_VAR, value)
+        code, out = _run(capsys, "bp-operator", "--r", "2", "--genus", "1")
+        assert (code, json.loads(out)) == (1, {"error": f"{ENV_VAR}{error}"})
 
 
 def test_rspin_enumerate_order_and_sphere(capsys):
@@ -550,7 +584,6 @@ _FUZZ_VALUES = {
     "a": ["0", "1", "5", "x"],
     "b": ["0", "2", "-1"],
     "indices": ["0", "0,1", "1,2", "1,1,1", "x", "0,,1"],
-    "cap": ["1", "9", "1000", "0", "x"],
     "orientation": ["anticlockwise", "clockwise", "sideways"],
     "data": [Z3, SEMION, "/no/such.json"],
     "j": ["0", "1", "s", "x"],

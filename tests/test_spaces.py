@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from stringnet import InvariantError, diagrams, spaces
 from stringnet.caps import SizeCapError
 from stringnet.category import (
     CategoryParams,
@@ -113,11 +114,23 @@ def test_operator_rejects_bad_orientation():
         tilde_bp_operator(CategoryParams(2), 1, orientation="widdershins")
 
 
-def test_size_cap_enforced():
+def test_size_cap_enforced(monkeypatch):
+    monkeypatch.setenv("STRINGNET_CAP", "80")
     with pytest.raises(SizeCapError) as exc:
-        tilde_bp_operator(CategoryParams(3), 2, cap=80)
+        tilde_bp_operator(CategoryParams(3), 2)
     assert exc.value.size == 81
     assert exc.value.cap == 80
+
+
+def test_a_doubled_projector_fails_its_idempotence_check(monkeypatch):
+    # doubled together, the diagrams and the analytic value still agree, on
+    # 2 times the identity at (r, g) = (2, 1), and 2 * 2 != 2
+    weight, scalar = diagrams.loop_weight, spaces.bp_scalar
+    monkeypatch.setattr(diagrams, "loop_weight", lambda u, side, p: 2 * weight(u, side, p))
+    monkeypatch.setattr(spaces, "bp_scalar", lambda p, genus: 2 * scalar(p, genus))
+    with pytest.raises(InvariantError) as exc:
+        tilde_bp_operator(CategoryParams(2), 1)
+    assert exc.value.invariant == "plaquette operator is idempotent"
 
 
 def test_size_cap_env_var(monkeypatch):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from stringnet.cli import COMMANDS
 from stringnet.modular import sample_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,8 +37,8 @@ STATE_SUM_COMMANDS = [
 ]
 
 
-def _modules_loaded_by(code: str) -> set[str]:
-    """Modules a fresh interpreter gains by running `code`."""
+def _modules_loaded_by(code: str, *flags: str) -> set[str]:
+    """Modules a fresh interpreter, started with `flags`, gains by running `code`."""
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -47,15 +48,21 @@ def _modules_loaded_by(code: str) -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     return set(json.loads(out.splitlines()[-1]))
 
 
 def _modules_loaded_by_cli(*argv: str) -> set[str]:
+    return _modules_loaded_by_calls([list(argv)])
+
+
+def _modules_loaded_by_calls(calls: list[list[str]], *flags: str) -> set[str]:
     return _modules_loaded_by(
         "from stringnet.cli import main\n"
-        f"try:\n    main({list(argv)!r})\nexcept SystemExit:\n    pass"
+        f"for argv in {calls!r}:\n"
+        "    try:\n        main(argv)\n    except SystemExit:\n        pass",
+        *flags,
     )
 
 
@@ -85,6 +92,22 @@ def test_state_sum_loads_no_dataclasses():
 )
 def test_light_commands_skip_the_diagram_layers(argv):
     assert not _modules_loaded_by_cli(*argv) & DIAGRAM_LAYERS
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [["charge", "--data", str(sample_path("semion")), "--j", "s", "--u", "1", "--v", "1"]],
+        [["validate-modular", "--data", str(sample_path("semion"))]],
+        [[name, "--json-schema"] for name in COMMANDS],
+    ],
+    ids=["charge", "validate-modular", "json-schema"],
+)
+def test_package_data_is_read_without_importlib_resources(calls):
+    # -S keeps site's .pth files from loading importlib.resources beforehand
+    loaded = _modules_loaded_by_calls(calls, "-S")
+    assert "stringnet.cli" in loaded
+    assert "importlib.resources" not in loaded
 
 
 @pytest.mark.parametrize(
