@@ -131,9 +131,8 @@ class _Columns(tuple):
 
     Column j is a tuple of (row, entry) pairs sorted by row, each entry a
     nonzero CycNum of conductor r in a row whose grade is source grade j.
-    `diagrams.evaluate` and `loop_sum`, the plaquette block assembly and
-    `GradedMorphism.__add__` and `scale` hold this by construction; outside
-    input never has this type.
+    `diagrams.evaluate` and `loop_sum`, and `GradedMorphism.__add__` and
+    `scale`, hold this by construction; outside input never has this type.
     """
 
     __slots__ = ()

@@ -287,6 +287,8 @@ def _cmd_frobenius_check(args) -> dict:
     from .category import CategoryParams
     from .frobenius import frobenius_zr
 
+    # the coassociativity and Frobenius-relation proofs push F (x) F (x) F
+    check_cap("Frobenius axiom terms", args.r, 3)
     f_data = frobenius_zr(CategoryParams(args.r))
     forward = f_data.nakayama_pair.forward
     render = _renderer(args.approx)

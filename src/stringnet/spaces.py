@@ -7,18 +7,15 @@ scalar times the identity; the scalar is 1 when r divides 2-2g and 0
 otherwise, so the dimension is r^{2g} or 0.  The sphere is genus 0: its
 dimension is the image rank of the same operator on C(1, 1).
 
-`tilde_bp_operator` assembles the operator from genuine slice diagrams
-(loop around all 2g handle legs, with pivotal corrections where an upward
-strand fills a double-dual slot), one `loop_sum` per labelling of the
-first g-1 handles: the last handle is left free, entering from H, so each
-sum gives the r^2 columns of that labelling at once.  It proves the
-assembled operator equal to `bp_scalar`, the analytic value computed
-separately, times the identity, and that scalar idempotent.
+`tilde_bp_operator` builds the operator as one `loop_sum` of genuine slice
+diagrams (loop around all 2g handle legs, with pivotal corrections where an
+upward strand fills a double-dual slot): every handle is left free, entering
+from its own H strand, so the r diagrams of the sum carry all r^{2g} columns
+at once.  It proves the operator equal to `bp_scalar`, the analytic value
+computed separately, times the identity, and that scalar idempotent.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import Record, require
 from .caps import check_cap
@@ -26,7 +23,6 @@ from .category import (
     CategoryParams,
     GradedMorphism,
     GradedObject,
-    _Columns,
     delta_pivot,
     dual_object,
     simple_object,
@@ -93,14 +89,14 @@ def _bp_column_diagram(
     u: int,
     orientation: str,
 ) -> SliceDiagram:
-    """Slice form of the projector loop applied to one basis element or one block.
+    """Slice form of the projector loop applied to a block of basis elements.
 
-    `labels` holds (s, t) for each of the first len(labels)//2 handles.  With
-    all g labelled the bottom is the unit and the diagram carries one basis
-    element.  With g-1 labelled the last handle is free: its legs are
-    L^dual, L^dual, L, L for L the sum of the simples, it enters from an H
-    strand at the bottom through `coend_split` and closes with jmath(L, L),
-    so column s*r+t carries the basis element whose last handle is (s, t).
+    `labels` holds (s, t) for each of the first len(labels)//2 handles.  Each
+    other handle is free: its legs are L^dual, L^dual, L, L for L the sum of
+    the simples, it enters from its own H strand at the bottom through
+    `coend_split` and closes with jmath(L, L), so column c carries the basis
+    element whose free handles read c in base r.  With all g labelled the
+    bottom is the unit and the diagram carries one basis element.
 
     Reading bottom to top: the outer cup opens the loop, the basis box
     emits the 2g pairs of handle legs, an inner cup separates consecutive
@@ -112,10 +108,11 @@ def _bp_column_diagram(
     if genus == 0:
         return _loop_diagram(u, orientation, params)
     labelled = len(labels) // 2
-    if len(labels) % 2 or labelled not in (genus - 1, genus):
+    if len(labels) % 2 or labelled > genus:
         raise ValueError(
-            f"genus {genus} takes {2 * genus - 2} or {2 * genus} labels, got {len(labels)}"
+            f"genus {genus} takes labels in pairs, at most {2 * genus}, got {len(labels)}"
         )
+    free = genus - labelled
     u_obj = simple_object(r, u)
     u_dual = dual_object(u_obj)
     acw = orientation == "anticlockwise"
@@ -124,8 +121,7 @@ def _bp_column_diagram(
         (simple_object(r, labels[2 * i]), simple_object(r, labels[2 * i + 1]))
         for i in range(labelled)
     ]
-    if labelled < genus:
-        pairs.append((simples_object(r), simples_object(r)))
+    pairs += [(simples_object(r), simples_object(r))] * free
     legs: list[GradedObject] = []
     for x, y in pairs:
         legs.extend([dual_object(x), dual_object(y), x, y])
@@ -140,13 +136,11 @@ def _bp_column_diagram(
             unit_object(r), tensor_objects(*legs[: 4 * labelled]), {(0, 0): CycNum.one(r)}
         )
         emit.append(box(phi))
-    first = [outer]
-    if labelled < genus:
-        emit.append(box(coend_split(r)))
-        # H is r^2 copies of the unit, so the cup's U (x) U^dual (x) H and the
-        # next layer's U (x) H (x) U^dual are one graded object, basis order
-        # included
-        first.append(identity(coend_object(r)))
+    emit += [box(coend_split(r))] * free
+    # H is r^2 copies of the unit, so the cup's U (x) U^dual (x) H^m and the
+    # next layer's U (x) H^m (x) U^dual are one graded object, basis order
+    # included
+    first = [outer] + [identity(coend_object(r))] * free
 
     layer_legs = [identity(left_end)]
     for idx, leg in enumerate(legs):
@@ -204,24 +198,16 @@ def tilde_bp_operator(
     r = params.r
     check_cap("string-net basis", r, 2 * genus)
     side = "right" if orientation == "anticlockwise" else "left"
-    # the last handle is left free, so each loop sum is the next block of r^2
-    # columns (the one column of the unit at genus 0)
-    blocks = [
-        loop_sum(lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params)
-        for chi in itertools.product(range(r), repeat=max(2 * genus - 2, 0))
-    ]
-    top = blocks[0].target
-    # each block's columns are canonical rows of `top`, whose grades are all
-    # zero, so side by side they are the operator's columns as they stand
-    op = GradedMorphism(top, top, _Columns(col for block in blocks for col in block.columns))
-
+    # every handle is free, so one loop sum is the whole operator (the one
+    # column of the unit at genus 0)
+    op = loop_sum(lambda u: _bp_column_diagram(params, genus, (), u, orientation), side, params)
     scalar = bp_scalar(params, genus)
     require(
-        op == GradedMorphism.identity(top).scale(scalar),
+        op == GradedMorphism.identity(op.target).scale(scalar),
         "plaquette operator is the analytic scalar times the identity",
     )
     require(scalar * scalar == scalar, "plaquette operator is idempotent")
-    return ProjectorReport(r, genus, scalar, op.matrix, top.dim if scalar else 0)
+    return ProjectorReport(r, genus, scalar, op.matrix, op.target.dim if scalar else 0)
 
 
 def annulus_hom_dim(a: int, b: int, params: CategoryParams) -> int:

@@ -127,8 +127,17 @@ def test_bp_operator_torus_is_identity(capsys):
         (["sigma-f", "--r", "2", "--genus", "1", "--indices", "0,1"], 4),
         (["sphere", "--r", "3"], 9),
         (["annulus", "--r", "5", "--a", "1", "--b", "1"], 5),
+        (["frobenius-check", "--r", "2"], 8),
     ],
-    ids=["bp-operator", "rspin-enumerate", "torus-basis", "sigma-f", "sphere", "annulus"],
+    ids=[
+        "bp-operator",
+        "rspin-enumerate",
+        "torus-basis",
+        "sigma-f",
+        "sphere",
+        "annulus",
+        "frobenius-check",
+    ],
 )
 def test_the_cap_setting_prices_each_subcommand(capsys, monkeypatch, argv, price):
     monkeypatch.setenv(ENV_VAR, str(price - 1))
@@ -141,13 +150,15 @@ def test_the_cap_setting_prices_each_subcommand(capsys, monkeypatch, argv, price
 
 
 def test_sphere_and_annulus_are_priced_at_the_default_cap(capsys, monkeypatch):
-    # sphere costs r^2 and annulus r, so the default cap admits r = 100 and 10,000
+    # sphere costs r^2 and annulus r, so the default cap admits r = 100 and 10,000;
+    # frobenius-check costs r^3 and is refused from r = 22 on, before F is built
     monkeypatch.delenv(ENV_VAR, raising=False)
     assert _payload(capsys, "sphere", "--r", "100")["dim"] == 0
     assert _payload(capsys, "annulus", "--r", "10000", "--a", "1", "--b", "1")["dim"] == 10000
     for argv, size in [
         (["sphere", "--r", "101"], 10201),
         (["annulus", "--r", "10001", "--a", "1", "--b", "1"], 10001),
+        (["frobenius-check", "--r", "22"], 10648),
     ]:
         code, out = _run(capsys, *argv)
         assert code == 1

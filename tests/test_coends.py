@@ -201,39 +201,53 @@ def test_coend_split_then_jmath_is_the_identity_on_h(r):
 
 
 @pytest.mark.parametrize("orientation", ["anticlockwise", "clockwise"])
-@pytest.mark.parametrize("r, genus", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("r, genus", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_free_handle_operator_matches_one_loop_sum_per_basis_vector(r, genus, orientation):
     # the reference labels every handle, so each diagram carries one basis vector
     params = CategoryParams(r)
     side = "right" if orientation == "anticlockwise" else "left"
-    columns = []
-    for chi in itertools.product(range(r), repeat=2 * genus):
-        one = loop_sum(
+
+    def labelled_sum(chi):
+        return loop_sum(
             lambda u: _bp_column_diagram(params, genus, chi, u, orientation), side, params
         )
-        (column,) = zip(*one.matrix)
+
+    columns = []
+    for chi in itertools.product(range(r), repeat=2 * genus):
+        (column,) = zip(*labelled_sum(chi).matrix)
         columns.append(column)
     report = tilde_bp_operator(params, genus, orientation=orientation)
     assert report.operator_matrix == tuple(zip(*columns))
+    # labelling the first k handles leaves a block of r^(2(g-k)) columns,
+    # the labelling's own, in the order the free handles read them
+    for k in range(1, genus):
+        width = r ** (2 * (genus - k))
+        for i, chi in enumerate(itertools.product(range(r), repeat=2 * k)):
+            block = tuple(zip(*labelled_sum(chi).matrix))
+            assert block == tuple(columns[i * width : (i + 1) * width]), (k, chi)
 
 
 def test_projector_evaluates_one_diagram_per_loop_label_and_block(monkeypatch):
-    # the last handle is free, so r^(2g-1) diagrams carry all r^(2g) columns
+    # every handle is free, so the r diagrams of one loop sum carry all r^(2g)
+    # columns at every genus
     calls = []
     real = diagrams.evaluate
     monkeypatch.setattr(diagrams, "evaluate", lambda d, params: calls.append(d) or real(d, params))
-    for r, genus in [(1, 0), (3, 0), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)]:
+    for r, genus in [(1, 0), (3, 0), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)]:
         calls.clear()
         tilde_bp_operator(CategoryParams(r), genus)
-        assert len(calls) == (r ** (2 * genus - 1) if genus else r), (r, genus)
+        assert len(calls) == r, (r, genus)
 
 
-def test_column_diagram_takes_all_labels_or_all_but_one_handle():
+def test_column_diagram_takes_labels_in_pairs_up_to_every_handle():
     params = CategoryParams(2)
-    with pytest.raises(ValueError, match="genus 2 takes 2 or 4 labels, got 1"):
+    with pytest.raises(ValueError, match="genus 2 takes labels in pairs, at most 4, got 1"):
         _bp_column_diagram(params, 2, (0,), 0, "anticlockwise")
-    with pytest.raises(ValueError, match="got 0"):
-        _bp_column_diagram(params, 2, (), 0, "anticlockwise")
+    with pytest.raises(ValueError, match="got 6"):
+        _bp_column_diagram(params, 2, (0,) * 6, 0, "anticlockwise")
+    for labels in [(), (0, 1), (0, 1, 1, 0)]:
+        d = _bp_column_diagram(params, 2, labels, 0, "anticlockwise")
+        assert evaluate(d, params).source.dim == 4 ** (2 - len(labels) // 2)
 
 
 def test_hom_space_vector_coordinate_count():

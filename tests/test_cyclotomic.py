@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringnet import cyclotomic
+from stringnet import InvariantError, cyclotomic
 from stringnet.cyclotomic import (
     PRODUCT_MEMO_SIZE,
     ConductorMismatchError,
@@ -32,6 +32,13 @@ def _sympy_phi(n: int) -> tuple[int, ...]:
 @pytest.mark.parametrize("n", list(range(1, 31)) + [36, 60, 105])
 def test_cyclotomic_polynomial_matches_sympy(n):
     assert cyclotomic_polynomial(n) == _sympy_phi(n)
+
+
+def test_a_divisor_that_is_not_monic_fails_its_check():
+    # the division is written for the monic Phi_d; 1 + 2x leads with 2
+    with pytest.raises(InvariantError) as exc:
+        cyclotomic._poly_div_exact([0, 0, 1], (1, 2))
+    assert exc.value.invariant == "divisor polynomial is monic"
 
 
 def test_degree_is_totient():

@@ -391,7 +391,7 @@ def test_library_built_morphisms_are_canonical(data):
 
 def test_morphisms_the_routes_build_unchecked_are_canonical(monkeypatch):
     """Every morphism the projector, state-sum and torus routes build from
-    canonical columns, including the plaquette operator's block assembly."""
+    canonical columns, the plaquette operator's one loop sum among them."""
     built = []
     init = GradedMorphism.__init__
 

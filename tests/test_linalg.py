@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from stringnet import linalg
+from stringnet import InvariantError, linalg
 from stringnet.category import CategoryParams
 from stringnet.centre import torus_vectors
 from stringnet.cyclotomic import (
@@ -169,6 +169,16 @@ def _elimination_sizes(monkeypatch, rows) -> tuple[int, list[int]]:
     real = linalg._integer_rank
     monkeypatch.setattr(linalg, "_integer_rank", lambda big: sizes.append(len(big)) or real(big))
     return rank_cyc(rows), sizes
+
+
+def test_a_blow_up_rank_off_by_one_fails_its_check(monkeypatch):
+    # zeta_3 blows up to a rank-2 integer block over Q(zeta_3) of degree 2, so
+    # an elimination that reports 3 is caught
+    real = linalg._integer_rank
+    monkeypatch.setattr(linalg, "_integer_rank", lambda big: real(big) + 1)
+    with pytest.raises(InvariantError) as exc:
+        rank_cyc([[zeta_power(3, 1)]])
+    assert exc.value.invariant == "blow-up rank is divisible by the field degree"
 
 
 def test_torus_matrix_is_eliminated_one_grade_block_at_a_time(monkeypatch):
