@@ -25,13 +25,15 @@ entry dicts, checked by `GradedMorphism`'s validating constructor; every
 evaluated diagram stores its pushed columns unchecked, and `sigma_F` reads
 the state's one column straight into a `HomSpaceVector`.
 Each algebra evaluates the powers of N once and builds a handle box, whose
-diagram boxes two of them, once per pair of labels mod r; `frobenius_zr`
-itself is not memoised, so every algebra it builds proves its axioms again.
+diagram boxes two of them, once per pair of labels mod r.  `frobenius_zr` is
+memoised on its `CategoryParams` (`ALGEBRA_MEMO_SIZE` entries), so a process
+proves the axioms of the algebra at each r once, and every later call at that
+r reuses its Nakayama powers and handle boxes.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import InadmissibleMarkingError, Record, require
@@ -65,7 +67,10 @@ class FrobeniusAlgebraData(Record):
     """Algebra and coalgebra structure on F; axioms are checked on construction.
 
     No __slots__: `nakayama_pair`, `nakayama_powers` and `handle_memo` live
-    in the instance dict, filled on first use.
+    in the instance dict, filled on first use.  The algebra `frobenius_zr`
+    returns is shared by every caller at its r, so these caches are too:
+    code that patches or writes into an algebra builds its own, with
+    `frobenius_zr.__wrapped__(params)` or this constructor.
     """
 
     _fields = ("params", "object", "mu", "eta", "delta", "eps")
@@ -125,8 +130,20 @@ class FrobeniusAlgebraData(Record):
         return {}
 
 
+# Bound of the memoised algebras.  The bench grids and the acceptance gate
+# use at most 6 distinct r.  An algebra keeps at most r^2 handle boxes of
+# r^2 cells each (about 2 MB after the whole (12, 1) sigma route); a larger
+# mix of r evicts the least recently used algebra, whose next call proves
+# its axioms again.
+ALGEBRA_MEMO_SIZE = 8
+
+
+@lru_cache(maxsize=ALGEBRA_MEMO_SIZE)
 def frobenius_zr(params: CategoryParams) -> FrobeniusAlgebraData:
-    """Group algebra of Z_r: mu(1_a,1_b) = 1_{a+b}, eps(1_a) = r delta_{a,0}."""
+    """Group algebra of Z_r: mu(1_a,1_b) = 1_{a+b}, eps(1_a) = r delta_{a,0}.
+
+    Memoised: one proven algebra per r, with its caches, per process.
+    """
     r = params.r
     f = simples_object(r)
     one = CycNum.one(r)

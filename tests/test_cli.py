@@ -384,6 +384,29 @@ def test_frobenius_check(capsys):
     assert _payload(capsys, "frobenius-check", "--r", "1")["nakayama_order"] == 1
 
 
+def test_a_second_frobenius_check_reuses_the_proved_algebra(capsys, monkeypatch):
+    from stringnet import frobenius
+
+    first = _run(capsys, "frobenius-check", "--r", "4")
+    evaluated = []
+    real = frobenius.evaluate
+    monkeypatch.setattr(frobenius, "evaluate", lambda *a: evaluated.append(a) or real(*a))
+    assert _run(capsys, "frobenius-check", "--r", "4") == first and first[0] == 0
+    assert evaluated == []
+
+
+def test_sigma_f_reuses_the_handle_boxes_of_an_earlier_call(capsys, monkeypatch):
+    from stringnet import frobenius
+
+    _payload(capsys, "sigma-f", "--r", "2", "--genus", "1", "--indices", "0,1")
+    boxes = dict(frobenius.frobenius_zr(CategoryParams(2)).handle_memo)
+    built = []
+    real = frobenius._chi_diagram
+    monkeypatch.setattr(frobenius, "_chi_diagram", lambda *a: built.append(a[:2]) or real(*a))
+    _payload(capsys, "sigma-f", "--r", "2", "--genus", "2", "--indices", "0,1,0,1")
+    assert built == [] and frobenius.frobenius_zr(CategoryParams(2)).handle_memo[0, 1] is boxes[0, 1]
+
+
 def test_charge_values_and_errors(capsys):
     assert _payload(capsys, "charge", "--data", Z3, "--j", "1", "--u", "2", "--v", "1")["dim"] == 1
     assert _payload(capsys, "charge", "--data", Z3, "--j", "1", "--u", "1", "--v", "2")["dim"] == 0

@@ -404,7 +404,7 @@ def test_morphisms_the_routes_build_unchecked_are_canonical(monkeypatch):
     for r, genus in [(1, 1), (2, 0), (2, 1), (3, 1), (2, 2), (4, 1)]:
         tilde_bp_operator(CategoryParams(r), genus)
     for r, genus in [(2, 2), (3, 1)]:
-        f_data = frobenius_zr(CategoryParams(r))
+        f_data = frobenius_zr.__wrapped__(CategoryParams(r))  # builds its own handle boxes
         for marking in enumerate_admissible(standard_decomposition(genus), r):
             sigma_F(marking, f_data)
     torus_vectors(CategoryParams(3))

@@ -41,7 +41,17 @@ from morphism_reference import trace
 def test_axioms_hold_up_to_r8():
     # the constructor asserts every axiom, so building is the test
     for r in range(1, 9):
-        frobenius_zr(CategoryParams(r))
+        frobenius_zr.__wrapped__(CategoryParams(r))
+
+
+def test_one_algebra_per_r():
+    # every call at one r returns the algebra proved at the first, caches and all;
+    # the unmemoised builder proves a new, equal one
+    for r in (1, 2, 5):
+        fd = frobenius_zr(CategoryParams(r))
+        assert frobenius_zr(CategoryParams(r)) is fd
+        fresh = frobenius_zr.__wrapped__(CategoryParams(r))
+        assert fresh is not fd and fresh == fd
 
 
 def test_structure_constants():
@@ -86,7 +96,7 @@ def test_mu_dropping_one_product_fails_its_axiom(monkeypatch, r, a, b, axiom):
 
     monkeypatch.setattr(frobenius, "FrobeniusAlgebraData", corrupted)
     with pytest.raises(InvariantError) as exc:
-        frobenius_zr(CategoryParams(r))
+        frobenius_zr.__wrapped__(CategoryParams(r))
     assert exc.value.invariant == axiom
 
 
@@ -158,7 +168,7 @@ def test_nakayama_evaluated_once_per_algebra(monkeypatch):
         return real(f_data, direction)
 
     monkeypatch.setattr(frobenius, "_nakayama_diagram", counting)
-    fd = frobenius_zr(CategoryParams(2))
+    fd = frobenius_zr.__wrapped__(CategoryParams(2))
     for genus in (2, 3):
         c = standard_decomposition(genus)
         sigma_F(MarkedPLCW(c, 2, {e.id: e.id % 2 for e in c.edges}), fd)
@@ -215,7 +225,7 @@ def test_reweighted_duality_cell_fails_its_nakayama_check(monkeypatch, cell, inv
     ],
 )
 def test_nakayama_of_wrong_order_fails_its_check(r, diagonal):
-    fd = frobenius_zr(CategoryParams(r))
+    fd = frobenius_zr.__wrapped__(CategoryParams(r))  # not the shared algebra it writes into
     fake = GradedMorphism.from_entries(
         fd.object, fd.object, {(a, a): CycNum.from_rational(r, d) for a, d in enumerate(diagonal)}
     )
@@ -248,7 +258,7 @@ def test_chi_evaluates_one_diagram_per_new_key(monkeypatch):
     # with the Nakayama powers cached, a handle boxes the two powers it needs
     # rather than evaluating them again: sigma_F evaluates its state diagram,
     # and one handle diagram for each label pair it is the first to use
-    fd = frobenius_zr(CategoryParams(4))
+    fd = frobenius_zr.__wrapped__(CategoryParams(4))
     fd.nakayama_powers
     evaluated = _count_calls(monkeypatch, frobenius, "evaluate")
     torus = enumerate_admissible(standard_decomposition(1), 4)
@@ -281,15 +291,17 @@ def _sigma_markings():
 
 def test_sigma_vectors_equal_the_full_chi_route(monkeypatch):
     """sigma_F through the handle boxes, chi on 1_0 alone, equals sigma_F
-    through the full chis."""
+    through the full chis, on an algebra of its own that holds nothing the
+    first route cached."""
     cases = list(_sigma_markings())
     on_unit = [
         [sigma_F(m, frobenius_zr(CategoryParams(r))) for m in markings] for r, markings in cases
     ]
     monkeypatch.setattr(frobenius, "_handle", chi)
-    full = [
-        [sigma_F(m, frobenius_zr(CategoryParams(r))) for m in markings] for r, markings in cases
-    ]
+    full = []
+    for r, markings in cases:
+        fd = frobenius_zr.__wrapped__(CategoryParams(r))
+        full.append([sigma_F(m, fd) for m in markings])
     assert on_unit == full and len(full[-1]) == 36
 
 
@@ -299,7 +311,7 @@ def test_sigma_builds_one_chi_column_per_key(monkeypatch, r, genus, handles):
     once: eta emits 1_0 on F, and each handle keeps it there.  (r | 2 - 2g,
     so genus 2 has no admissible marking at r = 4; genus 3 repeats a key
     across handles.)"""
-    fd = frobenius_zr(CategoryParams(r))
+    fd = frobenius_zr.__wrapped__(CategoryParams(r))
     fd.nakayama_powers
     complex_ = standard_decomposition(genus)
     if handles is None:
@@ -324,7 +336,7 @@ def test_a_handle_that_moves_the_face_strand_fails_its_check(monkeypatch):
     grade 0 throughout, so grade support rules such a row out: only columns
     stored unchecked can hold one."""
     r = 3
-    fd = frobenius_zr(CategoryParams(r))
+    fd = frobenius_zr.__wrapped__(CategoryParams(r))
     fd.nakayama_powers
     real = frobenius.evaluate
 
@@ -366,7 +378,8 @@ def test_chi_labels_count_mod_r():
 def test_chi_evaluated_once_per_key_per_algebra(monkeypatch):
     # every handle of every marking boxes its label pair's chi on 1_0; each
     # pair's diagram is built once per algebra, while chi builds its own on
-    # every call, with the labels reduced mod r
+    # every call, with the labels reduced mod r.  The memoised algebra keeps
+    # its boxes from one call of frobenius_zr to the next; a new one builds its own
     calls = []
     real = frobenius._chi_diagram
 
@@ -375,7 +388,7 @@ def test_chi_evaluated_once_per_key_per_algebra(monkeypatch):
         return real(a, b, f_data)
 
     monkeypatch.setattr(frobenius, "_chi_diagram", counting)
-    fd = frobenius_zr(CategoryParams(2))
+    fd = frobenius_zr.__wrapped__(CategoryParams(2))
     markings = enumerate_admissible(standard_decomposition(2), 2)
     for m in [*markings, *markings]:
         sigma_F(m, fd)
@@ -384,8 +397,12 @@ def test_chi_evaluated_once_per_key_per_algebra(monkeypatch):
     chi(3, -1, fd)
     chi(3, -1, fd)
     assert calls == [*keys, (1, 1), (1, 1)]
+    sigma_F(markings[0], frobenius_zr(CategoryParams(2)))  # warm, if no earlier test was
+    built = len(calls)
     sigma_F(markings[0], frobenius_zr(CategoryParams(2)))
-    assert calls[len(keys) + 2 :] == _handle_keys(markings[:1])
+    assert len(calls) == built
+    sigma_F(markings[0], frobenius_zr.__wrapped__(CategoryParams(2)))
+    assert calls[built:] == _handle_keys(markings[:1])
 
 
 def test_chi_coefficient_vectors_have_full_rank():
