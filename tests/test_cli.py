@@ -407,6 +407,29 @@ def test_sigma_f_reuses_the_handle_boxes_of_an_earlier_call(capsys, monkeypatch)
     assert built == [] and frobenius.frobenius_zr(CategoryParams(2)).handle_memo[0, 1] is boxes[0, 1]
 
 
+def test_a_warm_interpreter_prints_the_golden_bytes_twice(capsys, monkeypatch):
+    """Every default-seed benchmark case, memory probe included, runs twice
+    through this process's `main`, so a process-wide memo (products,
+    decompositions, the Frobenius algebras) that changed an output shows as
+    a digest off perfbench/golden.json, the fresh-process digests."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.chdir(root)  # the cases name their data files from the root
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    from cases import DEFAULT_SEED, WORKLOADS, build_cases, build_probes, case_id
+    from checks import digest, load_golden
+
+    golden, wrong, runs = load_golden(), [], 0
+    for workload in WORKLOADS:
+        for argv in build_cases(workload, DEFAULT_SEED) + build_probes(workload, DEFAULT_SEED):
+            for run in (1, 2):
+                code, out = _run(capsys, *argv)
+                runs += 1
+                if code != 0 or digest(out.encode()) != golden.get(case_id(argv)):
+                    wrong.append(f"run {run} of {case_id(argv)}: exit {code}")
+    assert wrong == [] and runs == 116
+
+
 def test_charge_values_and_errors(capsys):
     assert _payload(capsys, "charge", "--data", Z3, "--j", "1", "--u", "2", "--v", "1")["dim"] == 1
     assert _payload(capsys, "charge", "--data", Z3, "--j", "1", "--u", "1", "--v", "2")["dim"] == 0

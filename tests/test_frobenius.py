@@ -469,7 +469,7 @@ def test_no_library_path_composes_by_hand(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     params = CategoryParams(3)
-    fd = frobenius_zr(params)
+    fd = frobenius_zr.__wrapped__(params)  # unshared: its proofs and boxes are built here
     m = MarkedPLCW(standard_decomposition(1), 3, {0: 1, 1: 2})
     _assert_sigma_closed_form(m, fd)
     for orientation in ("anticlockwise", "clockwise"):
@@ -480,6 +480,7 @@ def test_no_library_path_composes_by_hand(monkeypatch):
     st.half_braiding(GradedObject(3, (1, 2)))
     f = GradedMorphism.identity(fd.object)
     assert trace(f, "left", params) == trace(f, "right", params) == 0
+    frobenius_zr.cache_clear()  # so the CLI handler builds its algebra here too
     for argv in (["frobenius-check", "--r", "3"], ["bp-operator", "--r", "2", "--genus", "1"]):
         assert cli.main(argv) == 0
 
