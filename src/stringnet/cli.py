@@ -21,7 +21,8 @@ modular-data commands do).  Parsing builds only
 the named subcommand's parser, one `_Parser` with no top-level parser
 above it, which reads the arguments after the name; help, an unknown
 command and other top-level errors get the full parser, which lists every
-subcommand.  A handler renders each distinct scalar of its payload once,
+subcommand.  The CLI builds each parser once per process and reuses it on
+every later call.  A handler renders each distinct scalar of its payload once,
 through a memo that lives for that call only, so repeated cells of a
 matrix or vector share one rendering.
 """
@@ -29,6 +30,7 @@ matrix or vector share one rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,7 +73,8 @@ def schema_text(command: str) -> str:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # every payload is a fresh tree built by one call, so it holds no cycle
+    print(json.dumps(payload, check_circular=False, indent=2, sort_keys=True))
 
 
 def _render(a, approx: bool, cyclotomic) -> dict:
@@ -371,15 +374,19 @@ def _declare(parser: _Parser, name: str) -> _Parser:
     for flag, options in flags.items():
         parser.add_argument(f"--{flag}", **options)
     parser.add_argument("--json-schema", action=_SchemaAction, command=name)
-    parser.set_defaults(command=name, handler=handler, inputs=[f for f in flags if f != "approx"])
+    parser.set_defaults(command=name, handler=handler, inputs=tuple(f for f in flags if f != "approx"))
     return parser
 
 
+@functools.lru_cache(maxsize=None)  # at most 13 keys: the subcommands and None
 def _build_parser(command: str | None = None) -> _Parser:
     """Subcommand `command`'s own parser, or the full parser when it is None.
 
     The subcommand's parser reads the arguments after its name and gives the
     namespace, output and exit code the full parser gives for the whole line.
+    A parser is built once per process and keeps nothing between calls: its
+    prog is fixed, its defaults are immutable, and help, errors and
+    `--json-schema` look up `sys.stdout` and `sys.stderr` when they write.
     """
     if command is not None:
         return _declare(_Parser(prog=f"stringnet {command}"), command)

@@ -335,10 +335,8 @@ def from_json(obj: dict) -> CycNum:
         raise ValueError(f"order must be an integer, got {order!r}")
     if type(coeffs) is not list or any(type(c) not in (str, int) for c in coeffs):
         raise ValueError(f"coeffs must be a list of strings or integers, got {coeffs!r}")
-    from fractions import Fraction
-
     try:
-        return CycNum(order, [Fraction(c) for c in coeffs])
+        return CycNum(order, coeffs)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in coefficients {coeffs}") from None
 

@@ -546,6 +546,7 @@ def _parse_outcome(capsys, parser, argv):
 
 def _record_parsers(monkeypatch) -> list:
     """The prog of every `_Parser` built from now on, in order."""
+    cli._build_parser.cache_clear()  # so the parsers earlier tests built are built again
     built = []
     init = cli._Parser.__init__
 
@@ -594,6 +595,39 @@ def test_a_subcommand_run_builds_only_its_own_parser(capsys, monkeypatch):
     _payload(capsys, "sn-dim", "--r", "2", "--genus", "1")
     assert built == ["stringnet sn-dim"]
     assert tuple(_subcommands(_build_parser())) == COMMANDS
+
+
+@pytest.mark.parametrize(
+    "argv", [["sn-dim", "--r", "2", "--genus", "1"], ["sigma-f", "--help"], ["--help"]], ids=str
+)
+def test_a_second_call_builds_no_parser(capsys, monkeypatch, argv):
+    built = _record_parsers(monkeypatch)
+    first = _outcome(capsys, lambda: main(argv))
+    assert built
+    built.clear()
+    assert _outcome(capsys, lambda: main(argv)) == first
+    assert built == []
+
+
+def test_a_shared_parser_keeps_nothing_between_calls(capsys):
+    cli._build_parser.cache_clear()  # the first round builds its parsers, the second reuses them
+    calls = [
+        ["sn-dim", "--r", "2"],  # a usage error
+        ["bp-operator", "--json-schema"],
+        ["bp-operator", "--r", "2", "--genus", "1", "--approx"],
+        ["bp-operator", "--r", "2", "--genus", "1"],
+        ["bp-operator", "--help"],
+        ["--help"],
+        ["no-such-command"],
+    ]
+
+    def outcomes():
+        return [_outcome(capsys, lambda: main(argv)) for argv in calls]
+
+    first = outcomes()
+    assert outcomes() == first
+    assert [code for code, _, _ in first] == [2, 0, 0, 0, 0, 0, 2]
+    assert "approx" in first[2][1] and "approx" not in first[3][1]
 
 
 def test_each_distinct_scalar_is_rendered_once_per_call(capsys, monkeypatch):

@@ -150,6 +150,16 @@ def test_from_json_takes_integer_coefficients():
     assert from_json({"order": 3, "coeffs": [2, "-1/2"]}) == zeta_power(3, 1) * Fraction(-1, 2) + 2
 
 
+def test_from_json_maps_a_zero_denominator_to_value_error():
+    with pytest.raises(ValueError, match="zero denominator in coefficients"):
+        from_json({"order": 3, "coeffs": ["1/0", "0/1"]})
+
+
+def test_from_json_checks_the_conductor_before_the_coefficients():
+    with pytest.raises(ValueError, match="conductor must be positive, got 0"):
+        from_json({"order": 0, "coeffs": ["1/0"]})
+
+
 def test_zero_is_canonical():
     z = zeta_power(6, 1) + zeta_power(6, 1) * -1
     assert z == CycNum.zero(6)
