@@ -374,7 +374,8 @@ def _declare(parser: _Parser, name: str) -> _Parser:
     for flag, options in flags.items():
         parser.add_argument(f"--{flag}", **options)
     parser.add_argument("--json-schema", action=_SchemaAction, command=name)
-    parser.set_defaults(command=name, handler=handler, inputs=tuple(f for f in flags if f != "approx"))
+    inputs = tuple(f for f in flags if f != "approx")
+    parser.set_defaults(command=name, handler=handler, inputs=inputs)
     return parser
 
 
