@@ -6,10 +6,11 @@ swap.  The construction is validated by its testable consequences: there are
 r^2 simples, matching the torus string-net dimension, and the torus vectors
 h_Z they produce are linearly independent.
 
-`h_vector` is one loop sum of diagrams on the underlying object C_a;
-`torus_vectors` runs the same diagrams on L, the sum of all simples, so one
-loop sum per character k gives the r vectors h_(a,k) as its grade blocks:
-r^2 diagrams for the whole basis.
+`h_vector` is one loop sum of diagrams on the underlying object C_a.
+`torus_vectors` runs the character-0 diagrams on L, the sum of all simples,
+once per loop label u, and applies each character k as the scalar
+zeta^{-ku} its braid box is on the simple strand C_u^dual: r diagrams for
+the whole basis of r^2 vectors h_(a,k).
 
 The half-braiding on the lifted hull Ahat(Z) of a centre simple Z is
 assembled from dual-basis pairs in C(i (x) W, j) by diagram evaluation,
@@ -122,14 +123,24 @@ def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
 def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:
     """h_Z for every centre simple, in `list_centre_simples` order.
 
-    One loop sum per character k, over X = L the sum of all simples:
-    jmath(C_a, U) lands only at position a*r+u, so the grade-a block of that
-    sum is h_(a,k) and every other block is zero in h_(a,k).
+    One diagram per loop label u, over X = L the sum of all simples, with
+    character 0.  On the strand C_u^dual, of grade g = -u, the braid box of
+    character k is zeta^{kg} times that of character 0, so the u-th term of
+    h_(a,k) is zeta^{kg} times the weighted entry the u-th diagram puts at
+    a*r+u.  jmath(C_a, U) lands only there, one term per a (a named check),
+    so no position receives two terms: r diagrams for the whole basis.
     """
     r = params.r
-    sums = [_h_column(simples_object(r), k, params) for k in range(r)]
+    x = simples_object(r)
+    terms = []  # terms[u][a]: the weighted u-th loop term, at a*r+u
+    for u in range(r):
+        column = evaluate(_h_summand_diagram(x, 0, u, params), params).columns[0]
+        landed = [p for p, _ in column] == list(range(u, r * r, r))
+        require(landed, "torus loop term lands at a*r+u")
+        weight = loop_weight(u, "right", params)
+        terms.append([c * weight for _, c in column])
     return [
-        HomSpaceVector(r, 1, [(p, c) for p, c in sums[k] if p // r == a])
+        HomSpaceVector(r, 1, [(a * r + u, params.zeta(-k * u) * t[a]) for u, t in enumerate(terms)])
         for a in range(r)
         for k in range(r)
     ]

@@ -43,7 +43,30 @@ class _FlagError(Exception):
     """Bad invocation detected after argparse; exits with code 2."""
 
 
+class _NegativeNumber:
+    """argparse's test for a value that starts with a minus sign, widened.
+
+    argparse reads "-1" and "-.5" as values but "-1,5" as an option; a comma
+    list of integers is a value too, so "--indices -1,5" reads as
+    "--indices=-1,5" does.  argparse asks only about an argument that starts
+    with "-" and names no flag, so a parse of flags and plain values pays
+    nothing, and no pattern is compiled.
+    """
+
+    def __init__(self, number) -> None:
+        self.number = number  # argparse's own compiled pattern
+
+    def match(self, text: str):
+        return self.number.match(text) or all(
+            part.removeprefix("-").isdecimal() for part in text.split(",")
+        )
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber(self._negative_number_matcher)
+
     def error(self, message):
         _emit({"error": message})
         raise SystemExit(2)

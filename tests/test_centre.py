@@ -117,14 +117,36 @@ def test_torus_vectors_are_the_h_vectors(r):
     assert torus_vectors(params) == [h_vector(z, params) for z in list_centre_simples(params)]
 
 
-def test_torus_vectors_evaluate_r_squared_diagrams(monkeypatch):
+def test_torus_vectors_evaluate_one_diagram_per_loop_label(monkeypatch):
     calls = []
     real = diagrams.evaluate
-    monkeypatch.setattr(diagrams, "evaluate", lambda d, params: calls.append(d) or real(d, params))
+
+    def spy(d, params):
+        calls.append(d)
+        return real(d, params)
+
+    monkeypatch.setattr(diagrams, "evaluate", spy)
+    monkeypatch.setattr(centre, "evaluate", spy)
     for r in range(1, 6):
         calls.clear()
         torus_vectors(CategoryParams(r))
-        assert len(calls) == r * r
+        assert len(calls) == r
+
+
+def test_a_torus_loop_term_off_its_position_fails_the_landing_check(monkeypatch):
+    real = centre.evaluate
+
+    def moved(d, params):
+        # the first term of the column moves one position up, off a*r+u
+        m = real(d, params)
+        (p, c), *rest = m.columns[0]
+        entries = {(p + 1, 0): c, **{(i, 0): e for i, e in rest}}
+        return GradedMorphism.from_entries(m.source, m.target, entries)
+
+    monkeypatch.setattr(centre, "evaluate", moved)
+    with pytest.raises(InvariantError) as exc:
+        torus_vectors(CategoryParams(2))
+    assert exc.value.invariant == "torus loop term lands at a*r+u"
 
 
 def test_h_vectors_linearly_independent():

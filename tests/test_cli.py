@@ -580,6 +580,30 @@ def test_the_one_subcommand_parser_parses_as_the_full_one(capsys, monkeypatch, n
         ), tail
 
 
+@pytest.mark.parametrize("name", ["rspin-check", "sigma-f"])
+def test_a_negative_index_list_reads_the_same_in_both_spellings(capsys, name):
+    head = ["--r", "2", "--genus", "1"]
+    spaced, joined = [*head, "--indices", "-1,5"], [*head, "--indices=-1,5"]
+    ran = [_outcome(capsys, lambda argv=argv: main([name, *argv])) for argv in (spaced, joined)]
+    assert ran[0] == ran[1] and ran[0][0] == 0 and ran[0][2] == ""
+    if name == "sigma-f":  # indices count mod r
+        assert json.loads(ran[0][1])["marking"]["indices"] == {"0": 1, "1": 1}
+    one, full = _build_parser(name), _build_parser()
+    parsed = [
+        _parse_outcome(capsys, parser, argv)
+        for argv in (spaced, joined)
+        for parser, argv in ((one, argv), (full, [name, *argv]))
+    ]
+    assert parsed[0][0]["indices"] == [-1, 5]
+    assert parsed.count(parsed[0]) == 4
+    # a malformed list still starts with a minus sign, so it is still an option
+    malformed = [*head, "--indices", "-1,x"]
+    for parser, argv in ((one, malformed), (full, [name, *malformed])):
+        code, out, _ = _parse_outcome(capsys, parser, argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "argument --indices: expected one argument"}
+
+
 @pytest.mark.parametrize(
     "argv", [[], ["--help"], ["no-such-command"], ["--r", "2", "sn-dim"]], ids=str
 )

@@ -408,6 +408,7 @@ def test_morphisms_the_routes_build_unchecked_are_canonical(monkeypatch):
         for marking in enumerate_admissible(standard_decomposition(genus), r):
             sigma_F(marking, f_data)
     torus_vectors(CategoryParams(3))
+    torus_vectors(CategoryParams(4))
     operators = [m for m in built if m.source.dim > 1 and m.source == m.target]
     assert len(built) > 100 and operators
     for m in built:

@@ -1,10 +1,11 @@
 """The library computes exactly: no float or complex value enters a computation.
 
-Float and complex literals, `float(` and `complex(` calls, `cmath`, and any
-`math` function outside the integer ones are rejected in every module.  The
-one exemption is `cyclotomic.approx_complex`, the opt-in `--approx`
-rendering, whose result is never fed back.  Calls are matched, not names:
-`complex` is also a parameter name in `rspin`.
+Float and complex literals, `float(` and `complex(` calls, `cmath`, any
+`math` function outside the integer ones, and true division (`/`, `/=`) are
+rejected in every module; a `/` with a string or f-string operand is a path
+join and passes.  The one exemption is `cyclotomic.approx_complex`, the
+opt-in `--approx` rendering, whose result is never fed back.  Calls are
+matched, not names: `complex` is also a parameter name in `rspin`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,20 @@ def _float_uses(source: str, exempt=frozenset()) -> list[tuple[int, str]]:
         elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math":
             if node.attr not in INTEGER_MATH:
                 found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            if not (_is_text(node.left) or _is_text(node.right)):
+                found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            if not _is_text(node.value):
+                found.append((node.lineno, "true division"))
     return sorted(found)
+
+
+def _is_text(node) -> bool:
+    """A string literal or an f-string: the operand of a path join."""
+    return isinstance(node, ast.JoinedStr) or (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
 
 
 def test_the_check_finds_each_inexact_construct():
@@ -59,7 +73,10 @@ def test_the_check_finds_each_inexact_construct():
         "    return float(r), complex(r), math.pi, math.isqrt(r), gcd(r, complex)\n"
         "def approx_complex(a):\n"
         "    import cmath\n"
-        "    return complex(cmath.exp(1.0j))\n"
+        "    return complex(cmath.exp(1.0j / a))\n"
+        "def g(a, b, root, name):\n"
+        "    a /= b\n"
+        "    return a / b, a // b, root / 'data' / f'{name}.json'\n"
     )
     want = [
         (2, "math.sqrt"),
@@ -69,9 +86,11 @@ def test_the_check_finds_each_inexact_construct():
         (6, "complex( call"),
         (6, "float( call"),
         (6, "math.pi"),
+        (11, "true division"),
+        (12, "true division"),
     ]
     assert _float_uses(source, {"approx_complex"}) == want
-    assert (8, "cmath import") in _float_uses(source)
+    assert {(8, "cmath import"), (9, "true division")} <= set(_float_uses(source))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

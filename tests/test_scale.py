@@ -96,8 +96,8 @@ def test_four_routes_agree(r, genus, bound_s):
 
 # (r, bound): each bound is 3 x the median of three measured times
 TORUS_CASES = [
-    pytest.param(7, 3 * 0.030, id="torus-r7"),
-    pytest.param(8, 3 * 0.027, id="torus-r8"),
+    pytest.param(7, 3 * 0.027, id="torus-r7"),
+    pytest.param(8, 3 * 0.020, id="torus-r8"),
 ]
 
 
