@@ -48,9 +48,10 @@ class _NegativeNumber:
 
     argparse reads "-1" and "-.5" as values but "-1,5" as an option; a comma
     list of integers is a value too, so "--indices -1,5" reads as
-    "--indices=-1,5" does.  argparse asks only about an argument that starts
-    with "-" and names no flag, so a parse of flags and plain values pays
-    nothing, and no pattern is compiled.
+    "--indices=-1,5" does.  argparse asks it about each flag it declares
+    and, when parsing, only about an argument that starts with "-" and names
+    no flag, so a parse of flags and plain values pays nothing; no pattern
+    is compiled for it.
     """
 
     def __init__(self, number) -> None:
