@@ -12,12 +12,12 @@ once per loop label u, and applies each character k as the scalar
 zeta^{-ku} its braid box is on the simple strand C_u^dual: r diagrams for
 the whole basis of r^2 vectors h_(a,k).
 
-The half-braiding on the lifted hull Ahat(Z) of a centre simple Z is
-assembled from dual-basis pairs in C(i (x) W, j) by diagram evaluation,
-block by block; the closed form (blocks shift by the grade of W with
-coefficient 1) is what the tests check it against.  The unit-like map
-Ahat(Z) -> Z and the counit-like map Z -> Ahat(Z) are each built once, r
-small diagrams apiece; the hull projector p_Y is the second after the first.
+The lifted hull Ahat(Z) of a centre simple Z is r copies of C_a, block u
+at position u.  Its half-braiding is assembled from dual-basis pairs in
+C(i (x) W, j) by diagram evaluation, one entry per block and position of W,
+and the tests check it against the closed form (blocks shift by the grade of
+W, coefficient 1).  `ahat_structure` builds the unit-like and counit-like
+maps once, r small diagrams apiece; p_Y is the second after the first.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .category import (
     simple_object,
     tensor_objects,
 )
-from .coends import CentralHull, HomSpaceVector, central_hull, coend_object, jmath, simples_object
+from .coends import HomSpaceVector, central_hull, coend_object, jmath, simples_object
 from .cyclotomic import CycNum
 from .diagrams import (
     SliceDiagram,
@@ -110,14 +110,11 @@ def _h_summand_diagram(x: GradedObject, k: int, u: int, params: CategoryParams) 
     return SliceDiagram(coend_object(r), layers)
 
 
-def _h_column(x: GradedObject, k: int, params: CategoryParams) -> tuple:
-    """The one column, as (position, entry) pairs, of the loop sum 1 -> H on X."""
-    return loop_sum(lambda u: _h_summand_diagram(x, k, u, params), "right", params).columns[0]
-
-
 def h_vector(z: CentreSimple, params: CategoryParams) -> HomSpaceVector:
     """The genus-1 vector of a centre simple: the `loop_sum` of its summands."""
-    return HomSpaceVector(params.r, 1, _h_column(z.underlying(), z.k, params))
+    x = z.underlying()
+    total = loop_sum(lambda u: _h_summand_diagram(x, z.k, u, params), "right", params)
+    return HomSpaceVector(params.r, 1, total.columns[0])
 
 
 def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:
@@ -147,21 +144,18 @@ def torus_vectors(params: CategoryParams) -> list[HomSpaceVector]:
 
 
 def p_Y_projector(y: CentreSimple, params: CategoryParams) -> GradedMorphism:
-    """The idempotent on A(C_a) with one-dimensional image labelled by Y:
-    the counit-like map after the unit-like one."""
-    hull = central_hull(y.underlying())
-    layers = [
-        [box(_unitlike_map(y, hull, params))],
-        [box(_counitlike_map(y, hull, params))],
-    ]
-    proj = evaluate(SliceDiagram(hull.object, layers), params)
-    square = evaluate(SliceDiagram(hull.object, [[box(proj)], [box(proj)]]), params)
+    """The idempotent on A(C_a) with one-dimensional image labelled by Y: the
+    counit-like map after the unit-like one, both from `ahat_structure`."""
+    st = ahat_structure(y, params)
+    layers = [[box(st.unitlike)], [box(st.counitlike)]]
+    proj = evaluate(SliceDiagram(st.hull, layers), params)
+    square = evaluate(SliceDiagram(st.hull, [[box(proj)], [box(proj)]]), params)
     require(square == proj, "hull projector p_Y is idempotent")
     return proj
 
 
 class AhatStructure(NamedTuple):
-    hull: CentralHull
+    hull: GradedObject
     half_braiding: Callable[[GradedObject], GradedMorphism]
     unitlike: GradedMorphism
     counitlike: GradedMorphism
@@ -200,32 +194,25 @@ def _ahat_braiding_block(
 
 
 def ahat_structure(z: CentreSimple, params: CategoryParams) -> AhatStructure:
-    """Half-braiding on Ahat(Z) and the two maps relating Z and Ahat(Z),
-    the second carrying the dim_r(U)/Dim prefactor.
-    """
+    """Ahat(Z), r one-dimensional blocks with block u at u, its half-braiding,
+    and the unit-like and counit-like maps (the second carrying the
+    dim_r(U)/Dim prefactor): the one place the two maps are built."""
     m = z.underlying()
     r = params.r
     hull = central_hull(m)
-    dm = m.dim
 
     def braiding(w: GradedObject) -> GradedMorphism:
-        src = tensor_objects(hull.object, w)
-        tgt = tensor_objects(w, hull.object)
+        src = tensor_objects(hull, w)
+        tgt = tensor_objects(w, hull)
         entries: dict = {}
         dw = w.dim
         for i in range(r):
             for p in range(dw):
-                # block source [i-dual] M [i] W, target W [j-dual] M [j];
-                # alpha pins the W position to p on both sides
+                # block source [i-dual] M [i] W, target W [j-dual] M [j], both
+                # of dimension dw; alpha pins the W position to p on both sides
                 block = _ahat_braiding_block(m, i, p, w, params)
                 j = (i + w.grades[p]) % r
-                # W stays at p, so each row is p*dm + m_out; each (i, p, m_in)
-                # is its own source column, so no key is written twice
-                for m_in in range(dm):
-                    src_flat = (hull.offsets[i] + m_in) * dw + p
-                    for row, e in block.columns[m_in * dw + p]:
-                        m_out = row - p * dm
-                        entries[p * (r * dm) + hull.offsets[j] + m_out, src_flat] = e
+                entries[p * r + j, i * dw + p] = block.entry(p, p)
         return GradedMorphism(src, tgt, entries)
 
     return AhatStructure(
@@ -234,7 +221,7 @@ def ahat_structure(z: CentreSimple, params: CategoryParams) -> AhatStructure:
 
 
 def _unitlike_map(
-    z: CentreSimple, hull: CentralHull, params: CategoryParams
+    z: CentreSimple, hull: GradedObject, params: CategoryParams
 ) -> GradedMorphism:
     """Ahat(Z) -> Z: per block a braiding with the U strand, then a cap."""
     r = params.r
@@ -247,12 +234,12 @@ def _unitlike_map(
             [cap_left(u_obj), identity(a_obj)],
         ]
         val = evaluate(SliceDiagram(a_obj, layers), params)
-        entries[(0, hull.offsets[u])] = val.entry(0, 0)
-    return GradedMorphism(hull.object, a_obj, entries)
+        entries[(0, u)] = val.entry(0, 0)
+    return GradedMorphism(hull, a_obj, entries)
 
 
 def _counitlike_map(
-    z: CentreSimple, hull: CentralHull, params: CategoryParams
+    z: CentreSimple, hull: GradedObject, params: CategoryParams
 ) -> GradedMorphism:
     """Z -> Ahat(Z): U-cup then braiding, weighted by dim_r(U)/Dim."""
     r = params.r
@@ -267,5 +254,5 @@ def _counitlike_map(
             [box(braid), identity(u_obj)],
         ]
         val = evaluate(SliceDiagram(top, layers), params)
-        entries[(hull.offsets[u], 0)] = val.entry(0, 0) * loop_weight(u, "right", params)
-    return GradedMorphism(a_obj, hull.object, entries)
+        entries[(u, 0)] = val.entry(0, 0) * loop_weight(u, "right", params)
+    return GradedMorphism(a_obj, hull, entries)

@@ -5,8 +5,8 @@ H is the direct sum over pairs of simples (s,t) of S^dual (x) T^dual (x) S
 zero, so maps out of the unit see all r^2 of them.  `coend_object` builds it
 once per r, and every module that draws H takes it from there.  A(X) is the
 direct sum over simples U of U^dual (x) X (x) U; the grades of U^dual and U
-cancel, so for graded X it is r copies of X stacked in order u = 0..r-1, and
-`central_hull` writes it down as that.
+cancel, so for graded X it is r copies of X, block u at u * dim X, and
+`central_hull` returns that graded object.
 
 jmath is written in closed form, one entry 1 per pair of positions of X and
 Y, and memoised like the objects it is built from.  The scaled-basis
@@ -62,15 +62,9 @@ def coend_split(r: int) -> GradedMorphism:
     return GradedMorphism.from_entries(coend_object(r), forward.source, entries)
 
 
-class CentralHull(Record):
-    """A(X) together with where each summand u sits inside it."""
-
-    __slots__ = _fields = ("object", "offsets")
-
-
-def central_hull(x: GradedObject) -> CentralHull:
-    """A(X): the blocks U^dual (x) X (x) U for u = 0..r-1, each with the grades of X."""
-    return CentralHull(GradedObject(x.r, x.grades * x.r), tuple(u * x.dim for u in range(x.r)))
+def central_hull(x: GradedObject) -> GradedObject:
+    """A(X): r copies of X, the block U^dual (x) X (x) U at u * dim X for u = 0..r-1."""
+    return GradedObject(x.r, x.grades * x.r)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -26,6 +26,7 @@ import json
 from pathlib import Path
 
 from . import ModularDataError, Record
+from .caps import check_cap
 from .cyclotomic import CycNum, from_json
 from .linalg import rank_cyc
 
@@ -133,7 +134,21 @@ class ModularData(Record):
             ) from None
 
 
+def _price_base(obj) -> int:
+    """labels x conductor from the raw JSON, the conductor the largest integer
+    `order` in dims and s; a malformed part counts 1, for the parse to report."""
+    if not isinstance(obj, dict):
+        return 1
+    labels, dims, s = obj.get("labels"), obj.get("dims"), obj.get("s")
+    rows = [dims] + (s if isinstance(s, list) else [])
+    cells = [c for row in rows if isinstance(row, list) for c in row if isinstance(c, dict)]
+    orders = [o for o in (c.get("order") for c in cells) if type(o) is int and o > 1]
+    return (len(labels) if isinstance(labels, list) and labels else 1) * max(orders, default=1)
+
+
 def modular_data_from_json(obj: dict) -> ModularData:
+    """Parse and validate, priced at (labels x conductor)^2 before any field element."""
+    check_cap("(labels x conductor)^2 of the modular data", _price_base(obj), 2)
     try:
         labels = obj["labels"]
         dual = tuple(obj["dual"])
@@ -149,8 +164,9 @@ def modular_data_from_json(obj: dict) -> ModularData:
 def load_modular_data(path) -> ModularData:
     """Parse and validate a modular-data JSON file.
 
-    Raises FileNotFoundError, ValueError on malformed JSON, and
-    ModularDataError when an identity fails.
+    Raises FileNotFoundError, ValueError on malformed JSON, SizeCapError
+    when the file's price exceeds the cap, and ModularDataError when an
+    identity fails.
     """
     return modular_data_from_json(json.loads(Path(path).read_text()))
 

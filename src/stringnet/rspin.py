@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import Record
-from .caps import check_cap, power_digits
+from .caps import check_cap, int_digits, power_digits
 
 
 class Edge(NamedTuple):
@@ -306,7 +306,8 @@ def enumerate_admissible(
 def count_rspin(genus: int, r: int) -> int:
     """Closed-form count of r-spin structures: r^{2g} when r | 2-2g, else 0.
 
-    A count longer than `sys.get_int_max_str_digits()` is refused unbuilt.
+    A count longer than `sys.get_int_max_str_digits()` is refused unbuilt; a
+    digit count itself too long to print is named by its own digit count.
     """
     genus, r = _integer(genus, "genus"), _integer(r, "r")
     if genus < 0:
@@ -318,8 +319,9 @@ def count_rspin(genus: int, r: int) -> int:
     limit = sys.get_int_max_str_digits()
     digits = power_digits(r, 2 * genus)
     if limit and digits > limit:
+        shown = digits if int_digits(digits) <= limit else f"n digits, n of {int_digits(digits)}"
         raise ValueError(
-            f"the count r^2g for r={r}, genus={genus} has {digits} digits, "
+            f"the count r^2g for r={r}, genus={genus} has {shown} digits, "
             f"more than the {limit} Python prints"
         )
     return r ** (2 * genus)

@@ -213,5 +213,4 @@ def tilde_bp_operator(
 def annulus_hom_dim(a: int, b: int, params: CategoryParams) -> int:
     """dim C(C_a, A(C_b)): count hull summands of grade a."""
     r = params.r
-    hull = central_hull(simple_object(r, b))
-    return sum(1 for g in hull.object.grades if g == a % r)
+    return central_hull(simple_object(r, b)).grades.count(a % r)

@@ -23,7 +23,7 @@ from stringnet.caps import ENV_VAR
 from stringnet.category import CategoryParams
 from stringnet.centre import h_vector, list_centre_simples
 from stringnet.cli import COMMANDS, _build_parser, main, schema_text
-from stringnet.cyclotomic import CycNum, to_json
+from stringnet.cyclotomic import CycNum, to_json, zeta_power
 from stringnet.modular import sample_path
 
 Z3 = str(sample_path("z3_pointed"))
@@ -166,6 +166,9 @@ def test_sphere_and_annulus_are_priced_at_the_default_cap(capsys, monkeypatch):
         assert (payload["size"], payload["cap"]) == (size, 10000)
 
 
+DIGITS_GENUS = "25" + "0" * 4297 + "1"
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -173,8 +176,16 @@ def test_sphere_and_annulus_are_priced_at_the_default_cap(capsys, monkeypatch):
         (["rspin-count", "--r", "2", "--genus", "10000"], "r=2, genus=10000 has 6021 digits"),
         (["bp-operator", "--r", "2", "--genus", "10000"], "needs 2^20000 > cap 10000"),
         (["rspin-enumerate", "--r", "2", "--genus", "100000"], "needs 2^200000 > cap 10000"),
+        # 100 divides 2 - 2g, and 100^2g has 4g + 1 digits: a count of 4,301 digits
+        (["sn-dim", "--r", "100", "--genus", DIGITS_GENUS],
+         f"r=100, genus={DIGITS_GENUS} has n digits, n of 4301 digits, more than the 4300"),
+        (["rspin-count", "--r", "100", "--genus", DIGITS_GENUS],
+         f"r=100, genus={DIGITS_GENUS} has n digits, n of 4301 digits, more than the 4300"),
     ],
-    ids=["sn-dim", "rspin-count", "bp-operator", "rspin-enumerate"],
+    ids=[
+        "sn-dim", "rspin-count", "bp-operator", "rspin-enumerate",
+        "sn-dim-digit-count", "rspin-count-digit-count",
+    ],
 )
 def test_huge_powers_are_priced_without_being_built(argv, error):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -506,6 +517,77 @@ def test_malformed_modular_files_give_json_errors(capsys, tmp_path):
         capsys, "charge", "--data", str(vanishing_dim), "--j", "1", "--u", "x", "--v", "x"
     )
     assert code == 1 and json.loads(out)["violations"] == ["dim of x vanishes"]
+
+
+def _one_label(order: int, coeffs: list) -> dict:
+    cell = {"order": order, "coeffs": coeffs}
+    return {"labels": ["1"], "dual": [0], "dims": [cell], "s": [[cell]]}
+
+
+def _pointed(n: int) -> dict:
+    """Z_n with s_{a,b} = zeta_n^{ab}: valid modular data, n labels at conductor n."""
+    return {
+        "labels": [str(a) for a in range(n)],
+        "dual": [-a % n for a in range(n)],
+        "dims": [to_json(CycNum.one(n))] * n,
+        "s": [[to_json(zeta_power(n, a * b)) for b in range(n)] for a in range(n)],
+    }
+
+
+@pytest.mark.parametrize("command", ["validate-modular", "charge"])
+@pytest.mark.parametrize(
+    "obj, size",
+    [
+        (_one_label(30030, ["1/1"]), 30030**2),  # cyclotomic_polynomial(30030) alone takes a minute
+        (_one_label(9973, ["1/1"] + ["0/1"] * 9971), 9973**2),  # 100 KB, n powers of zeta stored
+        (_one_label(10**6, ["1/1"]), 10**12),
+        (_pointed(40), 1600**2),  # valid, a 640 x 640 rank over Q
+    ],
+    ids=["conductor-30030", "conductor-9973", "conductor-1e6", "z40-pointed"],
+)
+def test_modular_data_is_priced_before_any_field_element_is_built(tmp_path, command, obj, size):
+    # (labels x largest order)^2, read from the raw JSON
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(obj))
+    argv = [command, "--data", str(data)]
+    if command == "charge":
+        argv += ["--j", "1", "--u", "1", "--v", "1"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(ENV_VAR, None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringnet.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (1, "")
+    payload = json.loads(proc.stdout)
+    assert (payload["size"], payload["cap"]) == (size, 10000)
+    assert "(labels x conductor)^2 of the modular data" in payload["error"]
+    assert elapsed < 1
+
+
+def test_the_cap_setting_admits_modular_data_past_the_default(capsys, tmp_path, monkeypatch):
+    # one label at conductor 101 prices at 101^2, just past the default cap
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(_one_label(101, ["1/1"] + ["0/1"] * 99)))
+    charge = ["charge", "--data", str(data), "--j", "1", "--u", "1", "--v", "1"]
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    for argv in (["validate-modular", "--data", str(data)], charge):
+        code, out = _run(capsys, *argv)
+        assert code == 1
+        assert (json.loads(out)["size"], json.loads(out)["cap"]) == (10201, 10000)
+    monkeypatch.setenv(ENV_VAR, "10201")
+    assert _payload(capsys, "validate-modular", "--data", str(data))["valid"] is True
+    assert _payload(capsys, *charge)["dim"] == 1
+    # z5_pointed, the largest shipped sample, prices at 25^2
+    monkeypatch.setenv(ENV_VAR, "624")
+    code, out = _run(capsys, "validate-modular", "--data", str(sample_path("z5_pointed")))
+    assert (code, json.loads(out)["size"]) == (1, 625)
 
 
 def _example_argv(name):

@@ -51,15 +51,14 @@ def test_coend_summands_lex_and_grade_zero():
 
 def test_central_hull_of_unit():
     hull = central_hull(simple_object(3, 0))
-    assert hull.object.grades == (0, 0, 0)
-    assert hull.offsets == (0, 1, 2)
+    assert hull == GradedObject(3, (0, 0, 0))
 
 
 @pytest.mark.parametrize("r", range(1, 6))
 def test_central_hull_of_simple_is_r_copies(r):
     for b in range(r):
         hull = central_hull(simple_object(r, b))
-        assert hull.object.grades == (b,) * r
+        assert hull == GradedObject(r, (b,) * r)
 
 
 @given(st.data())
@@ -68,11 +67,12 @@ def test_central_hull_dimension(data):
     r = data.draw(st.integers(1, 5))
     x = GradedObject(r, data.draw(st.lists(st.integers(0, r - 1), max_size=4)))
     hull = central_hull(x)
-    assert hull.object.dim == r * x.dim
-    assert hull.offsets == tuple(u * x.dim for u in range(r))
+    assert hull.r == r
+    assert hull.dim == r * x.dim
+    # block u, the summand U^dual (x) X (x) U, sits at u * dim X
     for u in range(r):
-        off = hull.offsets[u]
-        assert hull.object.grades[off : off + x.dim] == x.grades
+        off = u * x.dim
+        assert hull.grades[off : off + x.dim] == x.grades
 
 
 def test_jmath_unit_case():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from stringnet.caps import ENV_VAR, SizeCapError
 from stringnet.cyclotomic import CycNum, to_json, zeta_power
 from stringnet.modular import (
     ModularData,
@@ -149,6 +150,34 @@ def test_malformed_files(tmp_path):
     )
     with pytest.raises(ModularDataError, match="dim of x vanishes"):
         load_modular_data(vanishing_dim)
+
+
+def test_files_are_priced_from_the_raw_json(monkeypatch):
+    # (labels x largest integer order)^2, before any field element is built
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    cell = {"order": 30030, "coeffs": ["1/1"]}
+    obj = {"labels": ["1", "x"], "dual": [0, 1], "dims": [cell, cell], "s": [[cell]]}
+    with pytest.raises(SizeCapError) as exc:
+        modular_data_from_json(obj)
+    assert (exc.value.size, exc.value.cap) == (60060**2, 10000)
+    # the largest order counts, wherever it sits in dims or s
+    small = {"order": 3, "coeffs": ["1/1", "0/1"]}
+    obj = {**obj, "dims": [small, small], "s": [[small, small], [small, cell]]}
+    with pytest.raises(SizeCapError, match="needs 3607203600 > cap"):
+        modular_data_from_json(obj)
+    # a malformed part is left out of the price, so the parse names it
+    for order in ("30030", True, 30030.0):
+        bad = {"order": order, "coeffs": ["1/1"]}
+        with pytest.raises(ValueError, match="order must be an integer"):
+            modular_data_from_json({"labels": ["1"], "dual": [0], "dims": [bad], "s": [[bad]]})
+    with pytest.raises(ValueError, match="not a modular-data object"):
+        modular_data_from_json([cell])
+    with pytest.raises(SizeCapError, match=f"needs {30030**2} > cap"):
+        modular_data_from_json({"labels": 5, "dims": [cell]})
+    # the shipped samples price at 1, 64, 81 and 625
+    monkeypatch.setenv(ENV_VAR, "625")
+    for name in SAMPLES:
+        modular_data_from_json(_sample_json(name))
 
 
 def test_unknown_label():
