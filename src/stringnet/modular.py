@@ -31,7 +31,7 @@ from .cyclotomic import CycNum, from_json
 from .linalg import rank_cyc
 
 
-def _shape_violations(labels, dual, dims, s) -> list[str]:
+def _shape_violations(labels, dual, dims, s, orders) -> list[str]:
     n = len(labels)
     out = []
     if not n:
@@ -44,7 +44,6 @@ def _shape_violations(labels, dual, dims, s) -> list[str]:
         out.append("dual entries must be integers")
     if len(s) != n or any(len(row) != n for row in s):
         out.append(f"s must be a {n}x{n} matrix")
-    orders = {d.order for d in dims} | {e.order for row in s for e in row}
     if len(orders) > 1:
         out.append("entries use mixed cyclotomic orders")
     return out
@@ -66,7 +65,8 @@ class ModularData(Record):
             tuple(dims),
             tuple(tuple(row) for row in s_unnorm),
         )
-        violations = _shape_violations(self.labels, self.dual, self.dims, self.s_unnorm)
+        orders = {e.order for row in (self.dims, *self.s_unnorm) for e in row}
+        violations = _shape_violations(self.labels, self.dual, self.dims, self.s_unnorm, orders)
         if not violations:
             violations = self._identity_violations()
         if violations:
@@ -134,30 +134,42 @@ class ModularData(Record):
             ) from None
 
 
+def _raw_orders(dims, s) -> set[int]:
+    """The integer `order`s of the raw JSON entries of dims and s; a malformed
+    part is left out, for the parse to report."""
+    rows = [dims] + (s if isinstance(s, list) else [])
+    cells = [c for row in rows if isinstance(row, list) for c in row if isinstance(c, dict)]
+    return {o for o in (c.get("order") for c in cells) if type(o) is int}
+
+
 def _price_base(obj) -> int:
     """labels x conductor from the raw JSON, the conductor the largest integer
     `order` in dims and s; a malformed part counts 1, for the parse to report."""
     if not isinstance(obj, dict):
         return 1
-    labels, dims, s = obj.get("labels"), obj.get("dims"), obj.get("s")
-    rows = [dims] + (s if isinstance(s, list) else [])
-    cells = [c for row in rows if isinstance(row, list) for c in row if isinstance(c, dict)]
-    orders = [o for o in (c.get("order") for c in cells) if type(o) is int and o > 1]
+    labels = obj.get("labels")
+    orders = [o for o in _raw_orders(obj.get("dims"), obj.get("s")) if o > 1]
     return (len(labels) if isinstance(labels, list) and labels else 1) * max(orders, default=1)
 
 
 def modular_data_from_json(obj: dict) -> ModularData:
-    """Parse and validate, priced at (labels x conductor)^2 before any field element."""
+    """Parse and validate; the price, (labels x conductor)^2, and the shape are
+    read from the raw JSON, so both refuse a file before any field element."""
     check_cap("(labels x conductor)^2 of the modular data", _price_base(obj), 2)
     try:
-        labels = obj["labels"]
-        dual = tuple(obj["dual"])
-        dims = [from_json(d) for d in obj["dims"]]
-        s = [[from_json(e) for e in row] for row in obj["s"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        labels, dual, dims = obj["labels"], tuple(obj["dual"]), list(obj["dims"])
+        s = [list(row) for row in obj["s"]]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"not a modular-data object: {exc}") from exc
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("not a modular-data object: labels must be a list of strings")
+    if violations := _shape_violations(labels, dual, dims, s, _raw_orders(dims, s)):
+        raise ModularDataError(violations)
+    try:
+        dims = [from_json(d) for d in dims]
+        s = [[from_json(e) for e in row] for row in s]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"not a modular-data object: {exc}") from exc
     return ModularData(labels, dual, dims, s)
 
 

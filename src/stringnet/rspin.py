@@ -307,7 +307,7 @@ def count_rspin(genus: int, r: int) -> int:
     """Closed-form count of r-spin structures: r^{2g} when r | 2-2g, else 0.
 
     A count longer than `sys.get_int_max_str_digits()` is refused unbuilt; a
-    digit count itself too long to print is named by its own digit count.
+    digit count, r or genus too long to print is named by its digit count.
     """
     genus, r = _integer(genus, "genus"), _integer(r, "r")
     if genus < 0:
@@ -320,8 +320,12 @@ def count_rspin(genus: int, r: int) -> int:
     digits = power_digits(r, 2 * genus)
     if limit and digits > limit:
         shown = digits if int_digits(digits) <= limit else f"n digits, n of {int_digits(digits)}"
+        named = ", ".join(
+            f"{k}={v}" if int_digits(v) <= limit else f"{k} of {int_digits(v)} digits"
+            for k, v in (("r", r), ("genus", genus))
+        )
         raise ValueError(
-            f"the count r^2g for r={r}, genus={genus} has {shown} digits, "
+            f"the count r^2g for {named} has {shown} digits, "
             f"more than the {limit} Python prints"
         )
     return r ** (2 * genus)

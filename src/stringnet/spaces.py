@@ -11,8 +11,10 @@ dimension is the image rank of the same operator on C(1, 1).
 diagrams (loop around all 2g handle legs, with pivotal corrections where an
 upward strand fills a double-dual slot): every handle is left free, entering
 from its own H strand, so the r diagrams of the sum carry all r^{2g} columns
-at once.  It proves the operator equal to `bp_scalar`, the analytic value
-computed separately, times the identity, and that scalar idempotent.
+at once.  Each diagram opens and closes one handle at a time while the
+others ride along as H strands: 4g + 1 layers, the widest r^{2g+2}.  It
+proves the operator equal to `bp_scalar`, the analytic value computed
+separately, times the identity, and that scalar idempotent.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .caps import check_cap
 from .category import (
     CategoryParams,
     GradedMorphism,
-    GradedObject,
     delta_pivot,
     dual_object,
     simple_object,
@@ -98,11 +99,14 @@ def _bp_column_diagram(
     element whose free handles read c in base r.  With all g labelled the
     bottom is the unit and the diagram carries one basis element.
 
-    Reading bottom to top: the outer cup opens the loop, the basis box
-    emits the 2g pairs of handle legs, an inner cup separates consecutive
-    legs, pivotal boxes fix the two upward strands per handle that occupy
-    double-dual slots, and one coend box per handle closes everything into
-    H^{(x)g}.
+    Reading bottom to top: the outer cup opens the loop, and its two strands
+    start the first handle and end the last.  Then one handle at a time
+    takes four layers while the others ride along as H strands: its basis
+    box emits its four legs, cups separate consecutive legs, pivotal boxes
+    fix the two upward strands that occupy double-dual slots, and jmath
+    closes the handle into H.  The cup after a handle's last leg straddles
+    it and the next handle.  So the diagram has 4g + 1 layers, and the
+    widest, one handle's legs beside g - 1 H strands, is r^(2g+2).
     """
     r = params.r
     if genus == 0:
@@ -112,73 +116,51 @@ def _bp_column_diagram(
         raise ValueError(
             f"genus {genus} takes labels in pairs, at most {2 * genus}, got {len(labels)}"
         )
-    free = genus - labelled
     u_obj = simple_object(r, u)
-    u_dual = dual_object(u_obj)
     acw = orientation == "anticlockwise"
-
-    pairs = [
-        (simple_object(r, labels[2 * i]), simple_object(r, labels[2 * i + 1]))
-        for i in range(labelled)
-    ]
-    pairs += [(simples_object(r), simples_object(r))] * free
-    legs: list[GradedObject] = []
-    for x, y in pairs:
-        legs.extend([dual_object(x), dual_object(y), x, y])
-
-    outer = cup_left(u_obj) if acw else cup_right(u_obj)
-    inner = cup_right(u_obj) if acw else cup_left(u_obj)
-    left_end, right_end = (u_obj, u_dual) if acw else (u_dual, u_obj)
-
-    emit = []
-    if labelled:
-        phi = GradedMorphism.from_entries(
-            unit_object(r), tensor_objects(*legs[: 4 * labelled]), {(0, 0): CycNum.one(r)}
-        )
-        emit.append(box(phi))
-    emit += [box(coend_split(r))] * free
-    # H is r^2 copies of the unit, so the cup's U (x) U^dual (x) H^m and the
-    # next layer's U (x) H^m (x) U^dual are one graded object, basis order
-    # included
-    first = [outer] + [identity(coend_object(r))] * free
-
-    layer_legs = [identity(left_end)]
-    for idx, leg in enumerate(legs):
-        layer_legs.append(identity(leg))
-        if idx < len(legs) - 1:
-            layer_legs.append(inner)
-    layer_legs.append(identity(right_end))
-
-    # slot word after the cups, twelve strands per handle
+    # the outer cup emits the loop's left end then its right end, an inner
+    # cup a right end then a left end
     if acw:
-        handle_pattern = [u_obj, None, u_dual] * 4
-        delta_slots = {0, 3}
+        outer, inner, ends = cup_left(u_obj), cup_right(u_obj), (u_obj, dual_object(u_obj))
     else:
-        handle_pattern = [u_dual, None, u_obj] * 4
-        delta_slots = {2, 5}
+        outer, inner, ends = cup_right(u_obj), cup_left(u_obj), (dual_object(u_obj), u_obj)
+    left_end, right_end = map(identity, ends)
+    # the U strands beside the first two legs fill double-dual slots
     delta = delta_pivot(u_obj, params)
-    layer_delta = []
+    pivoted = (delta, right_end) if acw else (left_end, delta)
+    sides = [pivoted, pivoted, (left_end, right_end), (left_end, right_end)]
+    h = identity(coend_object(r))
+
+    # H is r^2 copies of the unit and the loop's ends cancel in grade, so
+    # wherever the ends ride among the H strands the layer ends are one
+    # graded object, basis order included
+    layers = [[outer] + [h] * (genus - labelled)]
     for i in range(genus):
-        for j, slot in enumerate(handle_pattern):
-            obj = legs[4 * i + j // 3] if slot is None else slot
-            if j in delta_slots:
-                layer_delta.append(box(delta))
-            else:
-                layer_delta.append(identity(obj))
-
-    # the U strands around each leg are one-dimensional and cancel in grade,
-    # so a handle's twelve strands are jmath's four legs
-    layer_close = [box(jmath(x, y)) for x, y in pairs]
-
-    top = tensor_objects(*([coend_object(r)] * genus))
-    layers = [
-        first,
-        [identity(left_end), *emit, identity(right_end)],
-        layer_legs,
-        layer_delta,
-        layer_close,
-    ]
-    return SliceDiagram(top, layers)
+        if i < labelled:
+            x, y = simple_object(r, labels[2 * i]), simple_object(r, labels[2 * i + 1])
+            legs_obj = tensor_objects(dual_object(x), dual_object(y), x, y)
+            opener = GradedMorphism.from_entries(unit_object(r), legs_obj, {(0, 0): CycNum.one(r)})
+        else:
+            x = y = simples_object(r)
+            opener = coend_split(r)
+        legs = [identity(leg) for leg in (dual_object(x), dual_object(y), x, y)]
+        # H strands: the closed handles left of this one, and right of it
+        # the free handles still to open, then the loop's right end
+        done = [h] * i
+        waiting = [h] * (genus - max(i + 1, labelled)) + [right_end]
+        last = i == genus - 1
+        # a cup follows every leg; after the fourth it straddles this handle
+        # and the next, and the last handle ends on the outer cup's strand
+        spaced = [cell for leg in legs for cell in (leg, inner)][: 7 if last else 8]
+        after = [] if last else [left_end, *waiting]
+        twelve = [cell for leg, (lo, hi) in zip(legs, sides) for cell in (lo, leg, hi)]
+        layers += [
+            [*done, left_end, box(opener), *waiting],
+            [*done, left_end, *spaced, *waiting],
+            [*done, *twelve, *after],
+            [*done, box(jmath(x, y)), *after],
+        ]
+    return SliceDiagram(tensor_objects(*([coend_object(r)] * genus)), layers)
 
 
 def tilde_bp_operator(

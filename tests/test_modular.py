@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from stringnet import modular
 from stringnet.caps import ENV_VAR, SizeCapError
 from stringnet.cyclotomic import CycNum, to_json, zeta_power
 from stringnet.modular import (
@@ -178,6 +179,40 @@ def test_files_are_priced_from_the_raw_json(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "625")
     for name in SAMPLES:
         modular_data_from_json(_sample_json(name))
+
+
+def test_a_shape_that_cannot_fit_the_labels_is_refused_unparsed(monkeypatch):
+    # one label and 3,000 dims at order 100: the lengths alone refuse it
+    cell = {"order": 100, "coeffs": [1] + [0] * 39}
+    long_dims = {"labels": ["1"], "dual": [0], "dims": [cell] * 3000, "s": [[cell]]}
+    mixed = {**long_dims, "dims": [cell, {"order": 3, "coeffs": [1, 0]}], "s": [[cell], [cell]]}
+
+    def parsed(cells):
+        return [CycNum(c["order"], c["coeffs"]) for c in cells]
+
+    # the payload is the one the parsed entries give
+    expected = []
+    for obj in (long_dims, mixed):
+        with pytest.raises(ModularDataError) as exc:
+            ModularData(obj["labels"], obj["dual"], parsed(obj["dims"]), map(parsed, obj["s"]))
+        expected.append(exc.value.violations)
+    assert expected == [
+        ("dual and dims must both have length 1",),
+        (
+            "dual and dims must both have length 1",
+            "s must be a 1x1 matrix",
+            "entries use mixed cyclotomic orders",
+        ),
+    ]
+
+    def unparsed(entry):
+        raise AssertionError("from_json called on a file the shape refuses")
+
+    monkeypatch.setattr(modular, "from_json", unparsed)
+    for obj, violations in zip((long_dims, mixed), expected):
+        with pytest.raises(ModularDataError) as exc:
+            modular_data_from_json(obj)
+        assert exc.value.violations == violations
 
 
 def test_unknown_label():

@@ -149,6 +149,20 @@ def test_count_closed_form():
         count_rspin(1, 0)
 
 
+def test_count_names_too_long_arguments_by_their_digit_count():
+    # 2 - 2g = -2 * 10^4400 is divisible by r = 100 and by r = 10^4400; powers
+    # of ten keep the count's log10 exact, so neither call builds a long log
+    genus = 10**4400 + 1
+    with pytest.raises(ValueError) as exc:
+        count_rspin(genus, 100)
+    assert str(exc.value) == (
+        "the count r^2g for r=100, genus of 4401 digits has n digits, n of 4401 digits, "
+        "more than the 4300 Python prints"
+    )
+    with pytest.raises(ValueError, match="for r of 4401 digits, genus of 4401 digits has"):
+        count_rspin(genus, 10**4400)
+
+
 def test_standard_admissibility_is_index_independent():
     # the single-vertex congruence -2g = 2-4g mod r never involves s_e
     c = standard_decomposition(2)

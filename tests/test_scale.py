@@ -13,6 +13,12 @@ tests/test_scale.py` runs them.  Since the state push boxes each chi on
 1_0 alone, one column pushed from the unit, (6, 1) takes about 0.2 s, (8, 1)
 about 1 s and (10, 1) about 5 s.
 
+The plaquette projector alone runs at (2, 6) and (3, 4), under `slow`: it
+opens one handle at a time, so its widest diagram layer is r^(2g+2), and what
+holds its memory is the dense n x n operator matrix.  Each case is bounded
+in CPU time as above, and its child reports its own max RSS, held to a budget
+of twice the measured figure.
+
 At r = 7 and 8 the rank of the r^2 torus vectors h_Z, one per simple of the
 Drinfeld centre, must equal the closed form and the r-spin count at genus 1,
 under a bound set the same way.
@@ -92,6 +98,36 @@ def test_four_routes_agree(r, genus, bound_s):
     *dims, elapsed = _run_fresh(FOUR_ROUTES_CASE, r, genus)
     assert dims == [r ** (2 * genus)] * 4
     assert elapsed < bound_s, (r, genus, elapsed)
+
+
+# (r, genus, bound, RSS budget): each bound is 3 x the median of three measured
+# times, each budget 2 x the max RSS measured (279 MB and 698 MB)
+PROJECTOR_CASES = [
+    pytest.param(2, 6, 3 * 0.782, 2 * 279, id="projector-r2-g6", marks=pytest.mark.slow),
+    pytest.param(3, 4, 3 * 2.70, 2 * 698, id="projector-r3-g4", marks=pytest.mark.slow),
+]
+
+
+# The timed region of a projector case, run as `python -c PROJECTOR_CASE r
+# genus`; it prints the image rank, the CPU time and the process's max RSS in MB.
+PROJECTOR_CASE = """
+import json, resource, sys, time
+from stringnet.category import CategoryParams
+from stringnet.spaces import tilde_bp_operator
+r, genus = int(sys.argv[1]), int(sys.argv[2])
+start = time.process_time()
+rank = tilde_bp_operator(CategoryParams(r), genus).image_rank
+elapsed = time.process_time() - start
+print(json.dumps([rank, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
+
+
+@pytest.mark.parametrize("r, genus, bound_s, budget_mb", PROJECTOR_CASES)
+def test_projector_alone_at_the_capped_frontier(r, genus, bound_s, budget_mb):
+    rank, elapsed, rss_mb = _run_fresh(PROJECTOR_CASE, r, genus)
+    assert rank == count_rspin(genus, r) == r ** (2 * genus)
+    assert elapsed < bound_s, (r, genus, elapsed)
+    assert rss_mb < budget_mb, (r, genus, rss_mb)
 
 
 # (r, bound): each bound is 3 x the median of three measured times

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,22 @@ def test_column_diagram_reslicing_invariance():
             )
             assert evaluate(_resliced_variant(params, labels, u), params) == ref
             assert evaluate(_folded_variant(params, labels, u), params) == ref
+
+
+@pytest.mark.parametrize("orientation", ["anticlockwise", "clockwise"])
+@pytest.mark.parametrize("r, genus", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_column_diagram_opens_one_handle_at_a_time(r, genus, orientation):
+    # the widest layer holds one handle's four legs beside g - 1 H strands,
+    # r^(2g+2), not all 4g legs at once, r^(4g)
+    params = CategoryParams(r)
+    for u in range(r):
+        d = _bp_column_diagram(params, genus, (), u, orientation)
+        widest = max(
+            max(math.prod(m.source.dim for m in layer), math.prod(m.target.dim for m in layer))
+            for layer in d.layers
+        )
+        assert widest == r ** (2 * genus + 2), (u, widest)
+        assert len(d.layers) == 4 * genus + 1
 
 
 def test_annulus_dimension_is_r_delta():
