@@ -31,7 +31,7 @@ class SizeCapError(RuntimeError):
         elif base == 1:
             size, shown = exponent, f"n = {exponent} at r = 1"
         else:
-            size = base**exponent if power_digits(base, exponent) <= printable else None
+            size = base**exponent if power_fits(base, exponent, printable) else None
             shown = f"{base}^{exponent}" if size is None else size
         super().__init__(
             f"{what} needs {shown} > cap {cap}; raise {ENV_VAR} "
@@ -49,8 +49,30 @@ def int_digits(n: int) -> int:
     return Decimal(n).adjusted() + 1
 
 
+def _digit_bounds(base: int, exponent: int) -> tuple[int, int]:
+    """low <= power_digits(base, exponent) <= high, from log10(base) to 30 places."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        # the log is rounded once and the product once, each within 1e-29 of
+        # the value relatively; at 60 places x -+ x * 1e-27 is exact
+        ctx.prec = 30
+        x = Decimal(base).log10() * exponent
+        ctx.prec = 60
+        slack = x.scaleb(-27)
+        return int(x - slack) + 1, int(x + slack) + 1
+
+
 def power_digits(base: int, exponent: int) -> int:
-    """Decimal digits of base**exponent, base >= 1, from its logarithm."""
+    """Decimal digits of base**exponent, base >= 1, from its logarithm.
+
+    The 30-place estimate settles it unless the power's log10 lies within
+    its slack of an integer, as for a long exponent; then the log is taken
+    to as many places as the count has digits.
+    """
+    low, high = _digit_bounds(base, exponent)
+    if low == high:
+        return low
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
@@ -58,6 +80,21 @@ def power_digits(base: int, exponent: int) -> int:
         # places misplace the floor only within 1e-29 of an integer
         ctx.prec = int_digits(exponent) + 30
         return int(Decimal(base).log10() * exponent) + 1
+
+
+def power_fits(base: int, exponent: int, limit: int) -> bool:
+    """Whether base**exponent has at most `limit` digits; the exact count is
+    taken only when the estimate straddles `limit`."""
+    low, high = _digit_bounds(base, exponent)
+    return high <= limit or (low <= limit and power_digits(base, exponent) <= limit)
+
+
+def power_width(base: int, exponent: int) -> int:
+    """int_digits(power_digits(base, exponent)); the exact count is taken only
+    when the estimate straddles a power of ten."""
+    low, high = _digit_bounds(base, exponent)
+    width = int_digits(high)
+    return width if int_digits(low) == width else int_digits(power_digits(base, exponent))
 
 
 def resolve_cap(cap: int | None = None) -> int:

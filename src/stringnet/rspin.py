@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import Record
-from .caps import check_cap, int_digits, power_digits
+from .caps import check_cap, int_digits, power_digits, power_fits, power_width
 
 
 class Edge(NamedTuple):
@@ -317,9 +317,9 @@ def count_rspin(genus: int, r: int) -> int:
     if (2 - 2 * genus) % r != 0:
         return 0
     limit = sys.get_int_max_str_digits()
-    digits = power_digits(r, 2 * genus)
-    if limit and digits > limit:
-        shown = digits if int_digits(digits) <= limit else f"n digits, n of {int_digits(digits)}"
+    if limit and not power_fits(r, 2 * genus, limit):
+        width = power_width(r, 2 * genus)
+        shown = power_digits(r, 2 * genus) if width <= limit else f"n digits, n of {width}"
         named = ", ".join(
             f"{k}={v}" if int_digits(v) <= limit else f"{k} of {int_digits(v)} digits"
             for k, v in (("r", r), ("genus", genus))

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringnet.caps import EXACT_DIGITS, SizeCapError, check_cap, int_digits, power_digits
+from stringnet.caps import (
+    EXACT_DIGITS,
+    SizeCapError,
+    check_cap,
+    int_digits,
+    power_digits,
+    power_fits,
+    power_width,
+)
 
 
 @given(st.integers(1, 10**6), st.integers(0, 3000))
@@ -22,6 +30,26 @@ def test_power_digits_counts_the_printed_power(base, exponent):
     finally:
         sys.set_int_max_str_digits(limit)
     assert power_digits(base, exponent) == want
+
+
+@given(st.integers(1, 10**6), st.integers(0, 3000), st.integers(-2, 2))
+@settings(max_examples=200, deadline=None)
+def test_fit_and_width_agree_with_the_printed_power(base, exponent, offset):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = len(str(base**exponent))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # a limit at or next to the count, where the estimate straddles it
+    assert power_fits(base, exponent, digits + offset) == (offset >= 0)
+    assert power_width(base, exponent) == len(str(digits))
+
+
+def test_width_of_a_count_at_a_power_of_ten():
+    # 10^(10^20 - 1) has 10^20 digits, a power of ten, and the power below it one fewer
+    assert power_width(10, 10**20 - 1) == 21 and power_width(10, 10**20 - 2) == 20
+    assert power_fits(10, 10**20 - 1, 10**20) and not power_fits(10, 10**20, 10**20)
 
 
 def test_power_digits_of_powers_of_ten_and_of_one():

@@ -163,31 +163,51 @@ def test_rank_cyc_of_shuffled_block_diagonal_matches_sympy(n, pieces, zero_rows,
     assert rank_cyc(matrix) == _domain_rank(matrix, n)
 
 
-def _elimination_sizes(monkeypatch, rows) -> tuple[int, list[int]]:
-    """rank_cyc(rows) and the row count of each integer elimination it runs."""
-    sizes = []
-    real = linalg._integer_rank
-    monkeypatch.setattr(linalg, "_integer_rank", lambda big: sizes.append(len(big)) or real(big))
-    return rank_cyc(rows), sizes
+def _eliminations(monkeypatch, rows) -> tuple[int, list[tuple[str, int, int]]]:
+    """rank_cyc(rows) and each elimination it runs: the path and the piece's
+    rows and columns over the field, a blow-up's integer sizes divided by phi."""
+    runs = []
+    modular, integer = linalg._modular_rank, linalg._integer_rank
+    d = degree(rows[0][0].order)
+
+    def mod_p(small, p):
+        runs.append(("mod p", len(small), len(small[0])))
+        return modular(small, p)
+
+    def blow_up(big):
+        runs.append(("blow-up", len(big) // d, len(big[0]) // d))
+        return integer(big)
+
+    monkeypatch.setattr(linalg, "_modular_rank", mod_p)
+    monkeypatch.setattr(linalg, "_integer_rank", blow_up)
+    return rank_cyc(rows), runs
+
+
+def _prime(n: int) -> int:
+    return linalg._prime_of_degree_one(n)[0]
 
 
 def test_a_blow_up_rank_off_by_one_fails_its_check(monkeypatch):
-    # zeta_3 blows up to a rank-2 integer block over Q(zeta_3) of degree 2, so
-    # an elimination that reports 3 is caught
+    # a rank-1 piece over Q(zeta_3) is not full mod p, so it is blown up: to a
+    # rank-2 integer block over a field of degree 2, and an elimination that
+    # reports 3 is caught
     real = linalg._integer_rank
     monkeypatch.setattr(linalg, "_integer_rank", lambda big: real(big) + 1)
+    z = zeta_power(3, 1)
     with pytest.raises(InvariantError) as exc:
-        rank_cyc([[zeta_power(3, 1)]])
+        rank_cyc([[z, z], [z, z]])
     assert exc.value.invariant == "blow-up rank is divisible by the field degree"
 
 
 def test_torus_matrix_is_eliminated_one_grade_block_at_a_time(monkeypatch):
-    # r^2 torus vectors, block-diagonal by centre grade: r blocks of r x r,
-    # each blown up to r * phi(r) = 20 integer rows at r = 5
+    # r^2 torus vectors, block-diagonal by centre grade: r pieces of r x r at r = 5
     params = CategoryParams(5)
     vectors = [v.coords for v in torus_vectors(params)]
     rows = [[v[i] for v in vectors] for i in range(25)]
-    assert _elimination_sizes(monkeypatch, rows) == (25, [20] * 5)
+    rank, runs = _eliminations(monkeypatch, rows)
+    assert rank == 25 and [shape for _, *shape in runs] == [[5, 5]] * 5
+    # each piece is full rank mod p, so none is blown up
+    assert {path for path, *_ in runs} == {"mod p"}
 
 
 def test_dense_sigma_matrix_is_eliminated_once(monkeypatch):
@@ -196,7 +216,77 @@ def test_dense_sigma_matrix_is_eliminated_once(monkeypatch):
     markings = enumerate_admissible(standard_decomposition(2), 2)
     vectors = [sigma_F(m, f_data).coords for m in markings]
     rows = [[v[i] for v in vectors] for i in range(len(vectors[0]))]
-    assert _elimination_sizes(monkeypatch, rows) == (16, [16])
+    # over Q every piece is blown up: there the integer elimination is the cheaper
+    assert _eliminations(monkeypatch, rows) == (16, [("blow-up", 16, 16)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 40])
+def test_the_prime_of_degree_one_is_the_least_above_the_floor(n):
+    p, powers = linalg._prime_of_degree_one(n)
+    assert p > linalg.PRIME_FLOOR and p % n == 1 and sympy.isprime(p)
+    assert not any(sympy.isprime(q) for q in range(p - n, linalg.PRIME_FLOOR, -n))
+    w = powers[1]
+    assert len(powers) == degree(n) and powers == tuple(pow(w, j, p) for j in range(degree(n)))
+    assert sympy.n_order(w, p) == n
+
+
+def test_miller_rabin_to_four_bases_is_exact_below_its_limit():
+    start = linalg.PRIME_FLOOR + 1
+    for m in range(start, start + 4000, 2):
+        assert linalg._is_prime(m) == sympy.isprime(m), m
+    # the limit is the least composite that all four bases pass
+    limit = linalg.MILLER_RABIN_LIMIT
+    assert linalg._is_prime(limit) and not sympy.isprime(limit)
+
+
+def test_a_conductor_with_no_proven_prime_of_degree_one_takes_the_blow_up():
+    # the only candidate below the limit, 2^31 + 1, is 3 times 715,827,883
+    assert linalg._prime_of_degree_one(2**31) is None
+
+
+def test_a_root_of_unity_of_the_wrong_order_fails_its_check(monkeypatch):
+    # w^2 has order n / 2 for even n, so zeta would not go to a root of Phi_n
+    real = linalg._element_of_order
+    monkeypatch.setattr(linalg, "_element_of_order", lambda n, p, qs: pow(real(n, p, qs), 2, p))
+    linalg._prime_of_degree_one.cache_clear()
+    try:
+        with pytest.raises(InvariantError) as exc:
+            linalg._prime_of_degree_one(4)
+    finally:
+        linalg._prime_of_degree_one.cache_clear()
+    assert exc.value.invariant == "zeta goes to an element of order n mod p"
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_outer_products_rank_one(n):
+    # [[z^a, z^b], [z^(a+1), z^(b+1)]] with a power at or past phi(n), which is
+    # reduced through Phi_n, stays singular mod p only if zeta goes to a root of Phi_n
+    d = degree(n)
+    for a, b in ((0, 1), (0, d), (1, d + 1)):
+        rows = [[zeta_power(n, a), zeta_power(n, b)], [zeta_power(n, a + 1), zeta_power(n, b + 1)]]
+        assert rank_cyc(rows) == 1
+
+
+def test_a_rank_that_drops_mod_p_is_found_by_the_blow_up(monkeypatch):
+    # diag(p, 1) has rank 2 over Q(zeta_3), and rank 1 mod p: the piece p is
+    # zero mod p and is blown up, the piece 1 is certified
+    p = _prime(3)
+    rows = [[CycNum.from_rational(3, p), CycNum.zero(3)], [CycNum.zero(3), CycNum.one(3)]]
+    runs = [("mod p", 1, 1), ("blow-up", 1, 1), ("mod p", 1, 1)]
+    assert _eliminations(monkeypatch, rows) == (2, runs)
+
+
+def test_a_rank_deficient_piece_is_blown_up(monkeypatch):
+    z = zeta_power(5, 2)
+    rows = [[z, z * z, CycNum.zero(5)], [z * 3, z * z * 3, CycNum.zero(5)], [CycNum.zero(5)] * 3]
+    assert _eliminations(monkeypatch, rows) == (1, [("mod p", 2, 2), ("blow-up", 2, 2)])
+
+
+def test_an_entry_whose_denominator_p_divides_is_blown_up(monkeypatch):
+    # such an entry has no image in F_p, so its piece is not reduced at all
+    z, p = zeta_power(3, 1), _prime(3)
+    rows = [[z * Fraction(1, p), CycNum.zero(3)], [CycNum.zero(3), z]]
+    assert _eliminations(monkeypatch, rows) == (2, [("blow-up", 1, 1), ("mod p", 1, 1)])
 
 
 def test_rank_cyc_rejects_pieces_of_another_conductor():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringnet import rspin
+from stringnet import caps, rspin
 from stringnet.caps import SizeCapError
 from stringnet.rspin import (
     MarkedPLCW,
@@ -161,6 +161,22 @@ def test_count_names_too_long_arguments_by_their_digit_count():
     )
     with pytest.raises(ValueError, match="for r of 4401 digits, genus of 4401 digits has"):
         count_rspin(genus, 10**4400)
+
+
+def test_a_count_whose_length_is_not_printed_takes_no_exact_log(monkeypatch):
+    # log10(2) is irrational, and to 4,431 places it took seconds; the refusal
+    # prints only the count's digit count, which the 30-place estimate settles
+    def exact(base, exponent):
+        raise AssertionError(f"exact digit count of {base}^n taken")
+
+    monkeypatch.setattr(caps, "power_digits", exact)
+    monkeypatch.setattr(rspin, "power_digits", exact)
+    with pytest.raises(ValueError) as exc:
+        count_rspin(10**4400 + 1, 2)
+    assert str(exc.value) == (
+        "the count r^2g for r=2, genus of 4401 digits has n digits, n of 4400 digits, "
+        "more than the 4300 Python prints"
+    )
 
 
 def test_standard_admissibility_is_index_independent():
