@@ -263,13 +263,21 @@ def _product(order: int, a: tuple, da: int, b: tuple, db: int) -> CycNum:
         if x:
             for j, y in b:
                 conv[i + j] += x * y
+    return _folded(order, conv, da * db)
+
+
+def _folded(order: int, conv: list, den: int) -> CycNum:
+    """conv / den, for the 2 phi(order) - 1 integer coefficients conv of a
+    product of two reduced elements, or of a sum of such products: folded
+    below degree phi(order) in place with `_fold_rows`, then made canonical."""
+    d = (len(conv) + 1) // 2
     for k, row in enumerate(_fold_rows(order), d):
         c = conv[k]
         if c:
             for i, p in row:
                 conv[i] += c * p
     del conv[d:]
-    return _canonical(order, conv, da * db)
+    return _canonical(order, conv, den)
 
 
 def _combine(a: CycNum, b: CycNum) -> CycNum:

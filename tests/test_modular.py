@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from stringnet import modular
+from stringnet import InvariantError, modular
 from stringnet.caps import ENV_VAR, SizeCapError
-from stringnet.cyclotomic import CycNum, to_json, zeta_power
+from stringnet.cli import main
+from stringnet.cyclotomic import CycNum, degree, to_json, zeta_power
 from stringnet.modular import (
     ModularData,
     ModularDataError,
@@ -319,3 +326,165 @@ def test_json_round_trip():
         assert list(m.labels) == obj["labels"] and list(m.dual) == obj["dual"]
         assert [to_json(d) for d in m.dims] == obj["dims"]
         assert [[to_json(e) for e in row] for row in m.s_unnorm] == obj["s"]
+
+
+# -- one proof per file content ----------------------------------------------
+
+
+def _cli(capsys, *argv) -> tuple[int, str]:
+    """Exit code and stdout of `main(argv)` in this interpreter."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    return code, capsys.readouterr().out
+
+
+def _fresh_cli(*argv, cap=None) -> tuple[int, str]:
+    """Exit code and stdout of `python -m stringnet.cli argv` in a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(ENV_VAR, None)
+    if cap is not None:
+        env[ENV_VAR] = str(cap)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringnet.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_a_loaded_file_is_proven_once_and_an_edited_one_afresh(capsys, tmp_path):
+    data = tmp_path / "data.json"
+    data.write_text(sample_path("z3_pointed").read_text())
+    first = load_modular_data(data)
+    assert load_modular_data(data) is first
+    # new valid content at the same path is the new data
+    data.write_text(sample_path("semion").read_text())
+    assert load_modular_data(data) == _load("semion") != first
+    # new content with a violation is reported, not the cached "valid"
+    broken = _sample_json("semion")
+    broken["s"][1][1] = {"order": 4, "coeffs": ["2/1", "0/1"]}
+    data.write_text(json.dumps(broken))
+    code, out = _cli(capsys, "validate-modular", "--data", str(data))
+    assert code == 0 and json.loads(out)["violations"] == [
+        "orthogonality fails at (1, s)",
+        "orthogonality fails at (s, 1)",
+        "orthogonality fails at (s, s)",
+    ]
+    # a failed proof is not kept: every load raises it again
+    for _ in range(2):
+        with pytest.raises(ModularDataError) as exc:
+            load_modular_data(data)
+        assert exc.value.violations == tuple(json.loads(out)["violations"])
+
+
+def test_the_price_is_checked_on_every_load(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    z5 = str(sample_path("z5_pointed"))
+    load_modular_data(z5)
+    monkeypatch.setenv(ENV_VAR, "624")
+    with pytest.raises(SizeCapError) as exc:
+        load_modular_data(z5)
+    assert (exc.value.size, exc.value.cap) == (625, 624)
+    # what a cold process prints for the same refusal
+    assert _cli(capsys, "validate-modular", "--data", z5) == _fresh_cli(
+        "validate-modular", "--data", z5, cap=624
+    )
+
+
+def test_a_warm_interpreter_prints_what_fresh_processes_print(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    data = tmp_path / "z5.json"
+    data.write_text(sample_path("z5_pointed").read_text())
+    charge = ["charge", "--data", str(data), "--j", "1", "--u", "2", "--v", "3"]
+    for argv in (charge, ["validate-modular", "--data", str(data)], charge):
+        warm = _cli(capsys, *argv)
+        assert warm == _fresh_cli(*argv) and warm[0] == 0
+
+
+# -- the packed orthogonality sums --------------------------------------------
+
+
+def _reference_sums(s, dual):
+    """sum_R s_{A,R} s_{R,B^dual}, one CycNum product and one sum at a time."""
+    n, order = len(s), s[0][0].order
+    sums = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            total = CycNum.zero(order)
+            for r_ in range(n):
+                total = total + s[a][r_] * s[r_][dual[b]]
+            row.append(total)
+        sums.append(row)
+    return sums
+
+
+def _drawn_matrix(rng, n, order):
+    """An n x n matrix of elements with numerators up to 10^30 over
+    denominators up to 10^12, about a third of the coordinates zero."""
+
+    def coeff():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**12))
+
+    return [[CycNum(order, [coeff() for _ in range(degree(order))]) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 5, 8, 12, 15])
+def test_packed_sums_equal_the_products_on_large_entries(order):
+    rng = random.Random(order)
+    for n in (1, 2, 4):
+        s = _drawn_matrix(rng, n, order)
+        dual = list(range(n))
+        rng.shuffle(dual)
+        assert modular._orthogonality_sums(s, dual, order) == _reference_sums(s, dual)
+
+
+@pytest.mark.parametrize("order", [3, 5, 12])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_sums_hold_at_the_coefficient_bound(order, sign):
+    # every numerator +-m: the middle coefficient of each summed product is
+    # exactly n phi m^2, the bound the digit width is taken from
+    m, n = 7**20, 3
+    cell = CycNum(order, [sign * m] * degree(order))
+    s = [[cell] * n for _ in range(n)]
+    sums = modular._orthogonality_sums(s, [0, 2, 1], order)
+    assert sums == _reference_sums(s, [0, 2, 1])
+
+
+def _fibonacci():
+    # phi = 1 + zeta_5 + zeta_5^4, the golden ratio; s = [[1, phi], [phi, -1]]
+    one = CycNum.one(5)
+    phi = one + zeta_power(5, 1) + zeta_power(5, 4)
+    s = ((one, phi), (phi, CycNum.from_rational(5, -1)))
+    return ModularData(("1", "t"), (0, 1), (one, phi), s)
+
+
+@pytest.mark.parametrize("datum", [_fibonacci, _ising], ids=["fibonacci", "ising"])
+def test_a_tiny_perturbation_gives_the_violations_the_products_give(datum):
+    m = datum()
+    labels, dual, dims, s, order = m.labels, m.dual, m.dims, m.s_unnorm, m.order
+    n = len(labels)
+    tiny = CycNum.from_rational(order, Fraction(1, 10**40))
+    global_dim = sum((d * d for d in dims), CycNum.zero(order))
+    for a, b in [(n - 1, n - 1), (1, n - 1)]:
+        bent = [list(row) for row in s]
+        bent[a][b] = bent[b][a] = s[a][b] + tiny
+        want = [
+            f"orthogonality fails at ({labels[x]}, {labels[y]})"
+            for x, row in enumerate(_reference_sums(bent, dual))
+            for y, total in enumerate(row)
+            if total != (global_dim if x == y else 0)
+        ]
+        with pytest.raises(ModularDataError) as exc:
+            ModularData(labels, dual, dims, bent)
+        assert want and exc.value.violations == tuple(want)
+
+
+def test_a_packed_sum_wider_than_its_digits_fails_its_check():
+    assert modular._unpack(modular._pack([3, -4, 0, 5], 4), 4, 4) == [3, -4, 0, 5]
+    with pytest.raises(InvariantError) as exc:
+        modular._unpack(modular._pack([3, -4, 0, 5], 4), 4, 3)
+    assert exc.value.invariant == "nothing is left after the last digit"

@@ -23,6 +23,10 @@ At r = 7 and 8 the rank of the r^2 torus vectors h_Z, one per simple of the
 Drinfeld centre, must equal the closed form and the r-spin count at genus 1,
 under a bound set the same way.
 
+Pointed Z_60 modular data (60 labels at conductor 60, priced at 3600^2, so
+the cap is raised in the child) is parsed and validated through
+`modular_data_from_json` under `slow`, bounded the same way.
+
 Every case runs its timed region in a fresh interpreter, as its bound was
 measured: in the process that ran the rest of the suite, the same region
 was timed slower now and then, and the memos that earlier tests filled
@@ -160,3 +164,38 @@ def test_torus_vectors_span_the_genus_one_space(r, bound_s):
     params = CategoryParams(r)
     assert (rank, count_rspin(1, r)) == (sn_closed_dim(params, 1),) * 2 == (r * r,) * 2
     assert elapsed < bound_s, (r, elapsed)
+
+
+# (n, bound): the bound is 3 x the median of five measured times
+MODULAR_CASES = [
+    pytest.param(60, 3 * 0.251, id="modular-z60", marks=pytest.mark.slow),
+]
+
+
+# The timed region of a modular-data case, run as `python -c MODULAR_CASE n`:
+# pointed Z_n, s_ab = zeta_n^(ab), is built as JSON untimed, then parsed and
+# validated; it prints the label count and the CPU time.
+MODULAR_CASE = """
+import json, os, sys, time
+from stringnet.cyclotomic import CycNum, to_json, zeta_power
+from stringnet.modular import modular_data_from_json
+n = int(sys.argv[1])
+os.environ["STRINGNET_CAP"] = str((n * n) ** 2)
+obj = json.loads(json.dumps({
+    "labels": [str(a) for a in range(n)],
+    "dual": [-a % n for a in range(n)],
+    "dims": [to_json(CycNum.one(n))] * n,
+    "s": [[to_json(zeta_power(n, a * b)) for b in range(n)] for a in range(n)],
+}))
+start = time.process_time()
+data = modular_data_from_json(obj)
+elapsed = time.process_time() - start
+print(json.dumps([len(data.labels), elapsed]))
+"""
+
+
+@pytest.mark.parametrize("n, bound_s", MODULAR_CASES)
+def test_pointed_modular_data_validates_in_bounded_time(n, bound_s):
+    labels, elapsed = _run_fresh(MODULAR_CASE, n)
+    assert labels == n
+    assert elapsed < bound_s, (n, elapsed)
