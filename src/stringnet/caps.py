@@ -84,7 +84,13 @@ def power_digits(base: int, exponent: int) -> int:
 
 def power_fits(base: int, exponent: int, limit: int) -> bool:
     """Whether base**exponent has at most `limit` digits; the exact count is
-    taken only when the estimate straddles `limit`."""
+    taken only when the estimate straddles `limit`.
+
+    A power of at most 3 (limit - 1) bits fits without a logarithm: it has
+    at most 0.302 * 3 (limit - 1) + 1 <= limit digits.
+    """
+    if exponent * base.bit_length() <= 3 * (limit - 1):
+        return True
     low, high = _digit_bounds(base, exponent)
     return high <= limit or (low <= limit and power_digits(base, exponent) <= limit)
 

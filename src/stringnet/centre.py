@@ -61,9 +61,6 @@ class CentreSimple(Record):
     def underlying(self) -> GradedObject:
         return simple_object(self.r, self.a)
 
-    def to_json(self) -> dict:
-        return {"a": self.a, "k": self.k}
-
 
 def list_centre_simples(params: CategoryParams) -> list[CentreSimple]:
     r = params.r

@@ -1,8 +1,9 @@
 """Deterministic JSON command line: one subcommand per computation.
 
 Every subcommand echoes its inputs (each flag it declares except `--approx`),
-names the quantity it computes in a "reference" field, and emits sorted-key
-JSON so identical invocations are byte-identical.  Exit codes: 0 success, 1 a
+names the quantity it computes in a "reference" field, and builds every
+payload in key order, so its JSON lists every object's keys sorted and
+identical invocations are byte-identical.  Exit codes: 0 success, 1 a
 domain error raised by the computation, 2 a bad invocation (including missing
 files), 3 a failed theorem check (an InvariantError, named in the payload).
 A reader that closes stdout early ends the run with exit 1 and nothing on
@@ -15,16 +16,18 @@ library functions it calls, and the errors `main` reports live in the
 package itself.  Loading this module and parsing the command line import
 none of the arithmetic, so `--json-schema`, usage errors, `sn-dim`, the
 r-spin commands and the modular-data commands never load the category,
-diagram, coend, centre, spaces or Frobenius layers, and the numeric
-subcommands load neither `fractions` nor `decimal` (only `--approx` and the
-modular-data commands do).  Parsing builds only
-the named subcommand's parser, one `_Parser` with no top-level parser
-above it, which reads the arguments after the name; help, an unknown
-command and other top-level errors get the full parser, which lists every
-subcommand.  The CLI builds each parser once per process and reuses it on
+diagram, coend, centre, spaces or Frobenius layers.  No subcommand loads
+`fractions` or `decimal` on a successful run, the modular-data commands
+included when every coefficient is written as `to_json` writes it; only
+`--approx` loads `fractions`, and a size error or a count too long to print
+loads `decimal`.  Parsing builds only the named subcommand's parser, one
+`_Parser` with no top-level parser above it, which reads the arguments
+after the name; help, an unknown command and other top-level errors get
+the full parser, which lists every subcommand.  The CLI builds each parser once per process and reuses it on
 every later call.  A handler renders each distinct scalar of its payload once,
 through a memo that lives for that call only, so repeated cells of a
-matrix or vector share one rendering.
+matrix or vector share one rendering, and builds each object of its payload
+in key order, so `_emit` sorts only the top level.
 """
 
 from __future__ import annotations
@@ -97,44 +100,69 @@ def schema_text(command: str) -> str:
 
 
 def _emit(payload: dict) -> None:
+    """Print `payload` as indented JSON, every object's keys in sorted order.
+
+    Every nested dict is built in key order where this module makes it, so
+    only the top level, which `_run` extends with the inputs, is ordered
+    here; the encoder then writes the bytes `sort_keys=True` would, without
+    sorting each dict again.
+    """
     # every payload is a fresh tree built by one call, so it holds no cycle
-    print(json.dumps(payload, check_circular=False, indent=2, sort_keys=True))
+    print(json.dumps(dict(sorted(payload.items())), check_circular=False, indent=2))
 
 
 def _render(a, approx: bool, cyclotomic) -> dict:
-    """A CycNum as JSON, with its decimal value when `approx` is set.
+    """A CycNum as JSON in key order, with its decimal value when `approx` is set.
 
     The caller passes the loaded `cyclotomic` module, which keeps the import
     out of this per-scalar call.
     """
-    obj = cyclotomic.to_json(a)
+    coeffs = cyclotomic.to_json(a)["coeffs"]
     if approx:
         z = cyclotomic.approx_complex(a)
-        obj["approx"] = f"{z.real:.12g}{z.imag:+.12g}j"
-    return obj
+        return {"approx": f"{z.real:.12g}{z.imag:+.12g}j", "coeffs": coeffs, "order": a.order}
+    return {"coeffs": coeffs, "order": a.order}
 
 
-def _renderer(approx: bool):
+def _renderer(r: int, approx: bool):
     """`_render` fixed to one call's `approx` choice, once per distinct scalar.
 
     A repeat is one dict lookup that returns the dict made for the first, so
     the cells of a payload that hold one value share one rendering (payloads
     are only serialised).  The memo is keyed by the scalar's order, numerators
     and denominator, all that its rendering reads, and dies with the handler
-    that made it.
+    that made it.  Most cells of a matrix are the shared `CycNum.zero(r)`,
+    which is recognised by identity before any key is built.
     """
     from . import cyclotomic
 
-    memo = {}
+    zero, zero_obj, memo = cyclotomic.CycNum.zero(r), None, {}
 
     def render(a) -> dict:
+        nonlocal zero_obj
+        if a is zero and zero_obj is not None:
+            return zero_obj
         key = (a.order, a.nums, a.den)
         obj = memo.get(key)
         if obj is None:
             obj = memo[key] = _render(a, approx, cyclotomic)
+        if a is zero:
+            zero_obj = obj
         return obj
 
     return render
+
+
+def _residues(report) -> dict:
+    """Per-vertex residues keyed by the vertex's decimal string, in key order."""
+    return dict(sorted((str(v), res) for v, res in report.residues.items()))
+
+
+def _marking_json(marking) -> dict:
+    """A marking as JSON: r, and each edge's index keyed by the edge id's
+    decimal string; keys in order, so edge 10 comes before edge 2."""
+    indices = dict(sorted((str(e), s) for e, s in marking.edge_index.items()))
+    return {"indices": indices, "r": marking.r}
 
 
 def _int_at_least(low: int):
@@ -217,11 +245,11 @@ def _cmd_torus_basis(args) -> dict:
     # r^2 vectors of r^2 coordinates: the rank input and the output
     check_cap("torus-basis coordinates", args.r, 4)
     params = CategoryParams(args.r)
-    render = _renderer(args.approx)
+    render = _renderer(args.r, args.approx)
     vectors = []
     coords_matrix = []
     for z, v in zip(list_centre_simples(params), torus_vectors(params)):
-        vectors.append({"z": z.to_json(), "coords": list(map(render, v.coords))})
+        vectors.append({"coords": list(map(render, v.coords)), "z": {"a": z.a, "k": z.k}})
         coords_matrix.append(list(v.coords))
     rank = rank_cyc([list(col) for col in zip(*coords_matrix)]) if vectors else 0
     return {
@@ -236,7 +264,7 @@ def _cmd_bp_operator(args) -> dict:
     from .spaces import tilde_bp_operator
 
     report = tilde_bp_operator(CategoryParams(args.r), args.genus, orientation=args.orientation)
-    render = _renderer(args.approx)
+    render = _renderer(args.r, args.approx)
     return {
         "reference": "plaquette projector on the genus-g handle space",
         "dim": args.r ** (2 * args.genus),
@@ -288,7 +316,7 @@ def _cmd_rspin_check(args) -> dict:
     return {
         "reference": "per-vertex residues of one edge-index assignment",
         "admissible": report.ok,
-        "residues": {str(v): res for v, res in sorted(report.residues.items())},
+        "residues": _residues(report),
     }
 
 
@@ -301,11 +329,11 @@ def _cmd_sigma_f(args) -> dict:
     vector = sigma_F(marking, frobenius_zr(CategoryParams(args.r)))
     return {
         "reference": "state-sum vector of an admissible marking in the handle space",
-        "marking": marking.to_json(),
+        "marking": _marking_json(marking),
         "vector": {
-            "r": vector.r,
+            "coords": list(map(_renderer(args.r, args.approx), vector.coords)),
             "genus": vector.genus,
-            "coords": list(map(_renderer(args.approx), vector.coords)),
+            "r": vector.r,
         },
     }
 
@@ -318,7 +346,7 @@ def _cmd_frobenius_check(args) -> dict:
     check_cap("Frobenius axiom terms", args.r, 3)
     f_data = frobenius_zr(CategoryParams(args.r))
     forward = f_data.nakayama_pair.forward
-    render = _renderer(args.approx)
+    render = _renderer(args.r, args.approx)
     return {
         "reference": "Frobenius axioms and the Nakayama automorphism of the group algebra",
         "nakayama_diagonal": [render(forward.entry(a, a)) for a in range(args.r)],
@@ -398,7 +426,7 @@ def _declare(parser: _Parser, name: str) -> _Parser:
     for flag, options in flags.items():
         parser.add_argument(f"--{flag}", **options)
     parser.add_argument("--json-schema", action=_SchemaAction, command=name)
-    inputs = tuple(f for f in flags if f != "approx")
+    inputs = tuple(sorted(f for f in flags if f != "approx"))  # in key order
     parser.set_defaults(command=name, handler=handler, inputs=inputs)
     return parser
 
@@ -450,12 +478,7 @@ def _run(argv: list[str] | None) -> int:
         _emit({"error": str(exc), "size": exc.size, "cap": exc.cap})
         return 1
     except InadmissibleMarkingError as exc:
-        _emit(
-            {
-                "error": str(exc),
-                "residues": {str(v): res for v, res in sorted(exc.report.residues.items())},
-            }
-        )
+        _emit({"error": str(exc), "residues": _residues(exc.report)})
         return 1
     except ModularDataError as exc:
         _emit({"error": str(exc), "violations": list(exc.violations)})

@@ -33,9 +33,10 @@ rational, and such an element hashes as the Fraction does, so CycNums and
 rationals can share a set or a dict.
 
 `Fraction` is imported only where outside input or output needs it: the
-public constructor, `.coeffs`, `from_rational` of a non-int, `from_json`,
-repr, and the hash of a rational element that is not an integer.  The
-arithmetic, and equality with and coercion of an int, never load
+public constructor, `.coeffs`, `from_rational` of a non-int, `from_json` of
+a coefficient that is neither an int nor a plain "n/d" string, repr, and
+the hash of a rational element that is not an integer.  The arithmetic,
+and equality with and coercion of an int, never load
 `fractions` (nor `decimal` and `numbers`, which it loads), so the numeric
 subcommands start without them.  A Fraction operand is recognised through
 `sys.modules`: none can exist before `fractions` is loaded.
@@ -337,16 +338,54 @@ def to_json(a: CycNum) -> dict:
 
 
 def from_json(obj: dict) -> CycNum:
-    """The inverse of `to_json`; also takes integer coefficients, never a float or bool."""
+    """The inverse of `to_json`; also takes integer coefficients, never a float or bool.
+
+    Coefficients that are all ints or plain "n/d" strings, as `to_json`
+    writes them, are read with `int` alone (`_plain_json`); any other entry
+    goes through `CycNum(order, coeffs)`, which gives the same value for
+    those and reports every malformed one.
+    """
     order, coeffs = obj["order"], obj["coeffs"]
     if type(order) is not int:
         raise ValueError(f"order must be an integer, got {order!r}")
     if type(coeffs) is not list or any(type(c) not in (str, int) for c in coeffs):
         raise ValueError(f"coeffs must be a list of strings or integers, got {coeffs!r}")
+    a = _plain_json(order, coeffs)
+    if a is not None:
+        return a
     try:
         return CycNum(order, coeffs)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in coefficients {coeffs}") from None
+
+
+def _plain_json(order: int, coeffs: list) -> CycNum | None:
+    """The CycNum of phi(order) coefficients, each an int or an ASCII string
+    -?[0-9]+/[0-9]+ with a nonzero denominator, over the lcm of their
+    denominators; None for any other entry.  The canonical form is unique,
+    so the result equals the public constructor's."""
+    nums, dens = [], []
+    for c in coeffs:
+        if type(c) is int:
+            nums.append(c)
+            dens.append(1)
+            continue
+        top, slash, bottom = c.partition("/")
+        digits = top.removeprefix("-")
+        if not (slash and (digits + bottom).isascii() and digits.isdigit() and bottom.isdigit()):
+            return None
+        try:  # int refuses a string longer than Python converts; Fraction says why
+            num, den = int(top), int(bottom)
+        except ValueError:
+            return None
+        if not den:
+            return None
+        nums.append(num)
+        dens.append(den)
+    if order < 1 or len(nums) != degree(order):
+        return None
+    den = lcm(*dens)
+    return _canonical(order, [n * (den // d) for n, d in zip(nums, dens)], den)
 
 
 def approx_complex(a: CycNum) -> complex:

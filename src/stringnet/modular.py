@@ -67,10 +67,14 @@ class ModularData(Record):
     """Labels, duality involution, dims, and the unnormalized s-matrix.
 
     Construction validates every defining identity and raises
-    ModularDataError with the full violation list when any fails.
+    ModularDataError with the full violation list when any fails.  The
+    global dimension, sum_R dim(R)^2, is computed once then, into a slot
+    outside `_fields`: it is a function of the dims, so equality, hashing
+    and repr ignore it.
     """
 
-    __slots__ = _fields = ("labels", "dual", "dims", "s_unnorm")
+    _fields = ("labels", "dual", "dims", "s_unnorm")
+    __slots__ = (*_fields, "global_dim")
 
     def __init__(self, labels, dual, dims, s_unnorm) -> None:
         super().__init__(
@@ -82,6 +86,11 @@ class ModularData(Record):
         orders = {e.order for row in (self.dims, *self.s_unnorm) for e in row}
         violations = _shape_violations(self.labels, self.dual, self.dims, self.s_unnorm, orders)
         if not violations:
+            # the shape check found one conductor and at least one dim
+            total = CycNum.zero(self.order)
+            for d in self.dims:
+                total = total + d * d
+            object.__setattr__(self, "global_dim", total)
             violations = self._identity_violations()
         if violations:
             raise ModularDataError(violations)
@@ -128,13 +137,6 @@ class ModularData(Record):
     def order(self) -> int:
         """Cyclotomic order shared by every entry."""
         return self.dims[0].order
-
-    @property
-    def global_dim(self) -> CycNum:
-        total = CycNum.zero(self.order)
-        for d in self.dims:
-            total = total + d * d
-        return total
 
     def index(self, label: str) -> int:
         try:
@@ -286,13 +288,11 @@ def _invertible_index(label: str, m: ModularData) -> int:
 def _fusion_square(ji: int, m: ModularData) -> int:
     """Index of J tensor J, from s_{J,R}^2 = dim(R) s_{JJ,R} for all R."""
     n = len(m.labels)
+    squares = [x * x for x in m.s_unnorm[ji]]
     hits = [
         k
         for k in range(n)
-        if all(
-            m.s_unnorm[k][r_] * m.dims[r_] == m.s_unnorm[ji][r_] * m.s_unnorm[ji][r_]
-            for r_ in range(n)
-        )
+        if all(m.s_unnorm[k][r_] * m.dims[r_] == squares[r_] for r_ in range(n))
     ]
     if len(hits) != 1:
         raise ValueError(

@@ -191,9 +191,6 @@ class MarkedPLCW(Record):
     def edge_index(self) -> dict[int, int]:
         return {e.id: s for e, s in zip(self.complex.edges, self.indices)}
 
-    def to_json(self) -> dict:
-        return {"r": self.r, "indices": {str(k): v for k, v in self.edge_index.items()}}
-
 
 def _integer(value, name: str) -> int:
     """`value` through `operator.index`; a ValueError naming `name` if it is no integer."""

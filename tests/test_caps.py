@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 
@@ -44,6 +45,31 @@ def test_fit_and_width_agree_with_the_printed_power(base, exponent, offset):
     # a limit at or next to the count, where the estimate straddles it
     assert power_fits(base, exponent, digits + offset) == (offset >= 0)
     assert power_width(base, exponent) == len(str(digits))
+
+
+@pytest.mark.parametrize("base", [10, 2, 4, 2**10, 2**61])
+def test_a_short_power_fits_without_a_logarithm(monkeypatch, base):
+    from stringnet import caps
+
+    real, logs = caps._digit_bounds, []
+    monkeypatch.setattr(caps, "_digit_bounds", lambda b, e: logs.append(e) or real(b, e))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for digits in [1, 2, 3, 10, 11, 640, 641, 4300]:
+            # around 3 (digits - 1) bits, the last power that skips the
+            # logarithm, and around the last power of `digits` digits
+            edge = 3 * (digits - 1) // base.bit_length()
+            last = max(edge, int((digits - 1) / math.log10(base)) - 2)  # below the last
+            while len(str(base ** (last + 1))) <= digits:
+                last += 1
+            for exponent in {*range(edge - 3, edge + 4), *range(last - 3, last + 4)} - {-3, -2, -1}:
+                logs.clear()
+                want = len(str(base**exponent)) <= digits
+                assert power_fits(base, exponent, digits) == want
+                assert (logs == []) == (exponent <= edge)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_width_of_a_count_at_a_power_of_ten():

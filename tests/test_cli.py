@@ -103,7 +103,7 @@ def test_torus_basis_matches_library(capsys):
     assert payload["rank"] == 4
     params = CategoryParams(2)
     want = [
-        {"z": z.to_json(), "coords": [to_json(c) for c in h_vector(z, params).coords]}
+        {"coords": [to_json(c) for c in h_vector(z, params).coords], "z": {"a": z.a, "k": z.k}}
         for z in list_centre_simples(params)
     ]
     assert payload["vectors"] == want
@@ -439,6 +439,70 @@ def test_a_warm_interpreter_prints_the_golden_bytes_twice(capsys, monkeypatch):
                 if code != 0 or digest(out.encode()) != golden.get(case_id(argv)):
                     wrong.append(f"run {run} of {case_id(argv)}: exit {code}")
     assert wrong == [] and runs == 116
+
+
+def _key_order_cases(tmp_path) -> list[tuple[list[str], int]]:
+    """(argv, exit code): the default-seed benchmark cases, `--approx` on each
+    subcommand that renders scalars, a marking of 12 edges, whose edge ids
+    sort differently as strings, and an error payload of every exit code."""
+    from cases import DEFAULT_SEED, WORKLOADS, build_cases
+
+    one = to_json(CycNum.one(2))
+    singular = tmp_path / "singular.json"
+    singular.write_text(
+        json.dumps({"labels": ["0", "1"], "dual": [0, 1], "dims": [one, one], "s": [[one] * 2] * 2})
+    )
+    cases = [
+        (argv, 0)
+        for workload in WORKLOADS
+        for argv in build_cases(workload, DEFAULT_SEED)
+        if "--json-schema" not in argv  # prints a shipped file, not a payload
+    ]
+    cases += [
+        (["torus-basis", "--r", "3", "--approx"], 0),
+        (["bp-operator", "--r", "2", "--genus", "1", "--approx"], 0),
+        (["sigma-f", "--r", "3", "--genus", "1", "--indices", "1,2", "--approx"], 0),
+        (["frobenius-check", "--r", "4", "--approx"], 0),
+        (["sigma-f", "--r", "2", "--genus", "6", "--indices", ",".join("01" * 6)], 0),
+        (["rspin-check", "--r", "3", "--genus", "2", "--indices", "0,0,0,0"], 0),
+        (["bp-operator", "--r", "2", "--genus", "9"], 1),  # SizeCapError
+        (["sigma-f", "--r", "3", "--genus", "2", "--indices", "0,0,0,0"], 1),  # inadmissible
+        (["charge", "--data", str(singular), "--j", "0", "--u", "0", "--v", "0"], 1),
+        (["charge", "--data", Z3, "--j", "x", "--u", "1", "--v", "1"], 1),  # ValueError
+        (["sn-dim", "--r", "0", "--genus", "1"], 2),  # argparse
+        (["charge", "--data", "/no/such.json", "--j", "0", "--u", "0", "--v", "0"], 2),
+    ]
+    return cases
+
+
+def test_every_payload_is_built_in_key_order(capsys, monkeypatch, tmp_path):
+    """`_emit` orders only the top level, so every nested dict must come in
+    key order from the handler; then stdout is the sorted-key dump."""
+    from stringnet import spaces
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.chdir(root)  # the cases name their data files from the root
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload: emitted.append(payload) or emit(payload))
+
+    def check(argv, want):
+        emitted.clear()
+        code, out = _run(capsys, *argv)
+        assert code == want and len(emitted) == 1, (argv, code, out)
+        payload = emitted[0]
+        top_sorted = {key: payload[key] for key in sorted(payload)}
+        want_text = json.dumps(payload, indent=2, sort_keys=True)
+        assert json.dumps(top_sorted, indent=2) == want_text, argv
+        assert out == want_text + "\n", argv
+
+    for argv, want in _key_order_cases(tmp_path):
+        check(argv, want)
+    # exit 3: the plaquette theorem broken as in _BROKEN_THEOREM below
+    monkeypatch.setattr(spaces, "bp_scalar", lambda params, genus: CycNum.zero(params.r))
+    check(["bp-operator", "--r", "2", "--genus", "1"], 3)
 
 
 def test_charge_values_and_errors(capsys):

@@ -155,6 +155,51 @@ def test_from_json_maps_a_zero_denominator_to_value_error():
         from_json({"order": 3, "coeffs": ["1/0", "0/1"]})
 
 
+def _outcome(read, obj):
+    try:
+        a = read(obj)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(a), a.order, a.nums, a.den
+
+
+LONG = "9" * 4301  # longer than Python converts by default
+
+
+@pytest.mark.parametrize(
+    "coeffs, plain",
+    [
+        (["2/4", "-6/8"], True),
+        (["-0/1", "0/7"], True),
+        ([3, "-10/4"], True),
+        (["-123456789012345678901234567890/7", "5/123456789012345678901"], True),
+        (["1/0", "0/1"], False),
+        (["+1/2", "0/1"], False),
+        ([" 1/2", "0/1"], False),
+        (["1/2 ", "0/1"], False),
+        (["0.5", "0/1"], False),
+        (["1", "0/1"], False),
+        (["1_0/2", "0/1"], False),
+        (["--1/2", "0/1"], False),
+        (["1/-2", "0/1"], False),
+        (["\u0661/2", "0/1"], False),
+        (["1/2"], False),
+        (["1/2", "0/1", "0/1"], False),
+        ([LONG + "/1", "0/1"], False),
+    ],
+)
+def test_from_json_reads_plain_coefficients_as_the_constructor_does(monkeypatch, coeffs, plain):
+    from stringnet import cyclotomic
+
+    obj = {"order": 3, "coeffs": coeffs}
+    assert (cyclotomic._plain_json(3, coeffs) is not None) == plain
+    got = _outcome(from_json, obj)
+    monkeypatch.setattr(cyclotomic, "_plain_json", lambda order, coeffs: None)
+    assert got == _outcome(from_json, obj)
+    if plain:
+        assert got == _outcome(lambda o: CycNum(o["order"], o["coeffs"]), obj)
+
+
 def test_from_json_checks_the_conductor_before_the_coefficients():
     with pytest.raises(ValueError, match="conductor must be positive, got 0"):
         from_json({"order": 0, "coeffs": ["1/0"]})

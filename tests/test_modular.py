@@ -44,6 +44,8 @@ def test_sample_files_load():
         n = sizes[name]
         assert len(m.labels) == n
         assert m.global_dim == CycNum.from_rational(m.order, n)
+        # computed once, beside the fields that equality, hashing and repr read
+        assert m.global_dim is m.global_dim and "global_dim" not in m._fields
 
 
 def _assert_theta_oracle(name, labels, conductor, c):

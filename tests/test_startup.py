@@ -164,5 +164,26 @@ assert identity(f).scale(Fraction(0)).columns == ((),) * f.dim
 """
 
 
+def test_modular_commands_on_the_shipped_files_load_no_rational_modules():
+    calls = []
+    for name in ("trivial", "semion", "z3_pointed", "z5_pointed"):
+        data = str(sample_path(name))
+        labels = json.loads(Path(data).read_text())["labels"]
+        calls.append(["validate-modular", "--data", data])
+        j, u, v = labels[0], labels[-1], labels[1 % len(labels)]
+        calls.append(["charge", "--data", data, "--j", j, "--u", u, "--v", v])
+    loaded = _modules_loaded_by_calls(calls)
+    assert "stringnet.modular" in loaded
+    assert not loaded & RATIONAL_MODULES
+
+
+def test_closed_form_counts_load_no_decimal():
+    loaded = _modules_loaded_by_calls(
+        [["sn-dim", "--r", "2", "--genus", "3"], ["rspin-count", "--r", "3", "--genus", "4"]]
+    )
+    assert "stringnet.rspin" in loaded
+    assert "decimal" not in loaded
+
+
 def test_rationals_built_before_fractions_loads_agree_with_fractions():
     assert "fractions" in _modules_loaded_by(LATE_FRACTIONS)
