@@ -43,7 +43,15 @@ class SizeCapError(RuntimeError):
 
 
 def int_digits(n: int) -> int:
-    """Decimal digits of n >= 0, counted without printing n."""
+    """Decimal digits of n >= 0, counted without printing a long n.
+
+    An n of at most 3 (limit - 1) bits has at most `limit` digits, the
+    bound `power_fits` uses, so it is printed and measured without loading
+    `decimal`; any longer n is counted by `Decimal`.
+    """
+    limit = min(EXACT_DIGITS, sys.get_int_max_str_digits() or EXACT_DIGITS)
+    if n.bit_length() <= 3 * (limit - 1):
+        return len(str(n))
     from decimal import Decimal
 
     return Decimal(n).adjusted() + 1

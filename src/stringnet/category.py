@@ -235,9 +235,6 @@ class GradedMorphism(Record):
                 return a
         return CycNum.zero(self.r)
 
-    def _entries(self) -> dict:
-        return {(i, j): a for j, col in enumerate(self.columns) for i, a in col}
-
     def __add__(self, other: "GradedMorphism") -> "GradedMorphism":
         if self.source != other.source or self.target != other.target:
             raise ValueError("mismatched shapes in morphism sum")

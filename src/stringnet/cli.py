@@ -19,24 +19,38 @@ r-spin commands and the modular-data commands never load the category,
 diagram, coend, centre, spaces or Frobenius layers.  No subcommand loads
 `fractions` or `decimal` on a successful run, the modular-data commands
 included when every coefficient is written as `to_json` writes it; only
-`--approx` loads `fractions`, and a size error or a count too long to print
-loads `decimal`.  Parsing builds only the named subcommand's parser, one
-`_Parser` with no top-level parser above it, which reads the arguments
-after the name; help, an unknown command and other top-level errors get
-the full parser, which lists every subcommand.  The CLI builds each parser once per process and reuses it on
-every later call.  A handler renders each distinct scalar of its payload once,
-through a memo that lives for that call only, so repeated cells of a
-matrix or vector share one rendering, and builds each object of its payload
-in key order, so `_emit` sorts only the top level.
+`--approx` loads `fractions`, and only a size error or a count whose number
+has more than 3 x 4299 bits loads `decimal`.  Parsing builds only the named
+subcommand's parser, one `_Parser` with no top-level parser above it, which
+reads the arguments after the name; help, an unknown command and other
+top-level errors get the full parser, which lists every subcommand.  The CLI
+builds each parser once per process and reuses it on every later call.  A
+handler renders each distinct scalar of its payload once, through a memo
+that lives for that call only, so repeated cells of a matrix or vector share
+one rendering, and builds each object of its payload in key order, so
+`_emit` sorts only the top level.
+
+`main` is the in-process API: it returns the exit code, and help,
+`--json-schema` and usage errors raise `SystemExit` out of it, as argparse
+does; it never ends the process.  A CLI process, `python -m stringnet.cli`
+or the installed `stringnet` script, runs `exit_main`, which takes the exit
+status from `main` as the interpreter would, runs the `atexit` callbacks,
+flushes stdout and stderr and ends with `os._exit`.  The interpreter is not
+finalised: no module is torn down and no live object's `__del__` runs, which
+a process that has flushed its one JSON document does not need.  An
+exception other than `SystemExit` still ends the process the usual way,
+with its traceback and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import json
 import os
 import sys
+from typing import NoReturn
 
 from . import InadmissibleMarkingError, InvariantError, ModularDataError
 from .caps import SizeCapError, check_cap
@@ -457,10 +471,45 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             sys.stdout.flush()  # a closed pipe shows up here, not at exit
     except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so the flush at exit
-        # stays quiet too, and fail without a traceback.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return _closed_stdout()
+
+
+def _closed_stdout() -> int:
+    """The exit code when the reader closed stdout: 1, with nothing on stderr.
+
+    Stdout is pointed at devnull so a later flush stays quiet too, and the
+    run fails without a traceback.
+    """
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
+
+
+def exit_main(argv: list[str] | None = None) -> NoReturn:
+    """Run `main` as a whole process and end it without finalising the interpreter.
+
+    The status is taken as the interpreter takes it from `SystemExit`: None
+    is 0, an int is itself, and anything else is printed to stderr and gives
+    1.  The `atexit` callbacks run and both streams are flushed before
+    `os._exit`, so coverage and `weakref.finalize` hooks still see the end
+    of the run; the CLI starts no thread, so there is none to wait for.  Any
+    other exception propagates and ends the process the usual way.
+    """
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    if status is None:
+        status = 0
+    elif not isinstance(status, int):
+        print(status, file=sys.stderr)
+        status = 1
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        status = _closed_stdout()
+    sys.stderr.flush()
+    os._exit(status)
 
 
 def _run(argv: list[str] | None) -> int:
@@ -495,4 +544,4 @@ def _run(argv: list[str] | None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    exit_main()

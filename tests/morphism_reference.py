@@ -26,6 +26,11 @@ from stringnet.diagrams import (
 )
 
 
+def entries_of(f: GradedMorphism) -> dict:
+    """f's nonzero cells as {(row, column): value}, the form the constructor reads."""
+    return {(i, j): a for j, col in enumerate(f.columns) for i, a in col}
+
+
 def dual_morphism(f: GradedMorphism) -> GradedMorphism:
     """Anti-transpose: f^dual[i][j] = f[m-1-j][n-1-i] on the reversed lists."""
     m = f.target.dim

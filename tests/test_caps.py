@@ -126,6 +126,26 @@ def test_size_follows_a_lowered_printing_limit():
     assert exc.value.size is None
 
 
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+def test_int_digits_matches_the_printed_int_on_both_sides_of_its_bound(limit):
+    # n of up to 3 (limit - 1) bits, the bound power_fits uses, is printed;
+    # a longer one, and a 10,000-digit one, is counted by Decimal
+    from decimal import Decimal
+
+    bits = 3 * (min(EXACT_DIGITS, limit or EXACT_DIGITS) - 1)
+    near = [2**b + d for b in (bits - 1, bits, bits + 1) for d in (-1, 0, 1)]
+    huge = 10**9999 + 7
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [len(str(n)) for n in near]
+        sys.set_int_max_str_digits(limit)
+        assert [int_digits(n) for n in near] == want
+        assert int_digits(huge) == Decimal(huge).adjusted() + 1 == 10000
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_an_exponent_too_long_to_print_is_named_by_its_digits():
     assert [int_digits(n) for n in (0, 9, 10, 10**4300 - 1, 10**4300)] == [1, 1, 2, 4300, 4301]
     for base, shown in [(2, "2^n, n of 4301 digits,"), (1, "n of 4301 digits at r = 1")]:

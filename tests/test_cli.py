@@ -44,6 +44,17 @@ def _payload(capsys, *argv):
     return json.loads(out)
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on `args`, with src/ and tests/ on its path, no
+    size cap set, stdout buffered and help wrapped at 80 columns."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), COLUMNS="80")
+    for name in (ENV_VAR, "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_sn_dim_example(capsys):
     payload = _payload(capsys, "sn-dim", "--r", "2", "--genus", "3")
     assert payload["dim"] == 64
@@ -188,17 +199,8 @@ DIGITS_GENUS = "25" + "0" * 4297 + "1"
     ],
 )
 def test_huge_powers_are_priced_without_being_built(argv, error):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop(ENV_VAR, None)
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "stringnet.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _python("-m", "stringnet.cli", *argv)
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stderr) == (1, "")
     payload = json.loads(proc.stdout)
@@ -223,17 +225,8 @@ def test_huge_powers_are_priced_without_being_built(argv, error):
 def test_genus_linear_work_is_priced_before_it_is_built(argv, code, error):
     # a wrong --indices count is refused before the 2g-edge decomposition is
     # built, and at r = 1, where r^n is 1, the cap prices n itself
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop(ENV_VAR, None)
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "stringnet.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _python("-m", "stringnet.cli", *argv)
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stderr) == (code, "")
     payload = json.loads(proc.stdout)
@@ -279,16 +272,7 @@ LONG_GENUS = "5" + "0" * 4299
     ids=["bp-operator", "rspin-enumerate-r1"],
 )
 def test_an_exponent_too_long_to_print_is_priced_by_its_digits(argv, error):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop(ENV_VAR, None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "stringnet.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _python("-m", "stringnet.cli", *argv)
     assert (proc.returncode, proc.stderr) == (1, "")
     payload = json.loads(proc.stdout)
     assert error in payload["error"]
@@ -616,17 +600,8 @@ def test_modular_data_is_priced_before_any_field_element_is_built(tmp_path, comm
     argv = [command, "--data", str(data)]
     if command == "charge":
         argv += ["--j", "1", "--u", "1", "--v", "1"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop(ENV_VAR, None)
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "stringnet.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _python("-m", "stringnet.cli", *argv)
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stderr) == (1, "")
     payload = json.loads(proc.stdout)
@@ -932,15 +907,7 @@ sys.exit(cli.main(["bp-operator", "--r", "2", "--genus", "1"]))
 
 def _invariant_payload_under_optimize(script: str) -> dict:
     """Run `script` under python -O, expect exit 3 and return its JSON payload."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _python("-O", "-c", script)
     assert proc.returncode == 3, proc.stderr
     return json.loads(proc.stdout)
 
@@ -959,10 +926,11 @@ import sys
 from stringnet import cli, spaces
 from stringnet.category import GradedMorphism
 from stringnet.coends import coend_split
+from morphism_reference import entries_of
 if __debug__:
     sys.exit("expected python -O")
 good = coend_split(2)
-entries = good._entries()
+entries = entries_of(good)
 row = next(i for i, j in entries if j == 0)
 entries[row, 1] = entries.pop((row, 0))
 spaces.coend_split = lambda r: GradedMorphism.from_entries(good.source, good.target, entries)
@@ -983,11 +951,12 @@ import sys
 from stringnet import cli, diagrams, frobenius
 from stringnet.category import GradedMorphism
 from stringnet.cyclotomic import zeta_power
+from morphism_reference import entries_of
 if __debug__:
     sys.exit("expected python -O")
 def cap_left(x):
     good = diagrams.cap_left(x)
-    entries = good._entries()
+    entries = entries_of(good)
     key = max(entries)
     entries[key] = entries[key] * zeta_power(x.r, 1)
     return GradedMorphism.from_entries(good.source, good.target, entries)
@@ -1017,3 +986,96 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait(timeout=120) == 1
     assert head == b'{\n  "dim":'
     assert stderr == b""
+
+
+# Runs the CLI module as `python -m` does, after `setup`.
+_AS_MAIN = """
+import runpy, sys
+{setup}
+sys.argv = ["stringnet", *{argv!r}]
+runpy.run_module("stringnet.cli", run_name="__main__")
+"""
+_ZERO_SCALAR = """
+from stringnet import spaces
+from stringnet.cyclotomic import CycNum
+spaces.bp_scalar = lambda params, genus: CycNum.zero(params.r)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["sn-dim", "--r", "2", "--genus", "1"], 0),
+        (["bp-operator", "--r", "2", "--genus", "9"], 1),  # 2^18 is over the cap
+        (["sn-dim", "--r", "2"], 2),
+        (["bp-operator", "--r", "2", "--genus", "1"], 3),  # with the theorem broken
+        (["sn-dim", "--help"], 0),
+        (["sigma-f", "--json-schema"], 0),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "exit-3", "help", "json-schema"],
+)
+def test_a_cli_process_exits_with_what_main_gives(capsys, monkeypatch, argv, want):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    if want == 3:  # the plaquette operator is no longer the scalar times the identity
+        from stringnet import spaces
+
+        monkeypatch.setattr(spaces, "bp_scalar", lambda params, genus: CycNum.zero(params.r))
+        proc = _python("-c", _AS_MAIN.format(setup=_ZERO_SCALAR, argv=argv))
+    else:
+        proc = _python("-m", "stringnet.cli", *argv)
+    code, out, err = _outcome(capsys, lambda: main(argv))
+    assert (code, err) == (want, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+def test_atexit_callbacks_run_before_the_last_flush(capsys):
+    # a callback registered before the module runs prints after the payload
+    proc = _python("-c", _AS_MAIN.format(
+        setup="import atexit\natexit.register(print, 'atexit ran')",
+        argv=["sn-dim", "--r", "2", "--genus", "1"],
+    ))
+    code, out = _run(capsys, "sn-dim", "--r", "2", "--genus", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "atexit ran\n", "")
+
+
+def test_a_failed_last_flush_exits_quietly():
+    # an atexit callback leaves unflushed text for a reader that has gone
+    setup = """
+import atexit, os
+def reader_gone():
+    read, write = os.pipe()
+    os.close(read)
+    os.dup2(write, sys.stdout.fileno())
+    sys.stdout.write("after the payload\\n")
+atexit.register(reader_gone)
+"""
+    proc = _python("-c", _AS_MAIN.format(setup=setup, argv=["sn-dim", "--r", "2", "--genus", "1"]))
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+# Replaces `main` with one that ends as `body` says, then runs exit_main.
+_EXIT_MAIN_WITH = """
+from stringnet import cli
+def main(argv=None):
+    {body}
+cli.main = main
+cli.exit_main()
+"""
+
+
+@pytest.mark.parametrize("code", ["None", "0", "3", "True", "'no such case'", "['a', 1]"])
+@pytest.mark.parametrize("how", ["return {}", "raise SystemExit({})"])
+def test_exit_main_takes_the_status_as_the_interpreter_does(code, how):
+    interpreter = _python("-c", f"raise SystemExit({code})")
+    ended = _python("-c", _EXIT_MAIN_WITH.format(body=how.format(code)))
+    assert (ended.returncode, ended.stdout, ended.stderr) == (
+        interpreter.returncode, interpreter.stdout, interpreter.stderr
+    )
+
+
+def test_an_uncaught_exception_prints_its_traceback_and_exits_1():
+    proc = _python("-c", _EXIT_MAIN_WITH.format(body="raise RuntimeError('boom')"))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("RuntimeError: boom\n")

@@ -44,6 +44,8 @@ from stringnet.frobenius import frobenius_zr, sigma_F
 from stringnet.rspin import enumerate_admissible, standard_decomposition
 from stringnet.spaces import tilde_bp_operator
 
+from morphism_reference import entries_of
+
 
 def _loop(u: int, orientation: str, params: CategoryParams):
     """A small loop on the grade-u simple, as a cup followed by a cap."""
@@ -345,7 +347,7 @@ def test_evaluate_matches_layer_fold(data):
 def _assert_canonical(m: GradedMorphism) -> None:
     """m has canonical columns and equals, hash included, what the validating
     constructor builds from its entries."""
-    rebuilt = GradedMorphism(m.source, m.target, m._entries())
+    rebuilt = GradedMorphism(m.source, m.target, entries_of(m))
     assert m == rebuilt and hash(m) == hash(rebuilt)
     assert type(m.columns) is tuple and len(m.columns) == m.source.dim
     r, sg, tg = m.r, m.source.grades, m.target.grades
@@ -385,7 +387,7 @@ def test_library_built_morphisms_are_canonical(data):
     )
     _assert_canonical(summed)
     keep = (1 if side == "left" else -1) % r
-    want = {(i, j): a for (i, j), a in m._entries().items() if m.target.grades[i] == keep}
+    want = {(i, j): a for (i, j), a in entries_of(m).items() if m.target.grades[i] == keep}
     assert summed == GradedMorphism.from_entries(m.source, m.target, want)
 
 

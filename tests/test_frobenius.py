@@ -35,7 +35,7 @@ from stringnet.rspin import (
 )
 from stringnet.spaces import tilde_bp_operator
 
-from morphism_reference import trace
+from morphism_reference import entries_of, trace
 
 
 def test_axioms_hold_up_to_r8():
@@ -89,7 +89,7 @@ def test_mu_dropping_one_product_fails_its_axiom(monkeypatch, r, a, b, axiom):
     real = FrobeniusAlgebraData
 
     def corrupted(params, obj, mu, eta, delta, eps):
-        entries = mu._entries()
+        entries = entries_of(mu)
         del entries[(a + b) % r, a * r + b]
         mu = GradedMorphism.from_entries(mu.source, mu.target, entries)
         return real(params, obj, mu, eta, delta, eps)
@@ -131,7 +131,7 @@ def test_corrupted_structure_map_fails_its_axiom(edits, axiom):
     for name in ("mu", "eta", "delta", "eps"):
         m = getattr(good, name)
         edit = edits.get(name)
-        maps[name] = m if edit is None else GradedMorphism(m.source, m.target, edit(m._entries()))
+        maps[name] = m if edit is None else GradedMorphism(m.source, m.target, edit(entries_of(m)))
     with pytest.raises(InvariantError) as exc:
         FrobeniusAlgebraData(params, good.object, **maps)
     assert exc.value.invariant == axiom
@@ -192,7 +192,7 @@ def _reweighted(cell):
 
     def build(x):
         good = cell(x)
-        entries = good._entries()
+        entries = entries_of(good)
         key = max(entries)
         entries[key] = entries[key] * zeta_power(x.r, 1)
         return GradedMorphism.from_entries(good.source, good.target, entries)

@@ -185,5 +185,18 @@ def test_closed_form_counts_load_no_decimal():
     assert "decimal" not in loaded
 
 
+def test_a_size_refusal_loads_no_decimal(monkeypatch):
+    # 2^18 plaquette-basis vectors are over the default cap; the short
+    # exponent is printed in the error without `decimal`
+    monkeypatch.delenv("STRINGNET_CAP", raising=False)
+    loaded = _modules_loaded_by(
+        "from stringnet.cli import main\n"
+        "if main(['bp-operator', '--r', '2', '--genus', '9']) != 1:\n"
+        "    raise SystemExit('bp-operator --r 2 --genus 9 was not refused')"
+    )
+    assert "stringnet.spaces" in loaded
+    assert not loaded & RATIONAL_MODULES
+
+
 def test_rationals_built_before_fractions_loads_agree_with_fractions():
     assert "fractions" in _modules_loaded_by(LATE_FRACTIONS)
